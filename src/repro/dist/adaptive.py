@@ -31,9 +31,8 @@ records) and a resumed master continues from the adapted state instead
 of re-warming from the static default.
 
 This module is engine-neutral on purpose: it imports only the analysis
-layer and the seeded RNG helpers, and is re-exported by
-``repro.runtime.adaptive`` so the sim, local, and dist engines share one
-policy implementation (parity-tested in ``tests/test_adaptive.py``).
+layer and the seeded RNG helpers, so the local engine imports it
+directly and both real engines share one policy implementation.
 """
 
 from __future__ import annotations

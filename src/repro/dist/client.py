@@ -1,18 +1,17 @@
 """Client side of the storage protocol: bag proxies and batch sampling.
 
-:class:`RemoteBagStore` mimics the
-:class:`~repro.storage.local.LocalBagStore` surface over one storage
-connection; :class:`ShardedBagStore` composes ``m`` of them behind a
-:class:`~repro.dist.sharding.ShardRouter`, so the engine-agnostic helpers
-in :mod:`repro.engine.common` (and the shared
+:class:`ShardedBagStore` presents the local engine's bag-store surface
+(``ensure``/``get`` returning bags) over ``m`` storage shards behind a
+:class:`~repro.dist.sharding.ShardRouter`, so the
+engine-agnostic helpers in :mod:`repro.engine.common` (and the shared
 :class:`~repro.local.context.TaskContext`) work unchanged in worker and
 master processes whether the storage tier is one process or ``m``.
 
-With ``replication = r > 1`` the store hands out
-:class:`ReplicatedRemoteBag` proxies instead: writes fan out to all ``r``
-replicas (chunks stamped with client-unique ids so duplicate delivery is
-a no-op), and reads **sweep** the replica set in serving order — primary
-first — handling two refusals distinctly:
+It hands out one proxy class, :class:`ReplicatedRemoteBag`, at any
+replication level ``r`` (``r = 1`` is a replica set of one): writes fan
+out to all ``r`` replicas (chunks stamped with client-unique ids so
+duplicate delivery is a no-op), and reads **sweep** the replica set in
+serving order — primary first — handling two refusals distinctly:
 
 * :class:`~repro.errors.StorageNodeDown` — the replica's process is gone;
   demote it locally and try the next copy (client-side failover, no
@@ -23,8 +22,9 @@ first — handling two refusals distinctly:
 
 A sweep that fails on every replica backs off under the storage policy
 and re-sweeps — riding out the window where the primary is dead but the
-master has not yet pushed the promotion epochs — and only then raises
-:class:`~repro.errors.StorageNodeDown` for the master's coarse recovery.
+master has not yet pushed the promotion epochs, or respawned the only
+copy — and only then raises :class:`~repro.errors.StorageNodeDown` for
+the master's coarse recovery.
 
 All data-plane traffic is multiplexed: each shard gets one
 :class:`MuxShardClient` carrying every caller's frames over a single
@@ -35,14 +35,10 @@ instead of one round trip per chunk, a completion callback keeps a
 ``remove_batch`` of ``b`` chunks in flight while up to ``b`` are
 buffered ahead of the consuming task, hiding the chunk-service latency
 Eq. 1 charges per request — with O(shards) threads, not O(streams).
-With ``m`` shards, each fetcher's RPCs land on the shard homing its bag
-(or, with replication, sweep the replica set), so a worker running a
-task plus prefetch keeps its outstanding requests spread over the
-shards its bags land on — Eq. 1's ``m`` made real. The name
-``BatchChunkFetcher`` is an alias kept for its import surface; the
-threaded per-connection implementation behind it was deleted with the
-legacy one-exchange channel (:class:`RemoteBagStore` survives as the
-plain hello-dialect client used by diagnostics and test harnesses).
+With ``m`` shards, each fetcher's RPCs land on the shard serving its bag
+(sweeping the replica set on failure), so a worker running a task plus
+prefetch keeps its outstanding requests spread over the shards its bags
+land on — Eq. 1's ``m`` made real.
 
 Bulk reads page through ``read_page`` (see :mod:`repro.dist.protocol`)
 so a refill of a disk-backed bag never materializes the whole bag in
@@ -56,7 +52,6 @@ import ast
 import itertools
 import os
 import selectors
-import socket
 import threading
 import time
 from collections import deque
@@ -85,14 +80,16 @@ from repro.storage.policy import StorageConfig
 #: bags, so this path is a safety net, not a hot loop).
 _UNSEALED_POLL_SECONDS = 0.005
 
-#: Connection policy for per-replica stores in replicated mode. Unlike the
-#: single-copy path — where waiting out the full storage policy against one
-#: address is the only hope — a replicated client has somewhere better to
-#: be: fail the connect fast, demote the replica, and let the *sweep* carry
-#: the patience (its backoff loop re-tries the whole replica set under the
-#: full policy). A couple of quick probes still absorb the bind-to-accept
-#: startup race of a freshly spawned shard.
-REPLICATED_PROBE_POLICY = StorageConfig(
+#: Connection policy for every per-shard link. A connect that cannot land
+#: fails fast and the *caller* carries the patience: every bag access
+#: re-tries under the full storage policy (read sweeps, the write
+#: fan-out at ``r = 1``, the fetcher's failover sweep, ``fence``), and the
+#: master-only ops run under ``DistRuntime._retrying`` — where waiting is
+#: worse than useless, because the master is the one process that can
+#: respawn the shard it would be waiting for. A couple of quick probes
+#: still absorb the bind-to-accept startup race of a freshly spawned
+#: shard.
+SHARD_PROBE_POLICY = StorageConfig(
     rpc_retries=3,
     retry_backoff=0.02,
     backoff_multiplier=1.8,
@@ -130,175 +127,6 @@ def _parse_epoch_vector(message: str) -> Dict[int, int]:
         for shard, epoch in vector.items()
         if type(shard) is int and type(epoch) is int
     }
-
-
-class RemoteBag:
-    """Proxy for one bag hosted by the storage shard that homes it."""
-
-    def __init__(self, store: "RemoteBagStore", bag_id: str):
-        self.bag_id = bag_id
-        self._store = store
-
-    def insert(self, chunk: Any) -> None:
-        self._store.call("insert", self.bag_id, chunk)
-
-    def remove(self) -> Optional[Any]:
-        chunk, _sealed = self._store.call("remove", self.bag_id)
-        return chunk
-
-    def remove_batch(self, count: int) -> Tuple[List[Any], bool]:
-        return self._store.call("remove_batch", self.bag_id, count)
-
-    def read_all(self) -> List[Any]:
-        return self._store.call("read_all", self.bag_id)
-
-    def read_page(self, cursor: int, max_bytes: int) -> Tuple[List[Any], int]:
-        return self._store.call("read_page", self.bag_id, cursor, max_bytes)
-
-    def seal(self) -> None:
-        self._store.call("seal", self.bag_id)
-
-    def remaining(self) -> int:
-        return self._store.call("remaining", self.bag_id)
-
-    def rewind(self) -> None:
-        self._store.call("rewind", self.bag_id)
-
-    def discard(self) -> None:
-        self._store.call("discard", self.bag_id)
-
-    def size(self) -> int:
-        return self._store.call("size", self.bag_id)
-
-
-class RemoteBagStore:
-    """A LocalBagStore-compatible facade over one shard connection.
-
-    Thread-safe: a lock serializes the send/recv pair. Connection
-    establishment retries per the storage policy; a failure *mid-call*
-    raises :class:`~repro.errors.StorageNodeDown` instead of retrying,
-    because mutating ops (insert, remove_batch) are not idempotent. The
-    broken socket is closed and dropped, so the *next* call reconnects
-    (with retry/backoff) — which is how clients ride out a shard respawn.
-    """
-
-    def __init__(
-        self,
-        address: StorageAddress,
-        authkey: bytes,
-        client_id: str,
-        policy: StorageConfig = DIST_STORAGE_POLICY,
-    ):
-        self.address = address
-        self.authkey = authkey
-        self.client_id = client_id
-        self.policy = policy
-        self._conn = None
-        self._lock = threading.Lock()
-        self._abort_requested = False
-
-    def _ensure_conn(self):
-        if self._conn is None:
-            try:
-                conn = connect_with_retry(
-                    self.address,
-                    self.authkey,
-                    self.policy,
-                    abort=lambda: self._abort_requested,
-                )
-                conn.send(("hello", self.client_id))
-                status, payload = conn.recv()
-            except (EOFError, OSError) as exc:
-                # A shard dying mid-handshake surfaces as EOFError (not an
-                # OSError) from the auth exchange; normalize so callers see
-                # the one storage-failure type they know how to recover.
-                self._drop_conn_locked()
-                raise StorageNodeDown(
-                    f"storage shard unreachable during handshake "
-                    f"(address {self.address!r}): {exc}"
-                ) from exc
-            if status != "ok":
-                conn.close()
-                raise StorageNodeDown(f"storage handshake failed: {payload}")
-            self._conn = conn
-        return self._conn
-
-    def _drop_conn_locked(self) -> None:
-        # Close before dropping: leaving the broken socket open would leak
-        # one fd per failure, and a long run with shard respawns makes
-        # failures routine rather than fatal.
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
-
-    def call(self, op: str, *args: Any) -> Any:
-        with self._lock:
-            conn = self._ensure_conn()
-            try:
-                conn.send((op,) + args)
-                status, payload = conn.recv()
-            except (EOFError, OSError) as exc:
-                self._drop_conn_locked()
-                raise StorageNodeDown(
-                    f"storage shard unreachable during {op!r} "
-                    f"(address {self.address!r}): {exc}"
-                ) from exc
-            if status == "err":
-                exc_name, message = payload
-                exc_type = getattr(errors_mod, exc_name, None)
-                if exc_type is None or not isinstance(exc_type, type):
-                    exc_type = errors_mod.ReproError
-                raise exc_type(message)
-            return payload
-
-    def invalidate(self) -> None:
-        """Drop the cached connection (the shard behind it was replaced)."""
-        with self._lock:
-            self._drop_conn_locked()
-
-    def abort(self) -> None:
-        """Force a call blocked inside this store to fail immediately.
-
-        Deliberately lock-free: ``call`` holds the lock across its recv,
-        so a locked abort would deadlock behind the very call it needs
-        to interrupt. Closing the fd would not help either — Linux does
-        not wake a thread blocked in ``read`` when another thread closes
-        its fd — so the socket is *shut down* instead, which delivers
-        EOF into the blocked recv and lets ``call`` unwind through its
-        normal torn-connection path. A call parked in connect backoff
-        (no socket yet to shut down) is covered by the abort flag, which
-        ``connect_with_retry`` checks before every sleep.
-        """
-        self._abort_requested = True
-        conn = self._conn
-        if conn is None:
-            return
-        try:
-            sock = socket.socket(fileno=os.dup(conn.fileno()))
-        except OSError:
-            return
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        finally:
-            sock.close()
-
-    # -- LocalBagStore surface ------------------------------------------------
-
-    def ensure(self, bag_id: str) -> RemoteBag:
-        return RemoteBag(self, bag_id)
-
-    def get(self, bag_id: str) -> RemoteBag:
-        # Server-side ops auto-ensure; get/ensure are aliases here.
-        return RemoteBag(self, bag_id)
-
-    def close(self) -> None:
-        with self._lock:
-            self._drop_conn_locked()
 
 
 class MuxPump:
@@ -427,22 +255,22 @@ class MuxPump:
 
 
 class MuxShardClient:
-    """RemoteBagStore-compatible facade multiplexing calls on one socket.
+    """One shard's link: every caller's calls multiplexed on one socket.
 
     Every caller in the process shares this one connection per shard:
     :meth:`submit` stamps the request with a client-unique 64-bit call
     id, parks a future under it, and writes one frame; the store's
     :class:`MuxPump` resolves the future when the matching response
     frame arrives — so a slow ``remove_batch`` never head-of-line
-    blocks a concurrent ``rinsert`` ack, and callers that want
+    blocks a concurrent ``insert`` ack, and callers that want
     pipelining hold several futures at once. :meth:`call` is the
-    blocking convenience wrapper with the legacy error mapping.
+    blocking convenience wrapper.
 
-    Failure semantics mirror :class:`RemoteBagStore`: a connection
-    death fails every in-flight future with
-    :class:`~repro.errors.StorageNodeDown` (mutating ops are not
-    idempotent, so nothing is silently retried) and the *next* submit
-    reconnects under the storage policy's backoff.
+    A connection death fails every in-flight future with
+    :class:`~repro.errors.StorageNodeDown` — retrying is the caller's
+    decision (the store's sweeps re-send the same id-keyed or
+    seq-stamped request) — and the *next* submit reconnects under the
+    storage policy's backoff.
     """
 
     def __init__(
@@ -605,13 +433,7 @@ class MuxShardClient:
                 )
                 return
 
-    # -- RemoteBagStore surface -------------------------------------------------
-
-    def ensure(self, bag_id: str) -> "RemoteBag":
-        return RemoteBag(self, bag_id)
-
-    def get(self, bag_id: str) -> "RemoteBag":
-        return RemoteBag(self, bag_id)
+    # -- teardown ---------------------------------------------------------------
 
     def invalidate(self) -> None:
         """Drop the link (the shard was replaced); fails in-flight calls."""
@@ -621,9 +443,6 @@ class MuxShardClient:
             )
         )
 
-    def abort(self) -> None:
-        self.invalidate()
-
     def close(self) -> None:
         self._fail(
             StorageNodeDown(f"mux client for {self.address!r} closed")
@@ -631,7 +450,7 @@ class MuxShardClient:
 
 
 class ReplicatedRemoteBag:
-    """Proxy for one bag replicated over ``r`` storage shards.
+    """Proxy for one bag held on ``r >= 1`` storage shards.
 
     Writes fan out to every replica; destructive and snapshot reads go
     through the owning store's serving-order sweep, which fails over to a
@@ -648,17 +467,26 @@ class ReplicatedRemoteBag:
         self._store = store
 
     def insert(self, chunk: Any) -> None:
-        self._store.fanout_insert(self.bag_id, chunk)
+        self._store.fanout(
+            self.bag_id, "insert", self.bag_id, self._store.next_chunk_id(), chunk
+        )
 
     def remove(self) -> Optional[Any]:
         chunks, _sealed = self.remove_batch(1)
         return chunks[0] if chunks else None
 
     def remove_batch(self, count: int) -> Tuple[List[Any], bool]:
-        return self._store.replicated_remove_batch(self.bag_id, count)
-
-    def read_all(self) -> List[Any]:
-        return self._store.sweep_call(self.bag_id, "read_all", self.bag_id)
+        store = self._store
+        # The seq is drawn once, outside the sweep: every retry re-sends
+        # the same (client, seq) and is answered from the removal log.
+        return store.sweep_call(
+            self.bag_id,
+            "remove_batch",
+            self.bag_id,
+            count,
+            store.client_id,
+            store.next_seq(self.bag_id),
+        )
 
     def read_page(self, cursor: int, max_bytes: int) -> Tuple[List[Any], int]:
         return self._store.sweep_call(
@@ -682,18 +510,18 @@ class ReplicatedRemoteBag:
 
 
 class ShardedBagStore:
-    """LocalBagStore-compatible facade over ``m`` storage shards.
+    """The local engine's bag-store surface over ``m`` storage shards.
 
-    Holds one lazily-connected :class:`RemoteBagStore` per shard and
+    Holds one lazily-connected :class:`MuxShardClient` per shard and
     routes every bag operation through a :class:`ShardRouter`, so callers
     (the engine-agnostic helpers, ``TaskContext``, the master) never see
     the sharding. Fan-out operations — ``stats``, ``fence``, ``shutdown``,
     ``remaining_many`` — address all shards explicitly.
 
-    In replicated mode (``router.replication > 1``) the store also owns
-    the client-side failover state: a demotion-epoch *hint* vector that
-    orders each bag's replica sweep (the servers gate authoritatively, so
-    a stale hint costs an extra hop, never correctness), the
+    The store also owns the client-side retry and failover state: a
+    demotion-epoch *hint* vector that orders each bag's replica sweep
+    (the servers gate authoritatively, so a stale hint costs an extra
+    hop, never correctness), the
     client-unique chunk-id counter behind idempotent insert fan-out, and
     the per-bag removal sequence counters behind exactly-once
     ``remove_batch`` retries.
@@ -706,8 +534,10 @@ class ShardedBagStore:
         client_id: str,
         policy: StorageConfig = DIST_STORAGE_POLICY,
         router: Optional[ShardRouter] = None,
-        replica_ops: bool = False,
+        replica_ops: bool = False,  # remove with the next benchmark PR
     ):
+        """``replica_ops`` is accepted and ignored: there is one op
+        family. The frozen ``perf/probes.py`` still passes it by keyword."""
         if not addresses:
             raise ValueError("ShardedBagStore needs at least one shard address")
         self.addresses = list(addresses)
@@ -720,22 +550,10 @@ class ShardedBagStore:
         self.client_id = client_id
         self.authkey = authkey
         self.policy = policy
-        #: Speak the replicated op family (id-stamped ``rinsert``,
-        #: seq-deduplicated ``rremove_batch``, sweeping reads) even when
-        #: ``replication == 1``. Forced on by replication; requested by
-        #: the spill configuration (``DistSettings.resident_bytes``),
-        #: where the idempotent/deduplicated ops are what let in-flight
-        #: streams retry through a shard respawn that *reopens* its
-        #: segment directory — the zero-reset r=1 recovery path.
-        self.replica_ops = bool(replica_ops) or self.router.replication > 1
-        per_shard_policy = (
-            REPLICATED_PROBE_POLICY if self.router.replication > 1 else policy
-        )
-        self.per_shard_policy = per_shard_policy
         self._pump = MuxPump()
         self.stores: List[MuxShardClient] = [
             MuxShardClient(
-                address, authkey, client_id, per_shard_policy, self._pump
+                address, authkey, client_id, SHARD_PROBE_POLICY, self._pump
             )
             for address in self.addresses
         ]
@@ -758,9 +576,6 @@ class ShardedBagStore:
 
     def address_of(self, bag_id: str) -> StorageAddress:
         return self.addresses[self.shard_of(bag_id)]
-
-    def store_for(self, bag_id: str) -> MuxShardClient:
-        return self.stores[self.shard_of(bag_id)]
 
     # -- replication state ------------------------------------------------------
 
@@ -840,17 +655,6 @@ class ShardedBagStore:
             bag_id, lambda shard: self.stores[shard].call(op, *args)
         )
 
-    def replicated_remove_batch(
-        self, bag_id: str, count: int
-    ) -> Tuple[List[Any], bool]:
-        seq = self.next_seq(bag_id)
-        return self.sweep(
-            bag_id,
-            lambda shard: self.stores[shard].call(
-                "rremove_batch", bag_id, count, self.client_id, seq
-            ),
-        )
-
     def fanout(self, bag_id: str, op: str, *args: Any) -> None:
         """Apply a write-side op to every replica of ``bag_id``.
 
@@ -859,26 +663,26 @@ class ShardedBagStore:
         before it can serve, so the skipped write still arrives. At least
         one replica must accept, or the write would vanish entirely.
 
-        At ``replication == 1`` (replica ops forced on by spill) there
-        is no surviving copy to re-replicate from — the one shard's
-        reopened segment directory *is* the data — so instead of failing
-        the write when that shard is mid-respawn, the pass is retried
-        under the storage policy's backoff. Every op routed here is
-        idempotent (``rinsert`` is id-keyed; seal/rewind/discard are
-        absorbing), so re-applying a round that half-landed is safe.
+        At ``replication == 1`` there is no surviving copy to
+        re-replicate from — the one shard's respawn (reopening its
+        segment directory, or empty and about to be refilled) *is* the
+        bag — so instead of failing the write when that shard is
+        mid-respawn, the pass is retried under the storage policy's
+        backoff. Every op routed here is idempotent (``insert`` is
+        id-keyed; seal/rewind/discard are absorbing), so re-applying a
+        round that half-landed is safe.
         """
-        backoffs = self.policy.backoffs()
-        while True:
-            served = self._fanout_pass(bag_id, op, args)
-            if served:
-                return
-            delay = None if self.replication > 1 else next(backoffs, None)
-            if delay is None:
-                raise StorageNodeDown(
-                    f"all {self.replication} replicas of bag {bag_id!r} "
-                    f"are down for {op!r}"
-                )
-            time.sleep(delay)
+        if self._fanout_pass(bag_id, op, args):
+            return
+        if self.replication == 1:
+            for delay in self.policy.backoffs():
+                time.sleep(delay)
+                if self._fanout_pass(bag_id, op, args):
+                    return
+        raise StorageNodeDown(
+            f"all {self.replication} replicas of bag {bag_id!r} "
+            f"are down for {op!r}"
+        )
 
     def _fanout_pass(self, bag_id: str, op: str, args: Tuple[Any, ...]) -> int:
         # One submit round, one gather round: the replicas serve the
@@ -898,35 +702,27 @@ class ShardedBagStore:
                 self.mark_demoted(shard)
         return served
 
-    def fanout_insert(self, bag_id: str, chunk: Any) -> None:
-        chunk_id = self.next_chunk_id()
-        self.fanout(bag_id, "rinsert", bag_id, chunk_id, chunk)
-
     # -- master-side replication control ---------------------------------------
 
-    def sync_pull(self, shard: int, bag_ids: Iterable[str]) -> Dict[str, Any]:
-        """Snapshot ``bag_ids`` from ``shard`` (re-replication source)."""
-        return self.stores[shard].call("sync_pull", list(bag_ids))
+    def pull(self, shard: int, bag_ids: Iterable[str]) -> Dict[str, Any]:
+        """Package ``bag_ids`` from ``shard`` (re-replication source).
 
-    def sync_push(self, shard: int, snaps: Dict[str, Any]) -> None:
-        """Merge bag snapshots into ``shard`` (re-replication target)."""
-        self.stores[shard].call("sync_push", snaps)
+        The package shape is the shard store's own business (memory:
+        monotone snapshots; segments: whole sealed segment files plus
+        loose open-tail chunks); this side only carries it to
+        :meth:`push`.
+        """
+        return self.stores[shard].call("pull", list(bag_ids))
 
-    def seg_pull(self, shard: int, bag_ids: Iterable[str]) -> Dict[str, Any]:
-        """Package ``bag_ids`` from a spilling ``shard``: whole sealed
-        segment files plus loose open-tail chunks — the segment-shipping
-        flavor of :meth:`sync_pull`."""
-        return self.stores[shard].call("seg_pull", list(bag_ids))
-
-    def seg_push(self, shard: int, packages: Dict[str, Any]) -> None:
-        """Install segment packages on ``shard`` (re-replication target)."""
-        self.stores[shard].call("seg_push", packages)
+    def push(self, shard: int, packages: Dict[str, Any]) -> None:
+        """Install pulled packages on ``shard`` (re-replication target)."""
+        self.stores[shard].call("push", packages)
 
     def finalize_bag(self, shard: int, bag_id: str) -> Tuple[int, int]:
         """Compact ``bag_id``'s segments on ``shard`` (master-only op).
 
-        Explicitly per-replica (like ``seg_pull``/``seg_push``) instead
-        of routed: the master drives each replica of a finished bag in
+        Explicitly per-replica (like ``pull``/``push``) instead of
+        routed: the master drives each replica of a finished bag in
         turn so every copy reclaims its dead frames. Idempotent — a
         retry against an already-compacted bag answers ``(0, 0)``.
         """
@@ -946,27 +742,23 @@ class ShardedBagStore:
         """
         return self.stores[shard].call("probe")
 
-    # -- LocalBagStore surface ------------------------------------------------
+    # -- bag-store surface ------------------------------------------------------
 
-    def ensure(self, bag_id: str):
-        if self.replica_ops:
-            return ReplicatedRemoteBag(self, bag_id)
-        return self.store_for(bag_id).ensure(bag_id)
+    def ensure(self, bag_id: str) -> ReplicatedRemoteBag:
+        return ReplicatedRemoteBag(self, bag_id)
 
-    def get(self, bag_id: str):
-        if self.replica_ops:
-            return ReplicatedRemoteBag(self, bag_id)
-        return self.store_for(bag_id).get(bag_id)
+    def get(self, bag_id: str) -> ReplicatedRemoteBag:
+        return self.ensure(bag_id)  # server-side ops auto-ensure
 
     # -- fan-out operations -----------------------------------------------------
 
     def remaining_many(self, bag_ids: Iterable[str]) -> Dict[str, int]:
         """Remaining-chunk counts for ``bag_ids``, one RPC per shard hit.
 
-        Replicated mode sweeps per bag instead: the counts must come from
-        each bag's primary (a backup's pending set can run ahead of the
-        shipped removal log), and different bags in one home-shard group
-        can have different primaries after a failover.
+        With ``replication > 1`` it sweeps per bag instead: the counts
+        must come from each bag's primary (a backup's pending set can
+        run ahead of the shipped removal log), and different bags in one
+        home-shard group can have different primaries after a failover.
         """
         if self.replication > 1:
             return {
@@ -1067,13 +859,12 @@ class MuxBatchFetcher:
     thread: each resolved batch future re-arms the next request on the
     shared :class:`MuxShardClient` link, so a worker streaming fifty
     bags runs fifty of these on the *same* O(shards) pump threads. The
-    only thread this class ever spawns is a short-lived
-    replicated-failover sweep (primary died mid-stream), because that
-    path must block through reconnect backoffs, which the pump may not.
+    only thread this class ever spawns is a short-lived failover sweep
+    (the serving shard died mid-stream), because that path must block
+    through reconnect backoffs, which the pump may not.
 
-    Latency samples are tagged per serving shard in
-    :attr:`latencies_by_shard` (the flat :attr:`latencies` /
-    :attr:`shard` pair is kept for single-shard consumers).
+    Latency samples are pooled in :attr:`latencies` and tagged per
+    serving shard in :attr:`latencies_by_shard`.
     """
 
     def __init__(self, store: ShardedBagStore, bag_id: str, batch: int):
@@ -1082,13 +873,8 @@ class MuxBatchFetcher:
         self._parent = store
         self.bag_id = bag_id
         self.batch = batch
-        self.shard = (
-            store.serving_order(bag_id)[0]
-            if store.replica_ops
-            else store.shard_of(bag_id)
-        )
         self.latencies: List[float] = []
-        self._latencies_by_shard: Dict[int, List[float]] = {}
+        self.latencies_by_shard: Dict[int, List[float]] = {}
         self._cond = threading.Condition()
         self._buffer: "deque[Any]" = deque()
         self._eof = False
@@ -1103,29 +889,6 @@ class MuxBatchFetcher:
         self._recovery: Optional[threading.Thread] = None
         with self._cond:
             self._issue_locked()
-
-    @classmethod
-    def for_bag(
-        cls,
-        store: ShardedBagStore,
-        bag_id: str,
-        batch: int,
-        policy: StorageConfig = DIST_STORAGE_POLICY,
-    ) -> "MuxBatchFetcher":
-        """Fetcher streaming ``bag_id`` over ``store``'s shared links.
-
-        The historical constructor shape from the deleted threaded
-        fetcher, kept because call sites read better naming the bag than
-        spelling the routing; ``policy`` is accepted for signature
-        compatibility but unused — the store's per-shard policy already
-        governs the shared connections.
-        """
-        del policy
-        return cls(store, bag_id, batch)
-
-    @property
-    def latencies_by_shard(self) -> Dict[int, List[float]]:
-        return self._latencies_by_shard
 
     def set_batch(self, batch: int) -> None:
         """Re-arm the pipeline depth: the *next* request asks for ``batch``.
@@ -1152,8 +915,8 @@ class MuxBatchFetcher:
 
         Skips when a request is already in flight, the bag is done, a
         failover sweep owns the stream, the buffer already holds a full
-        batch (bounded prefetch, like the legacy queue), or the
-        unsealed-empty pacing window has not elapsed.
+        batch (bounded prefetch), or the unsealed-empty pacing window
+        has not elapsed.
         """
         if (
             self._inflight
@@ -1168,25 +931,19 @@ class MuxBatchFetcher:
                 return
             self._retry_after = None
         parent = self._parent
-        if parent.replica_ops:
-            shard = parent.serving_order(self.bag_id)[0]
-            seq: Optional[int] = parent.next_seq(self.bag_id)
-            op_args: Tuple[Any, ...] = (
-                "rremove_batch", self.bag_id, self.batch, parent.client_id, seq,
-            )
-        else:
-            shard = parent.shard_of(self.bag_id)
-            seq = None
-            op_args = ("remove_batch", self.bag_id, self.batch)
+        shard = parent.serving_order(self.bag_id)[0]
         client = parent.stores[shard]
         if from_pump and not client.connected:
             # Reconnecting blocks through the storage policy's backoff
             # schedule — never on the pump thread. The consumer's next
             # ``get`` re-issues from a thread allowed to wait.
             return
+        seq = parent.next_seq(self.bag_id)
         started = time.perf_counter()
         try:
-            future = client.submit(*op_args)
+            future = client.submit(
+                "remove_batch", self.bag_id, self.batch, parent.client_id, seq
+            )
         except StorageNodeDown as exc:
             self._handle_failure_locked(shard, seq, exc)
             return
@@ -1199,7 +956,7 @@ class MuxBatchFetcher:
         self,
         future: "Future[Any]",
         shard: int,
-        seq: Optional[int],
+        seq: int,
         started: float,
     ) -> None:
         elapsed = time.perf_counter() - started
@@ -1224,9 +981,8 @@ class MuxBatchFetcher:
     def _deliver_locked(
         self, shard: int, chunks: List[Any], sealed: bool, elapsed: float
     ) -> None:
-        self.shard = shard
         self.latencies.append(elapsed)
-        self._latencies_by_shard.setdefault(shard, []).append(elapsed)
+        self.latencies_by_shard.setdefault(shard, []).append(elapsed)
         if chunks:
             self._buffer.extend(chunks)
         elif sealed:
@@ -1235,23 +991,12 @@ class MuxBatchFetcher:
             self._retry_after = time.monotonic() + _UNSEALED_POLL_SECONDS
         self._cond.notify_all()
 
-    # -- replicated failover -----------------------------------------------------
+    # -- failover -----------------------------------------------------------------
 
     def _handle_failure_locked(
-        self, shard: int, seq: Optional[int], exc: BaseException
+        self, shard: int, seq: int, exc: BaseException
     ) -> None:
         parent = self._parent
-        if seq is None:
-            # Single-copy semantics match the legacy fetcher: the one
-            # home shard refusing mid-stream ends the stream with the
-            # failure (the master's coarse recovery owns what follows).
-            # With a seq the sweep below retries even at replication 1:
-            # a spilling shard respawns onto its reopened segment
-            # directory, and the seq-deduplicated retry rides it out.
-            self._error = exc
-            self._eof = True
-            self._cond.notify_all()
-            return
         if isinstance(exc, NotPrimary):
             parent.adopt_epochs(_parse_epoch_vector(str(exc)))
         else:
@@ -1260,7 +1005,10 @@ class MuxBatchFetcher:
         # promotion-push windows — blocking work, so it gets the one
         # thread this fetcher ever spawns. It retries the SAME seq: the
         # server removal log answers a request the dead primary
-        # served-but-never-acked instead of serving it twice.
+        # served-but-never-acked instead of serving it twice. At
+        # replication 1 the sweep simply waits for the one shard's
+        # respawn (reopened from disk, or empty until the master's
+        # recovery refills the bag and cancels this stream's task).
         thread = threading.Thread(
             target=self._sweep_fallback,
             args=(seq,),
@@ -1287,7 +1035,7 @@ class MuxBatchFetcher:
             time.sleep(min(remaining, 0.05))
 
     def _sweep_fallback(self, seq: int) -> None:
-        """Replica sweep for one orphaned ``rremove_batch`` (own thread).
+        """Replica sweep for one orphaned ``remove_batch`` (own thread).
 
         An abort-aware unrolling of :meth:`ShardedBagStore.sweep`: every
         wait — future result, inter-round backoff — re-checks the abort
@@ -1296,7 +1044,7 @@ class MuxBatchFetcher:
         """
         parent = self._parent
         op_args = (
-            "rremove_batch", self.bag_id, self.batch, parent.client_id, seq,
+            "remove_batch", self.bag_id, self.batch, parent.client_id, seq,
         )
         outcome: Optional[Tuple[int, Tuple[List[Any], bool], float]] = None
         error: Optional[BaseException] = None
@@ -1412,8 +1160,3 @@ class MuxBatchFetcher:
                     f"failover sweep for bag {self.bag_id!r} survived "
                     f"stop(): its in-flight RPC could not be interrupted"
                 )
-
-
-#: Import-surface alias: the threaded per-connection fetcher this name
-#: used to denote was deleted with the legacy storage channel.
-BatchChunkFetcher = MuxBatchFetcher

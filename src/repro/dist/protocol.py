@@ -17,13 +17,11 @@ Two channels exist:
   the ``("ok", _)`` ack both sides switch from whole-pickled-message
   exchange to the raw frame stream below. One connection per
   (process, shard) pair then carries every caller's traffic
-  concurrently. (The legacy one-exchange-per-call dialect — a
-  ``("hello", client_id)`` introduction followed by strictly
-  alternating ``(op, *args)`` / ``("ok", payload)``-or-``("err", ...)``
-  messages, one connection per caller — was deleted after its one
-  release as CI's A/B arm. The server still serves the *shape*: a
-  first message that is neither ``mux`` nor ``hello`` is a raw peer op,
-  the dialect replication peers and test harnesses use.)
+  concurrently. A connection whose first message is anything else
+  stays on whole-pickled-message exchange — strictly alternating
+  ``(op, *args)`` / ``("ok", payload)``-or-``("err", ...)`` — which
+  serves shard-to-shard traffic only (``apply_removals`` shipping and
+  ``gossip``).
 
 **Mux frame format** — every frame, both directions, is::
 
@@ -73,28 +71,41 @@ shards exchange ``("gossip", vector)`` peer-to-peer — a max-merge of
 the same ``set_epochs`` payload — so primary failover keeps working
 while the master is absent.
 
-With ``replication = r > 1`` the storage channel grows a replicated op
-family: ``rinsert`` (id-stamped, idempotent insert, fanned out to all
-``r`` replicas by the client), ``rremove_batch`` (primary-gated,
-``(client, seq)``-deduplicated destructive read), ``apply_removals``
-(primary -> backup removal-log shipping), and the master-only
-``sync_pull`` / ``sync_push`` (re-replication snapshots) and
-``set_epochs`` (authoritative demotion-epoch push).
+**Storage ops** — one family, at any replication level ``r >= 1`` and
+on either shard store (memory, or segments when
+``DistSettings.resident_bytes`` is set). This list is the contract; a
+test keeps it equal to what the server dispatches::
 
-With disk-backed spill (``DistSettings.resident_bytes``) the shards
-swap their in-memory store for :class:`repro.dist.segments.
-SegmentBagStore`, clients use the replicated op family even at
-``r = 1`` (the id-stamped, seq-deduplicated ops are what let in-flight
-streams ride out a shard respawn that *reopens* its segment directory),
-and the master-only segment-transfer ops replace snapshot resync:
-``seg_pull`` packages bags as whole sealed segment files plus loose
-open-tail chunks, ``seg_push`` installs such packages on the respawned
-replica — sealed data moves as raw file bytes, never re-pickled
-chunk-by-chunk.
+    insert          (bag, chunk_id, chunk)       id-stamped, idempotent; fanned out to all r replicas
+    remove_batch    (bag, count, client, seq)    primary-gated, (client, seq)-deduplicated destructive read
+    apply_removals  (bag, client, seq, pairs, sealed)   primary -> backup removal-log shipping
+    read_page       (bag, cursor, max_bytes)     primary-gated bounded non-destructive read
+    seal            (bag)
+    rewind          (bag)
+    discard         (bag)
+    remaining       (bag)                        primary-gated
+    remaining_many  (bags)                       primary-gated, one RPC per shard
+    size            (bag)                        primary-gated
+    pull            (bags)                       master-only: package bags for re-replication
+    push            (packages)                   master-only: install packages on a respawned replica
+    finalize        (bag)                        master-only: compact a finished bag's segments
+    set_epochs      (vector)                     master-only: authoritative demotion-epoch push
+    gossip          (vector)                     shard -> shard epoch max-merge
+    probe           ()                           identity, epoch vector, bag inventory
+    stats           ()                           op counters and gauges
+    fence           (client, timeout)            block until ``client``'s connections drained
+
+(``shutdown`` is handled by the connection loop, not dispatched.) The
+id-stamped, seq-deduplicated ops are what let in-flight streams and
+writes retry through a torn connection, a failover to a promoted
+backup, or a shard respawn. The package ``pull`` returns and ``push``
+accepts is the shard store's own: monotone per-bag snapshots from the
+memory store, whole sealed segment files (raw bytes, never re-pickled
+chunk-by-chunk) plus loose open-tail chunks from the segment store.
 
 Bulk reads stream: ``("read_page", bag_id, cursor, max_bytes)`` returns
 ``(chunks, next_cursor)`` — one bounded page of the bag's stable chunk
-order, primary-gated exactly like ``read_all``, with an empty page
+order, primary-gated, with an empty page
 signalling the end (a cursor past the end answers empty rather than
 erroring). Refill/snapshot paths page with
 :func:`repro.engine.common.iter_bag_chunks` so no whole-bag payload is
@@ -102,7 +113,7 @@ ever resident in one process or one reply frame. The master-only
 ``("finalize", bag_id)`` op triggers segment compaction of a finished
 bag (:meth:`repro.dist.segments.SegmentBagStore.finalize_bag`) on the
 addressed replica, returning ``(segments_compacted, bytes_reclaimed)``
-— idempotent, and a no-op on stores without segments.
+— idempotent, and ``(0, 0)`` from the memory store.
 
 Connections are established with :func:`connect_with_retry`, which reuses
 the :class:`~repro.storage.policy.StorageConfig` retry/timeout/backoff
@@ -272,7 +283,7 @@ class DistSettings:
     #: client-side failover (shard death recovers by promotion).
     replication: int = 1
     #: Per-shard hot-memory budget in bytes; ``None`` (the default)
-    #: keeps every chunk resident, exactly the pre-spill behavior. Set,
+    #: keeps every chunk resident (:mod:`repro.dist.replica`). Set,
     #: it switches the shards to the disk-backed layered store
     #: (:mod:`repro.dist.segments`): every chunk is written through to
     #: append-only segment files and the in-memory hot tail is evicted
@@ -293,16 +304,8 @@ def connect_with_retry(
     address: StorageAddress,
     authkey: bytes,
     policy: StorageConfig = DIST_STORAGE_POLICY,
-    abort=None,
 ) -> Connection:
-    """Open a storage connection, backing off per ``policy`` on refusal.
-
-    ``abort`` (an optional zero-argument callable) is consulted before
-    each backoff sleep; returning true re-raises the connect failure
-    immediately. Without it, a caller being stopped (a fetcher whose
-    task was cancelled) would ride out the full patience schedule
-    against an address nobody cares about anymore.
-    """
+    """Open a storage connection, backing off per ``policy`` on refusal."""
     backoffs = policy.backoffs()
     while True:
         try:
@@ -317,8 +320,6 @@ def connect_with_retry(
             # It subclasses ProcessError, not OSError, so without this
             # clause it escaped the backoff loop entirely and a kill
             # landing mid-handshake was fatal instead of retried.
-            if abort is not None and abort():
-                raise
             delay = next(backoffs, None)
             if delay is None:
                 raise

@@ -1,9 +1,10 @@
-"""Server-side replicated bag state for the dist storage shards.
+"""Server-side bag state for the dist storage shards, in memory.
 
-With ``replication > 1`` every shard process stores bag copies as
-**id-keyed chunk sets** instead of the pointer-based
-:class:`~repro.storage.local.LocalBag` log. The change of representation
-is what makes replication tractable:
+Every shard process stores its bag copies as **id-keyed chunk sets**, at
+any replication level — ``r = 1`` is simply "replicated with an empty
+backup set". (:mod:`repro.dist.segments` is the same interface over
+disk.) The representation is what makes replication, and retry through a
+shard respawn, tractable:
 
 * **inserts are idempotent and commutative** — clients stamp every chunk
   with a unique id (``client#n``) and fan the write out to all ``r``
@@ -24,8 +25,8 @@ is what makes replication tractable:
   but never acknowledged is never served twice.
 
 Consumed chunks are retained (exactly like ``LocalBag``'s read pointer
-never erasing the log), which keeps ``rewind``/``read_all`` trivially
-correct and lets :meth:`RepBag.snapshot` / :meth:`RepBag.merge_snapshot`
+never erasing the log), which keeps ``rewind``/``read_page`` trivially
+correct and lets :meth:`RepBagStore.pull` / :meth:`RepBagStore.push`
 re-replicate a respawned shard while live traffic mutates the source:
 the merge is monotone (consumed wins over pending, later removal seqs
 win over earlier), so a snapshot racing concurrent inserts, removals, or
@@ -35,7 +36,8 @@ shipped removal records lands in a consistent state.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import BagSealedError
 
@@ -48,7 +50,10 @@ class RepBag:
 
     def __init__(self, bag_id: str):
         self.bag_id = bag_id
-        self._pending: Dict[str, Any] = {}
+        #: Ordered, because removal pops from the *front*: a plain dict
+        #: re-scans the tombstones of every earlier pop on each
+        #: ``next(iter(...))``, which makes draining a bag quadratic.
+        self._pending: "OrderedDict[str, Any]" = OrderedDict()
         self._consumed: Dict[str, Any] = {}
         self._sealed = False
         #: Per-client removal log tail: client -> (seq, pairs, sealed).
@@ -94,11 +99,9 @@ class RepBag:
             if recorded is not None and recorded[0] == seq:
                 return recorded[1], recorded[2]
             pairs: List[Tuple[str, Any]] = []
-            for chunk_id in list(self._pending):
-                if len(pairs) >= count:
-                    break
-                pairs.append((chunk_id, self._pending.pop(chunk_id)))
-                self._consumed[chunk_id] = pairs[-1][1]
+            while self._pending and len(pairs) < count:
+                pairs.append(self._pending.popitem(last=False))
+            self._consumed.update(pairs)
             # An empty serve is deliberately NOT recorded: serving []
             # mutated nothing, so a retry of the same seq popping chunks
             # that arrived in between is indistinguishable from the
@@ -106,7 +109,7 @@ class RepBag:
             # about the *pops*, and zero pops need no dedup. Recording
             # it would instead pin [] against the seq and starve a
             # retrying client of chunks that landed after the first try.
-            # (Regression-tested in test_dist_replication.py.)
+            # (Regression-tested in test_dist_bag_contract.py.)
             if pairs:
                 self._dedup[client_id] = (seq, pairs, self._sealed)
             return pairs, self._sealed
@@ -136,18 +139,14 @@ class RepBag:
 
     # -- bag API extras --------------------------------------------------------
 
-    def read_all(self) -> List[Any]:
-        with self._lock:
-            return list(self._consumed.values()) + list(self._pending.values())
-
     def read_page(self, cursor: int, max_bytes: int) -> Tuple[List[Any], int]:
-        """One bounded page of :meth:`read_all`'s sequence.
+        """One bounded page of the bag, non-destructively.
 
-        Pages index the same consumed-then-pending order ``read_all``
-        returns; like it, pagination is only stable while nothing moves
-        between the sets, which holds on every caller (refill/snapshot
-        paths read bags whose consumers are quiesced). Byte-sized chunks
-        bound the page; object chunks count a nominal size.
+        Pages index the consumed-then-pending order; pagination is only
+        stable while nothing moves between the sets, which holds on
+        every caller (refill/snapshot paths read bags whose consumers
+        are quiesced). Byte-sized chunks bound the page; object chunks
+        count a nominal size.
         """
         with self._lock:
             ordered = list(self._consumed.values()) + list(self._pending.values())
@@ -175,7 +174,7 @@ class RepBag:
     def rewind(self) -> None:
         """Every chunk becomes deliverable again (family replay)."""
         with self._lock:
-            rewound = dict(self._consumed)
+            rewound = OrderedDict(self._consumed)
             rewound.update(self._pending)
             self._pending = rewound
             self._consumed = {}
@@ -183,7 +182,7 @@ class RepBag:
 
     def discard(self) -> None:
         with self._lock:
-            self._pending = {}
+            self._pending = OrderedDict()
             self._consumed = {}
             self._dedup = {}
             self._sealed = False
@@ -230,7 +229,13 @@ class RepBag:
 
 
 class RepBagStore:
-    """Catalog of replicated bag copies for one shard process."""
+    """Catalog of in-memory bag copies for one shard process.
+
+    The shard server's store interface — ``ensure``/``get``, ``pull``/
+    ``push``, ``bag_ids``, ``finalize_bag``, ``spill_stats``, ``close`` —
+    is shared with :class:`repro.dist.segments.SegmentBagStore`; the
+    last three have nothing to do for a store with no disk behind it.
+    """
 
     def __init__(self):
         self._bags: Dict[str, RepBag] = {}
@@ -245,12 +250,23 @@ class RepBagStore:
     def get(self, bag_id: str) -> RepBag:
         return self.ensure(bag_id)
 
-    def snapshot_many(self, bag_ids: List[str]) -> Dict[str, Dict[str, Any]]:
+    def pull(self, bag_ids: List[str]) -> Dict[str, Dict[str, Any]]:
+        """Package ``bag_ids`` for re-replication: one snapshot per bag."""
         return {bag_id: self.ensure(bag_id).snapshot() for bag_id in bag_ids}
 
-    def merge_many(self, snaps: Dict[str, Dict[str, Any]]) -> None:
-        for bag_id, snap in snaps.items():
+    def push(self, packages: Dict[str, Dict[str, Any]]) -> None:
+        """Install pulled packages; monotone, so safe under live traffic."""
+        for bag_id, snap in packages.items():
             self.ensure(bag_id).merge_snapshot(snap)
+
+    def finalize_bag(self, bag_id: str) -> Tuple[int, int]:
+        return (0, 0)  # no segments to compact
+
+    def spill_stats(self) -> Dict[str, int]:
+        return {}
+
+    def close(self) -> None:
+        pass
 
     def bag_ids(self) -> List[str]:
         """Sorted inventory of every bag this replica holds a copy of."""

@@ -23,20 +23,22 @@ from a single event loop fed by per-worker reader threads:
 * a **shard process** dying extends that story to storage failure: a
   monitor thread turns the exit into a ``shard_dead`` event, the master
   respawns the shard on the same socket path, broadcasts ``rebind`` so
-  live workers drop stale connections, then computes the *loss closure*
-  — every bag homed on the dead shard is gone, so every started family
-  that produced or consumed one of them resets (finished families
-  included, since their outputs may need re-producing), and lost source
-  bags are refilled from the master's kept copy of the inputs;
-* with ``replication = r > 1`` a shard death does **not** reset anything
-  (unless every replica of some bag is gone): the master bumps the dead
-  shard's demotion epoch and pushes the vector to the surviving shards —
-  promoting each affected bag's next ring replica, to which the clients'
-  sweeps fail over on their own — then re-replicates the dead shard's
-  bag copies onto its replacement from the promoted survivors
-  (``sync_pull``/``sync_push``), restoring ``r`` live copies without
-  replaying a single task. Section 4.4's ``n`` failures with ``n + 1``
-  replicas, on real processes.
+  live workers drop stale connections, then *recovers the copies* the
+  dead shard held — one sequence for every configuration. A replacement
+  that reopened its predecessor's segment directory lost nothing.
+  Otherwise each bag is re-replicated onto the replacement from a
+  surviving replica (``pull``/``push``), restoring ``r`` live copies
+  without replaying a single task; with ``replication = r > 1`` the
+  master first bumps the dead shard's demotion epoch and pushes the
+  vector to the survivors — promoting each affected bag's next ring
+  replica, to which the clients' sweeps fail over on their own.
+  Section 4.4's ``n`` failures with ``n + 1`` replicas, on real
+  processes. Bags with **no** surviving copy (every bag of an ``r = 1``
+  in-memory shard; deaths beyond the replication factor) feed the *loss
+  closure*: every started family that produced or consumed one of them
+  resets (finished families included, since their outputs may need
+  re-producing), and lost source bags are refilled from the master's
+  kept copy of the inputs.
 
 Aggregation partials travel through per-member partial bags on whichever
 shard homes them; the merge node is assigned to a worker like any other
@@ -220,8 +222,9 @@ class DistResult:
         self.failover_ms: List[float] = [
             s * 1e3 for s in runtime.failover_seconds
         ]
-        #: Per-shard-death re-replication latency (ms): snapshotting the
-        #: surviving copies and installing them on the replacement shard.
+        #: Per-shard-death re-replication latency (ms): pulling the
+        #: surviving copies and installing them on the replacement shard
+        #: (no entry for a death that had no copy to re-replicate).
         self.resync_ms: List[float] = [s * 1e3 for s in runtime.resync_seconds]
         #: How many times this run's master was reconstructed from its
         #: journal (0 for a run whose master never died).
@@ -268,7 +271,10 @@ class DistResult:
         self.bytes_reclaimed = aggregate.get("bytes_reclaimed", 0)
         #: True when at least one shard death resynced by shipping
         #: sealed segment files instead of chunk-by-chunk snapshots.
-        self.segment_resync = runtime.segment_resyncs > 0
+        self.segment_resync = (
+            bool(runtime.resync_seconds)
+            and runtime.settings.resident_bytes is not None
+        )
         #: Adaptive-control surface (all empty/False with adaptive off).
         #: Per-family fetch-depth trajectory ``[(chunks_consumed, b),
         #: ...]`` — the bench records it so a depth that never moved is
@@ -470,9 +476,6 @@ class DistRuntime:
         self.family_resets = 0
         self.shard_deaths = 0
         self.storage_resets = 0
-        #: Shard-death recoveries served by shipping sealed segment files
-        #: (spill mode) instead of chunk-by-chunk snapshot merges.
-        self.segment_resyncs = 0
         self.failover_seconds: List[float] = []
         self.resync_seconds: List[float] = []
         self.master_recoveries = 0
@@ -573,8 +576,13 @@ class DistRuntime:
 
     # -- process management ---------------------------------------------------
 
-    def _spawn_shard(self, index: int) -> StorageAddress:
-        """Start (or restart) shard ``index`` on its stable socket path."""
+    def _spawn_shard(self, index: int) -> bool:
+        """Start (or restart) shard ``index`` on its stable socket path.
+
+        Returns whether the process was told to *reopen* its
+        predecessor's segment directory (everything the dead shard had
+        acknowledged is back) rather than start empty.
+        """
         kill_after = None
         kill_in_compaction = None
         if self.kill_shard == index and not self._shard_kill_spent:
@@ -634,7 +642,7 @@ class DistRuntime:
             name=f"dist-shardmon-{index}",
         )
         monitor.start()
-        return address
+        return reopen
 
     def _shard_monitor(self, index: int, proc) -> None:
         proc.join()
@@ -801,7 +809,6 @@ class DistRuntime:
                 "master",
                 self.settings.policy,
                 router=self.router,
-                replica_ops=self.settings.resident_bytes is not None,
             )
             for bag_id in self.graph.source_bags():
                 fill_bag(
@@ -917,18 +924,22 @@ class DistRuntime:
         )
 
     def _assign_ready(self) -> None:
+        if self._recovery_tasks:
+            # Nothing starts between a condemnation and its reset (which
+            # applies only once every cancel is acknowledged). A member
+            # of a condemned family would be discarded unfenced — a
+            # zombie racing the family's replay for the same chunks. And
+            # the loss closure was closed over the families started
+            # *then*: a consumer dispatched in the window (its producer
+            # condemned but not yet reset, so the graph still calls it
+            # READY) would read a bag the reset is about to discard —
+            # empty, possibly already re-sealed on a respawned shard —
+            # and its result would stand.
+            return
         while self._idle and self._ready:
             node = self._ready.pop(0)
             # Skip nodes discarded by a family reset, or already taken.
-            # A node whose family is mid-recovery is still in the graph
-            # (the reset applies only once every cancel is acknowledged)
-            # but must not start: it would be discarded unfenced — a
-            # zombie racing the family's replay for the same chunks.
-            if (
-                node.node_id not in self.exec.nodes
-                or node.state != NodeState.READY
-                or node.task_id in self._recovery_tasks
-            ):
+            if node.node_id not in self.exec.nodes or node.state != NodeState.READY:
                 continue
             wid = self._idle.pop(0)
             self._dispatch(wid, node)
@@ -1209,24 +1220,11 @@ class DistRuntime:
         self.records_processed += msg.get("records", 0)
         self.chunks_processed += msg.get("chunks", 0)
         self._absorb_adaptive(node.task_id, msg)
-        by_shard = msg.get("latencies_by_shard")
-        if by_shard:
-            # Preferred shape: the worker tagged each sample with the
-            # shard that actually served it (a mux fetcher can cross
-            # shards mid-stream on failover).
-            for shard, samples in by_shard.items():
-                self.chunk_rpc_seconds.extend(samples)
-                self.chunk_rpc_seconds_by_shard.setdefault(shard, []).extend(
-                    samples
-                )
-        else:
-            latencies = msg.get("latencies", ())
-            if latencies:
-                self.chunk_rpc_seconds.extend(latencies)
-                shard = msg.get("latency_shard", 0)
-                self.chunk_rpc_seconds_by_shard.setdefault(shard, []).extend(
-                    latencies
-                )
+        # Each sample is tagged with the shard that actually served it (a
+        # fetcher can cross shards mid-stream on failover).
+        for shard, samples in msg.get("latencies_by_shard", {}).items():
+            self.chunk_rpc_seconds.extend(samples)
+            self.chunk_rpc_seconds_by_shard.setdefault(shard, []).extend(samples)
         if node.node_id in self._recovery_pending:
             # Completed before the cancel landed; the family is being reset,
             # so ignore the completion itself.
@@ -1309,7 +1307,7 @@ class DistRuntime:
             self._jappend(("finalize", bag_id))
             # Every replica compacts its own copy: compaction is a local
             # disk rewrite, not a replicated mutation, so it is driven
-            # per-shard like seg_pull/seg_push rather than fanned out.
+            # per-shard like pull/push rather than fanned out.
             for index in self.router.replicas(bag_id):
                 self._retrying(
                     lambda i=index, b=bag_id: self._store.finalize_bag(i, b)
@@ -1484,7 +1482,7 @@ class DistRuntime:
         # path, and the recovery discards/resync go through it too. The
         # spawn args carry the bumped epoch vector, so the replacement
         # starts demoted and cannot serve its empty bags as truth.
-        self._spawn_shard(index)
+        reopened = self._spawn_shard(index)
         self.router.respawn(index)
         for worker in self._workers.values():
             try:
@@ -1493,51 +1491,25 @@ class DistRuntime:
                 )
             except (OSError, BrokenPipeError):
                 pass  # dying worker; its EOF recovery handles the rest
-        if self.replication > 1:
-            lost_bags, lost_partials = self._resync_shard(index)
-            if not lost_bags and not lost_partials:
-                return  # every copy re-replicated; zero families reset
-            # Every replica of these bags is gone (deaths beyond the
-            # replication factor): fall back to replay for just them.
-        elif self.settings.resident_bytes is not None:
-            # Single copy, but disk-backed: the respawn *reopened* its
-            # segment directory, so pending chunks, consumed markers and
-            # removal-dedup logs are all back and in-flight client
-            # streams retry straight through — zero families reset. The
-            # probe confirms the replacement answers before trusting it;
-            # if it does not, fall back to the full replay closure.
-            if self._probe_reopen(index):
-                self.tracer.inc("dist.shard_reopens")
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "shard_reopened", cat="dist", shard=index
-                    )
-                return
-            lost_bags, lost_partials = self._homed_bags(index)
-        else:
-            lost_bags, lost_partials = self._homed_bags(index)
+        # Recover the copies the dead shard held. A replacement that
+        # reopened its segment directory has them all — pending chunks,
+        # consumed markers and removal-dedup logs — and in-flight client
+        # streams retry straight through; the probe confirms it answers
+        # before trusting it. Otherwise every copy is re-replicated from
+        # a surviving replica, and what has none is lost.
+        if reopened and self._probe_reopen(index):
+            self.tracer.inc("dist.shard_reopens")
+            if self.tracer.enabled:
+                self.tracer.instant("shard_reopened", cat="dist", shard=index)
+            return
+        lost_bags, lost_partials = self._resync_shard(index)
+        if not lost_bags and not lost_partials:
+            return  # every copy re-replicated; zero families reset
         to_reset, refills = self._loss_closure(lost_bags, lost_partials)
         self._begin_family_resets(to_reset, refills)
 
-    def _homed_bags(self, shard: int) -> Tuple[Set[str], Dict[str, str]]:
-        """Graph bags and live partial bags (-> owner task) homed on ``shard``."""
-        graph_bags = {
-            bag_id
-            for bag_id in self.graph.bags
-            if self.router.home(bag_id) == shard
-        }
-        partials: Dict[str, str] = {}
-        for task_id, family in self.exec.families.items():
-            if not family.original.spec.needs_merge:
-                continue
-            for index in range(family.clone_counter + 1):
-                bag_id = partial_bag_id(task_id, index)
-                if self.router.home(bag_id) == shard:
-                    partials[bag_id] = task_id
-        return graph_bags, partials
-
     def _replica_bags(self, shard: int) -> Tuple[Set[str], Dict[str, str]]:
-        """Like :meth:`_homed_bags`, but by replica set membership."""
+        """Graph bags and live partial bags (-> owner task) with a copy on ``shard``."""
         graph_bags = {
             bag_id
             for bag_id in self.graph.bags
@@ -1558,14 +1530,10 @@ class DistRuntime:
         return proc is not None and proc.is_alive()
 
     def _probe_reopen(self, index: int) -> bool:
-        """True once respawned shard ``index`` answers a segment op.
-
-        An empty ``seg_pull`` proves both that the replacement is serving
-        and that it runs the segment store (reopen path wired); its
-        reopened directory is then trusted as the bags' state.
-        """
+        """True once respawned shard ``index`` answers; its reopened
+        segment directory is then trusted as the bags' state."""
         try:
-            self._retrying(lambda: self._store.seg_pull(index, []))
+            self._retrying(lambda: self._store.probe(index))
             return True
         except ReproError:
             return False
@@ -1573,12 +1541,13 @@ class DistRuntime:
     def _resync_shard(self, index: int) -> Tuple[Set[str], Dict[str, str]]:
         """Re-replicate every bag copy the dead shard held, onto its respawn.
 
-        Each affected bag is snapshotted from its *serving* replica (the
-        promoted copy clients are now reading — snapshots are monotone, so
-        concurrent traffic is safe) and merged into the replacement, one
-        batched pull/push per source shard. Returns the bags with **no**
-        surviving replica (deaths beyond the replication factor); those
-        fall back to the replay path.
+        Each affected bag is pulled from its *serving* replica (the
+        promoted copy clients are now reading — packages merge
+        monotonically, so concurrent traffic is safe) and pushed into the
+        replacement, one batched pull/push per source shard. Returns the
+        bags with **no** surviving replica — at ``replication == 1``
+        every bag the shard held, otherwise deaths beyond the
+        replication factor; those fall back to the replay path.
         """
         resync_started = time.monotonic()
         graph_bags, partials = self._replica_bags(index)
@@ -1601,29 +1570,13 @@ class DistRuntime:
                     lost_bags.add(bag_id)
             else:
                 groups.setdefault(source, []).append(bag_id)
-        spill = self.settings.resident_bytes is not None
         for source, bag_ids in sorted(groups.items()):
-            if spill:
-                # Segment shipping: the source packages whole sealed
-                # segment files (raw bytes, no per-chunk decode) plus its
-                # loose open-tail chunks, and the replacement installs
-                # the blobs as local sealed segments.
-                packages = self._retrying(
-                    lambda s=source, b=bag_ids: self._store.seg_pull(s, b)
-                )
-                self._retrying(
-                    lambda p=packages, i=index: self._store.seg_push(i, p)
-                )
-            else:
-                snaps = self._retrying(
-                    lambda s=source, b=bag_ids: self._store.sync_pull(s, b)
-                )
-                self._retrying(
-                    lambda sn=snaps, i=index: self._store.sync_push(i, sn)
-                )
-        if spill and groups:
-            self.segment_resyncs += 1
-        self.resync_seconds.append(time.monotonic() - resync_started)
+            packages = self._retrying(
+                lambda s=source, b=bag_ids: self._store.pull(s, b)
+            )
+            self._retrying(lambda p=packages, i=index: self._store.push(i, p))
+        if groups:
+            self.resync_seconds.append(time.monotonic() - resync_started)
         if self.tracer.enabled:
             self.tracer.instant(
                 "shard_resynced",
@@ -2196,7 +2149,6 @@ class DistRuntime:
                 f"master.g{self._generation}",
                 self.settings.policy,
                 router=self.router,
-                replica_ops=self.settings.resident_bytes is not None,
             )
             for index, proc in enumerate(self._shard_procs):
                 if proc is not None and proc.is_alive():

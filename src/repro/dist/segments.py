@@ -71,6 +71,7 @@ import os
 import pickle
 import re
 import threading
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import BagSealedError
@@ -168,7 +169,9 @@ class _BagState:
     def __init__(self, bag_id: str, safe: str):
         self.bag_id = bag_id
         self.safe = safe
-        self.pending: Dict[str, Loc] = {}   # insertion-ordered
+        #: Insertion-ordered, and an OrderedDict because removal pops
+        #: from the front (see :class:`repro.dist.replica.RepBag`).
+        self.pending: "OrderedDict[str, Loc]" = OrderedDict()
         self.consumed: Dict[str, Loc] = {}
         self.order: List[str] = []
         self.sealed = False
@@ -182,7 +185,7 @@ class _BagState:
 
 
 class SegmentBag:
-    """The :class:`RepBag`-and-:class:`LocalBag` surface over one bag's
+    """The :class:`repro.dist.replica.RepBag` surface over one bag's
     layered state. All methods delegate to the owning store, which holds
     the lock, the hot cache, the fds, and the index."""
 
@@ -192,13 +195,6 @@ class SegmentBag:
         self.bag_id = state.bag_id
 
     # -- write side ----------------------------------------------------------
-
-    def insert(self, chunk: Any) -> None:
-        store, s = self._store, self._state
-        with store._lock:
-            chunk_id = f"srv#{store._auto}"
-            store._auto += 1
-            store._insert_locked(s, chunk_id, chunk)
 
     def insert_id(self, chunk_id: str, chunk: Any) -> None:
         store, s = self._store, self._state
@@ -220,20 +216,6 @@ class SegmentBag:
 
     # -- read side -------------------------------------------------------------
 
-    def remove(self) -> Optional[Any]:
-        """Legacy single pop (no removal log); durable before return."""
-        store, s = self._store, self._state
-        with store._lock:
-            chunk_id = next(iter(s.pending), None)
-            if chunk_id is None:
-                return None
-            s.consumed[chunk_id] = s.pending.pop(chunk_id)
-            chunk = store._fetch_locked(s, chunk_id)
-            store._cache_drop_locked(s.bag_id, chunk_id)
-            store._index.append(("consume", s.bag_id, [chunk_id]))
-            store._maybe_compact_locked()
-            return chunk
-
     def remove_batch(
         self, count: int, client_id: str, seq: int
     ) -> Tuple[List[Tuple[str, Any]], bool]:
@@ -251,10 +233,9 @@ class SegmentBag:
                 pairs = [(cid, store._fetch_locked(s, cid)) for cid in recorded[1]]
                 return pairs, recorded[2]
             pairs: List[Tuple[str, Any]] = []
-            for chunk_id in list(s.pending):
-                if len(pairs) >= count:
-                    break
-                s.consumed[chunk_id] = s.pending.pop(chunk_id)
+            while s.pending and len(pairs) < count:
+                chunk_id, loc = s.pending.popitem(last=False)
+                s.consumed[chunk_id] = loc
                 pairs.append((chunk_id, store._fetch_locked(s, chunk_id)))
                 store._cache_drop_locked(s.bag_id, chunk_id)
             if pairs:
@@ -294,11 +275,6 @@ class SegmentBag:
             store._maybe_compact_locked()
 
     # -- bag API extras --------------------------------------------------------
-
-    def read_all(self) -> List[Any]:
-        store, s = self._store, self._state
-        with store._lock:
-            return [store._fetch_locked(s, cid) for cid in s.order]
 
     def read_page(self, cursor: int, max_bytes: int) -> Tuple[List[Any], int]:
         """One bounded page of the bag, non-destructively, in ``order``.
@@ -340,7 +316,7 @@ class SegmentBag:
         with store._lock:
             locs = dict(s.consumed)
             locs.update(s.pending)
-            s.pending = {cid: locs[cid] for cid in s.order}
+            s.pending = OrderedDict((cid, locs[cid]) for cid in s.order)
             s.consumed = {}
             s.dedup = {}
             store._index.append(("rewind", s.bag_id))
@@ -350,7 +326,7 @@ class SegmentBag:
         store, s = self._store, self._state
         with store._lock:
             store._drop_files_locked(s)
-            s.pending = {}
+            s.pending = OrderedDict()
             s.consumed = {}
             s.order = []
             s.dedup = {}
@@ -364,57 +340,6 @@ class SegmentBag:
 
     def __len__(self) -> int:
         return self.remaining()
-
-    # -- re-replication --------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """RepBag-shaped full state (payloads faulted in) — compatibility
-        path; resync prefers :meth:`SegmentBagStore.seg_pull`."""
-        store, s = self._store, self._state
-        with store._lock:
-            fetch = lambda cid: store._fetch_locked(s, cid)
-            return {
-                "pending": [(cid, fetch(cid)) for cid in s.pending],
-                "consumed": [(cid, fetch(cid)) for cid in s.consumed],
-                "sealed": s.sealed,
-                "dedup": {
-                    client: (seq, [(cid, fetch(cid)) for cid in ids], sealed)
-                    for client, (seq, ids, sealed) in s.dedup.items()
-                },
-            }
-
-    def merge_snapshot(self, snap: Dict[str, Any]) -> None:
-        store, s = self._store, self._state
-        with store._lock:
-            for chunk_id, chunk in snap["consumed"]:
-                if chunk_id in s.consumed:
-                    continue
-                if chunk_id in s.pending:
-                    s.consumed[chunk_id] = s.pending.pop(chunk_id)
-                    store._cache_drop_locked(s.bag_id, chunk_id)
-                else:
-                    loc = store._append_chunk_locked(s, chunk_id, chunk)
-                    s.order.append(chunk_id)
-                    s.consumed[chunk_id] = loc
-            consumed_ids = [cid for cid, _ in snap["consumed"]]
-            if consumed_ids:
-                store._index.append(("consume", s.bag_id, consumed_ids))
-            for chunk_id, chunk in snap["pending"]:
-                if chunk_id in s.consumed or chunk_id in s.pending:
-                    continue
-                s.pending[chunk_id] = store._append_chunk_locked(s, chunk_id, chunk)
-                s.order.append(chunk_id)
-            if snap["sealed"] and not s.sealed:
-                s.sealed = True
-                store._index.append(("seal", s.bag_id))
-            for client, (seq, pairs, sealed) in snap["dedup"].items():
-                recorded = s.dedup.get(client)
-                if recorded is None or recorded[0] < seq:
-                    ids = [cid for cid, _ in pairs]
-                    s.dedup[client] = (seq, ids, sealed)
-                    store._index.append(("removal", s.bag_id, client, seq, ids, sealed))
-            store._maybe_compact_locked()
-
 
 class SegmentBagStore:
     """Catalog of layered bags for one shard process.
@@ -454,7 +379,6 @@ class SegmentBagStore:
         self._hot_sizes: Dict[Tuple[str, str], int] = {}
         self._resident = 0
         self._peak = 0
-        self._auto = 0
         self.segments_written = 0
         self.spilled_bytes = 0
         self.evictions = 0
@@ -496,16 +420,9 @@ class SegmentBagStore:
         with self._lock:
             return bag_id in self._bags
 
-    def snapshot_many(self, bag_ids: List[str]) -> Dict[str, Dict[str, Any]]:
-        return {bag_id: self.ensure(bag_id).snapshot() for bag_id in bag_ids}
-
-    def merge_many(self, snaps: Dict[str, Dict[str, Any]]) -> None:
-        for bag_id, snap in snaps.items():
-            self.ensure(bag_id).merge_snapshot(snap)
-
     # -- segment shipping (resync) ---------------------------------------------
 
-    def seg_pull(self, bag_ids: List[str]) -> Dict[str, Dict[str, Any]]:
+    def pull(self, bag_ids: List[str]) -> Dict[str, Dict[str, Any]]:
         """Package bags for re-replication: sealed segments travel as raw
         file bytes; only open-tail chunks are faulted individually."""
         packages: Dict[str, Dict[str, Any]] = {}
@@ -535,12 +452,12 @@ class SegmentBagStore:
                 }
         return packages
 
-    def seg_push(self, packages: Dict[str, Dict[str, Any]]) -> None:
+    def push(self, packages: Dict[str, Dict[str, Any]]) -> None:
         """Install shipped packages: each sealed segment that contains at
         least one unknown chunk is written verbatim as a new local sealed
         segment (frames re-validated); metadata merges are monotone, so a
         push racing live traffic is safe for the same reasons
-        :meth:`RepBag.merge_snapshot` is."""
+        :meth:`repro.dist.replica.RepBag.merge_snapshot` is."""
         for bag_id, pkg in packages.items():
             self.ensure(bag_id)
             s = self._states[bag_id]
@@ -673,7 +590,7 @@ class SegmentBagStore:
             for n2 in new_segs:
                 self._index.append(("seg_sealed", bag_id, n2))
             self._index.append(("compacted", bag_id, base))
-            s.pending = {cid: new_locs[cid] for cid in live}
+            s.pending = OrderedDict((cid, new_locs[cid]) for cid in live)
             s.consumed = {}
             s.order = list(live)
             s.dedup = {}  # tails reference dropped frames; consumers are done
@@ -993,7 +910,9 @@ class SegmentBagStore:
             elif kind == "rewind":
                 locs = dict(s.consumed)
                 locs.update(s.pending)
-                s.pending = {cid: locs[cid] for cid in s.order if cid in locs}
+                s.pending = OrderedDict(
+                    (cid, locs[cid]) for cid in s.order if cid in locs
+                )
                 s.consumed = {}
                 s.dedup = {}
             elif kind == "discard":
@@ -1001,11 +920,3 @@ class SegmentBagStore:
                 s.dedup = {}
                 s.sealed = False
                 s.compact_floor = 0
-        # Auto-id counter: resume past any server-stamped ids.
-        for s in self._states.values():
-            for cid in s.order:
-                if cid.startswith("srv#"):
-                    try:
-                        self._auto = max(self._auto, int(cid[4:]) + 1)
-                    except ValueError:
-                        pass

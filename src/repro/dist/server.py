@@ -1,19 +1,24 @@
 """A storage-shard process: data bags behind a socket RPC loop.
 
-One process owns one *shard* of a run's bags (a :class:`LocalBagStore`
-holding every bag the :class:`~repro.dist.sharding.ShardRouter` homes at
-its index — or, with ``replication > 1``, a
-:class:`~repro.dist.replica.RepBagStore` holding every bag whose replica
-set includes this index), and every bag mutation happens under that
-store's locks — which is what makes chunk removal **exactly-once across
-processes**: two clones racing ``remove`` on the same bag are serialized
-server-side by the shard serving it, so each chunk is handed to exactly
-one of them. Workers, the master, and prefetch threads each open their
-own connection; the server runs one dispatcher thread per connection.
+One process owns one *shard* of a run's bags: every bag whose replica
+set (:class:`~repro.dist.sharding.ShardRouter`; at ``replication = 1``
+just the bag's home) includes its index, held in one of two stores
+behind one interface — :class:`~repro.dist.replica.RepBagStore` in
+memory, or :class:`~repro.dist.segments.SegmentBagStore` when the run
+set a memory budget (``segment_dir``). Every bag mutation happens under
+that store's locks — which is what makes chunk removal **exactly-once
+across processes**: two clones racing ``remove_batch`` on the same bag
+are serialized server-side by the shard serving it, so each chunk is
+handed to exactly one of them.
 
-Replication extends exactly-once across *replicas* with two mechanisms:
+There is one op family at any replication level. Inserts are id-keyed
+and idempotent, destructive reads carry a ``(client, seq)`` pair and are
+answered from the removal log when retried, so a client may re-send
+either through a torn connection or a shard respawn. Exactly-once holds
+across *replicas* through two mechanisms, both trivially satisfied when
+the replica set is this shard alone:
 
-* **primary gating** — destructive reads (``rremove_batch``) and
+* **primary gating** — destructive reads (``remove_batch``) and
   snapshot reads are only served by the bag's *primary*: the
   epoch-minimal replica under the master-pushed demotion-epoch vector
   (``set_epochs``; respawned shards receive the current vector in their
@@ -37,26 +42,23 @@ primary failover keeps working during the window where no master is
 alive to push promotions. A recovering master asks any shard
 ``("probe",)`` for its identity, epoch vector, and bag inventory.
 
-Connections speak one of two dialects. Plain connections introduce
-themselves with ``("hello", client_id)`` and then pay one
-request/response exchange per call — since the legacy per-caller data
-plane was retired this dialect serves only diagnostics and test
-harnesses (``RemoteBagStore``), plus the introduction-free raw-op form
-replication peers use. A connection whose *first* message
-is ``("mux", client_id)`` instead switches — after the ``("ok", ...)``
-ack — to the framed multiplexed protocol of :mod:`repro.dist.protocol`:
+Connections speak one of two forms. Clients — workers, the master —
+open with ``("mux", client_id)`` and, after the ``("ok", ...)`` ack,
+switch to the framed multiplexed protocol of :mod:`repro.dist.protocol`:
 every request frame carries a client-chosen call id, requests are
 served as they decode (a blocking ``fence`` moves to its own thread so
 it cannot head-of-line block the lane), and replies are written
-whenever ready under a send lock, in whatever order they finish. The
-detection is first-message-only because replication peers send raw ops
-with no hello at all. Either way the connection lands in the client
-registry, so the **fence** operation sees both dialects: after a worker
-process dies, ``("fence", client_id)`` blocks until every connection that
-worker had registered *on this shard* is fully drained and closed — i.e.
-until all of the dead worker's in-flight inserts here have been applied —
-so the recovery discard/rewind cannot race with a late write from the
-corpse. With ``m`` shards the master fences all ``m``.
+whenever ready under a send lock, in whatever order they finish. A
+connection whose first message is anything else stays on the raw
+one-exchange-per-call form, which serves shard-to-shard traffic only
+(``apply_removals`` shipping and ``gossip``). Mux connections land in
+the client registry, which is what the **fence** operation reads:
+after a worker process dies, ``("fence", client_id)`` blocks until every
+connection that worker had registered *on this shard* is fully drained
+and closed — i.e. until all of the dead worker's in-flight inserts here
+have been applied — so the recovery discard/rewind cannot race with a
+late write from the corpse. With ``m`` shards the master fences all
+``m``.
 
 Shards listen on **stable socket paths** chosen by the master
 (``shard-<i>.sock`` in a run-scoped temp dir): when a shard dies and is
@@ -64,9 +66,8 @@ respawned, the replacement re-binds the same path, so clients recover by
 reconnecting to the address they already know — no re-homing, no
 placement epoch protocol. Fault injection mirrors the worker side's
 ``kill_after_chunks``: with ``kill_after_ops`` set, the shard hard-exits
-(``os._exit``) upon receiving its N-th ``remove_batch`` (or
-``rremove_batch``), before replying — the requester observes a torn
-connection, exactly like a SIGKILL.
+(``os._exit``) upon receiving its N-th ``remove_batch``, before replying
+— the requester observes a torn connection, exactly like a SIGKILL.
 """
 
 from __future__ import annotations
@@ -89,13 +90,9 @@ from repro.dist.replica import RepBagStore
 from repro.dist.segments import SegmentBagStore
 from repro.dist.sharding import ShardRouter
 from repro.errors import NotPrimary
-from repro.storage.local import LocalBagStore
 
 #: ``os._exit`` status used by the shard-kill fault injection.
 SHARD_KILL_EXIT_CODE = 23
-
-#: Ops that count toward (and can trigger) the injected shard kill.
-_KILLABLE_OPS = ("remove_batch", "rremove_batch")
 
 #: Seconds between peer epoch-gossip rounds (replicated shards only).
 GOSSIP_INTERVAL_SECONDS = 0.25
@@ -128,10 +125,6 @@ class _ServerState:
         self.addresses = list(addresses) if addresses else []
         self.authkey = authkey
         if segment_dir is not None:
-            # Disk-backed layered store: clients speak the replicated op
-            # family even at r=1 (idempotent id-keyed inserts, seq-deduped
-            # removals), so the router exists at any replication level for
-            # primary gating — trivially satisfied when r=1.
             self.store: Any = SegmentBagStore(
                 segment_dir, resident_bytes=resident_bytes, reopen=reopen
             )
@@ -145,17 +138,12 @@ class _ServerState:
                         os._exit(SHARD_KILL_EXIT_CODE)
 
                 self.store.compaction_kill = die_in_window
-            self.router: Optional[ShardRouter] = (
-                ShardRouter(len(self.addresses), replication)
-                if self.addresses
-                else None
-            )
-        elif replication > 1:
-            self.store = RepBagStore()
-            self.router = ShardRouter(len(self.addresses), replication)
         else:
-            self.store = LocalBagStore()
-            self.router = None
+            self.store = RepBagStore()
+        #: Replica placement, for primary gating and removal shipping at
+        #: any replication level (a shard started without a peer list is
+        #: a fleet of one).
+        self.router = ShardRouter(len(self.addresses) or 1, replication)
         #: Demotion-epoch vector, master-authoritative (monotone max-merge).
         self.epochs: Dict[int, int] = dict(epochs or {})
         self.epochs_lock = threading.Lock()
@@ -180,7 +168,7 @@ class _ServerState:
 
     def maybe_die(self, op: str) -> None:
         """Die like a SIGKILLed shard when the injected op budget is hit."""
-        if self.kill_after_ops is None or op not in _KILLABLE_OPS:
+        if self.kill_after_ops is None or op != "remove_batch":
             return
         with self.stats_lock:
             self._batch_ops_seen += 1
@@ -198,24 +186,16 @@ class _ServerState:
                 if epoch > self.epochs.get(shard, 0):
                     self.epochs[shard] = epoch
 
-    def close_store(self) -> None:
-        close = getattr(self.store, "close", None)
-        if close is not None:
-            close()
-
     def ensure_primary(self, bag_id: str) -> None:
         """Refuse to serve ``bag_id`` unless this shard is its primary."""
-        if self.router is None:
-            return
         replicas = self.router.replicas(bag_id)
         with self.epochs_lock:
             primary = min(
                 replicas,
                 key=lambda s: (self.epochs.get(s, 0), replicas.index(s)),
             )
-            vector = dict(self.epochs)
-        if primary != self.shard:
-            raise NotPrimary(repr(vector))
+            if primary != self.shard:
+                raise NotPrimary(repr(self.epochs))
 
     def _peer_conn(self, peer: int):
         """(lock, conn) for ``peer``, connecting if needed; None if down."""
@@ -256,6 +236,8 @@ class _ServerState:
         its state on respawn, snapshotting this shard's (already
         updated) copy, so the skipped record still arrives.
         """
+        if self.replication == 1:
+            return  # the replica set is this shard alone
         for peer in self.router.replicas(bag_id):
             if peer == self.shard:
                 continue
@@ -289,31 +271,10 @@ def _dispatch(state: _ServerState, conn_id: int, req: Tuple[Any, ...]) -> Any:
     store = state.store
     state.maybe_die(op)
     state.bump(op)
-    if op == "hello":
-        client_id = req[1]
-        with state.registry_cond:
-            state.clients.setdefault(client_id, set()).add(conn_id)
-        return client_id
     if op == "insert":
-        store.ensure(req[1]).insert(req[2])
-        return None
-    if op == "rinsert":
         store.ensure(req[1]).insert_id(req[2], req[3])
         return None
-    if op == "remove":
-        bag = store.ensure(req[1])
-        return (bag.remove(), bag.sealed)
     if op == "remove_batch":
-        bag = store.ensure(req[1])
-        chunks = []
-        for _ in range(req[2]):
-            chunk = bag.remove()
-            if chunk is None:
-                break
-            chunks.append(chunk)
-        state.bump("chunks_removed", len(chunks))
-        return (chunks, bag.sealed)
-    if op == "rremove_batch":
         bag_id, count, client_id, seq = req[1], req[2], req[3], req[4]
         state.ensure_primary(bag_id)
         pairs, sealed = store.ensure(bag_id).remove_batch(count, client_id, seq)
@@ -329,17 +290,13 @@ def _dispatch(state: _ServerState, conn_id: int, req: Tuple[Any, ...]) -> Any:
         bag_id, client_id, seq, pairs, sealed = req[1:6]
         store.ensure(bag_id).apply_removals(client_id, seq, pairs, sealed)
         return None
-    if op == "sync_pull":
-        return store.snapshot_many(list(req[1]))
-    if op == "sync_push":
-        store.merge_many(req[1])
-        return None
-    if op == "seg_pull":
-        # Master-only re-replication, segment flavor: bags packaged as
-        # whole sealed segment files plus loose open-tail chunks.
-        return store.seg_pull(list(req[1]))
-    if op == "seg_push":
-        store.seg_push(req[1])
+    if op == "pull":
+        # Master-only re-replication: each store packages its bags its
+        # own way (memory: monotone snapshots; segments: whole sealed
+        # segment files plus loose open-tail chunks).
+        return store.pull(list(req[1]))
+    if op == "push":
+        store.push(req[1])
         return None
     if op == "set_epochs":
         state.merge_epochs(req[1])
@@ -358,32 +315,21 @@ def _dispatch(state: _ServerState, conn_id: int, req: Tuple[Any, ...]) -> Any:
         with state.epochs_lock:
             vector = dict(state.epochs)
         return {"shard": state.shard, "epochs": vector, "bags": store.bag_ids()}
-    if op == "read_all":
-        if state.replication > 1:
-            state.ensure_primary(req[1])
-        return store.ensure(req[1]).read_all()
     if op == "read_page":
-        if state.replication > 1:
-            state.ensure_primary(req[1])
+        state.ensure_primary(req[1])
         return store.ensure(req[1]).read_page(req[2], req[3])
     if op == "finalize":
-        # Master-only compaction trigger, addressed to one replica; a
-        # store without segments has nothing to reclaim.
-        finalize = getattr(store, "finalize_bag", None)
-        if finalize is None:
-            return (0, 0)
-        return finalize(req[1])
+        # Master-only compaction trigger, addressed to one replica.
+        return store.finalize_bag(req[1])
     if op == "seal":
         store.ensure(req[1]).seal()
         return None
     if op == "remaining":
-        if state.replication > 1:
-            state.ensure_primary(req[1])
+        state.ensure_primary(req[1])
         return store.ensure(req[1]).remaining()
     if op == "remaining_many":
-        if state.replication > 1:
-            for bag_id in req[1]:
-                state.ensure_primary(bag_id)
+        for bag_id in req[1]:
+            state.ensure_primary(bag_id)
         return {bag_id: store.ensure(bag_id).remaining() for bag_id in req[1]}
     if op == "rewind":
         store.ensure(req[1]).rewind()
@@ -392,17 +338,12 @@ def _dispatch(state: _ServerState, conn_id: int, req: Tuple[Any, ...]) -> Any:
         store.ensure(req[1]).discard()
         return None
     if op == "size":
-        if state.replication > 1:
-            state.ensure_primary(req[1])
+        state.ensure_primary(req[1])
         return store.ensure(req[1]).size()
     if op == "stats":
-        extra: Dict[str, int] = {}
-        spill_stats = getattr(store, "spill_stats", None)
-        if spill_stats is not None:
-            extra.update(spill_stats())
-        extra["rss_hwm_kb"] = _rss_hwm_kb()
+        gauges = dict(store.spill_stats(), rss_hwm_kb=_rss_hwm_kb())
         with state.stats_lock:
-            return dict(state.stats, shard=state.shard, **extra)
+            return dict(state.stats, shard=state.shard, **gauges)
     if op == "fence":
         client_id, timeout = req[1], req[2]
         deadline = threading.TIMEOUT_MAX if timeout is None else timeout
@@ -438,7 +379,7 @@ def _serve_mux(
         try:
             data = encode_frame(call_id, kind, payload)
         except FrameError as exc:
-            # Unencodable reply (e.g. oversized read_all): the *call*
+            # Unencodable reply (e.g. an oversized pull): the *call*
             # failed, not the stream — tell that caller, keep serving.
             data = encode_frame(
                 call_id, KIND_RESPONSE_ERR, (type(exc).__name__, str(exc))
@@ -481,7 +422,7 @@ def _serve_mux(
                     closed[0] = True
                 state.stop.set()
                 state.close_peers()
-                state.close_store()
+                state.store.close()
                 _poke(listener.address)
                 listener.close()
                 return
@@ -509,9 +450,9 @@ def _serve_connection(state: _ServerState, conn: Connection, listener) -> None:
             except (EOFError, OSError):
                 return
             if first and req[0] == "mux":
-                # Dialect switch — only honored as the very first
-                # message (replication peers send raw ops with no
-                # introduction, and "mux" must never shadow a payload).
+                # Only honored as the very first message (replication
+                # peers send raw ops with no introduction, and "mux"
+                # must never shadow a payload).
                 client_id = req[1]
                 with state.registry_cond:
                     state.clients.setdefault(client_id, set()).add(conn_id)
@@ -526,7 +467,7 @@ def _serve_connection(state: _ServerState, conn: Connection, listener) -> None:
                 conn.send(("ok", None))
                 state.stop.set()
                 state.close_peers()
-                state.close_store()
+                state.store.close()
                 # Closing the listener does NOT wake a thread blocked in
                 # accept(2); poke it with a throwaway connection so the
                 # accept loop re-checks the stop flag immediately.
@@ -675,11 +616,11 @@ def storage_server_main(
     killed predecessor), which is what keeps shard addresses stable
     across respawns; otherwise an auto-generated temp path is used.
 
-    With ``replication > 1`` the shard also needs ``addresses`` (every
-    shard's socket path, for removal shipping to peers) and ``epochs``
-    (the master's current demotion-epoch vector — a respawned
+    ``addresses`` lists every shard's socket path (replica placement,
+    and removal shipping to peers when ``replication > 1``); ``epochs`` is
+    the master's current demotion-epoch vector — a respawned
     replacement must start out knowing it is demoted, or stale clients
-    could read its empty, not-yet-resynced bags as truth).
+    could read its empty, not-yet-resynced bags as truth.
 
     With ``segment_dir`` set the shard stores its bags in the
     disk-backed layered store (:mod:`repro.dist.segments`), bounded in

@@ -50,10 +50,18 @@ class ShardRouter:
         #: Bumped on every respawn of each shard index; placement does not
         #: depend on it (respawn keeps the index), it only tracks history.
         self.generations: List[int] = [0] * shards
+        #: Memo of :meth:`home`. Placement is pure in ``(bag_id, m)`` and
+        #: every storage op asks for it at least once on each side of the
+        #: wire, so the keyed hash is paid once per bag, not once per op.
+        #: Bounded by the run's bag count (graph bags plus partials).
+        self._homes: Dict[str, int] = {}
 
     def home(self, bag_id: str) -> int:
         """The primary shard index for ``bag_id`` (pure, process-independent)."""
-        return stable_spread(bag_id, self.shards)
+        shard = self._homes.get(bag_id)
+        if shard is None:
+            shard = self._homes[bag_id] = stable_spread(bag_id, self.shards)
+        return shard
 
     def replicas(self, bag_id: str) -> List[int]:
         """All shard indices holding a copy of ``bag_id``, primary first.

@@ -3,8 +3,8 @@
 A worker is a loop over master commands. For a TASK/CLONE node it runs
 the task function against a :class:`DistTaskContext` — the shared
 :class:`~repro.local.context.TaskContext` with the stream input swapped
-for the batch-sampling :class:`~repro.dist.client.BatchChunkFetcher`,
-connected to whichever storage shard homes the input bag — then writes
+for the batch-sampling :class:`~repro.dist.client.MuxBatchFetcher`,
+streaming from whichever storage shard serves the input bag — then writes
 its partial (aggregations) into the family's per-member partial bag on
 the shard homing *that* bag. For a MERGE node it reads every member's
 partial bag in member order, folds with the merge procedure, and emits
@@ -30,7 +30,7 @@ import traceback
 from typing import Any, Dict, List, Optional
 
 from repro.dist.adaptive import BatchDepthController, reservoir_sample
-from repro.dist.client import BatchChunkFetcher, ShardedBagStore
+from repro.dist.client import MuxBatchFetcher, ShardedBagStore
 from repro.dist.protocol import DistSettings, NodeDescriptor
 from repro.dist.sharding import ShardRouter
 from repro.engine.common import (
@@ -249,14 +249,10 @@ def _run_task(
             controller = BatchDepthController(
                 settings.adaptive, shards, initial_depth=settings.batch_requests
             )
-    # Routed, not hardwired: the fetcher must connect to the shard homing
-    # the stream bag — a single-address fetcher would stream an empty bag
-    # whenever the router placed the input elsewhere.
-    fetcher = BatchChunkFetcher.for_bag(
+    fetcher = MuxBatchFetcher(
         runtime.store,
         desc.stream_input,
         controller.depth if controller is not None else settings.batch_requests,
-        settings.policy,
     )
     ctx = DistTaskContext(runtime, node, fetcher, cmd_conn, desc, controller)
     try:
@@ -278,15 +274,10 @@ def _run_task(
     stats = {
         "records": ctx.records_in,
         "chunks": ctx.chunks_in,
-        # Per-shard samples are the real signal (a mux fetcher can be
-        # served by several shards across a failover); the flat list and
-        # single-shard tag stay for mixed-version masters. Capped via a
-        # seeded reservoir — a plain head slice froze the percentiles at
-        # warm-up behavior once a task streamed past the cap.
-        "latencies": reservoir_sample(
-            fetcher.latencies, _LATENCY_SAMPLE_CAP, desc.node_id
-        ),
-        "latency_shard": fetcher.shard,
+        # Tagged per serving shard (a fetcher can be served by several
+        # shards across a failover). Capped via a seeded reservoir — a
+        # plain head slice froze the percentiles at warm-up behavior
+        # once a task streamed past the cap.
         "latencies_by_shard": {
             shard: reservoir_sample(
                 samples, _LATENCY_SAMPLE_CAP, desc.node_id, shard
@@ -321,7 +312,7 @@ def _run_merge(runtime: _WorkerRuntime, desc: NodeDescriptor) -> dict:
         merged,
         chunk_size=runtime.chunk_size,
     )
-    return {"records": 0, "chunks": 0, "latencies": [], "latencies_by_shard": {}}
+    return {"records": 0, "chunks": 0, "latencies_by_shard": {}}
 
 
 def worker_main(
@@ -359,7 +350,6 @@ def worker_main(
         client_id,
         settings.policy,
         router=router,
-        replica_ops=settings.resident_bytes is not None,
     )
     store.adopt_epochs(epochs or {})
     runtime = _WorkerRuntime(graph, store, settings)

@@ -2,8 +2,7 @@
 
 Every function takes the bag *store* as a duck-typed argument: a
 :class:`~repro.storage.local.LocalBagStore` in the local engine, a
-``RemoteBagStore`` or shard-routing ``ShardedBagStore`` proxy in the
-distributed one. The store only needs ``ensure``/``get`` returning bags
+shard-routing ``ShardedBagStore`` proxy in the distributed one. The store only needs ``ensure``/``get`` returning bags
 with ``insert``/``seal``/``read_page`` — notably, nothing here may assume
 two bags live in the same process: each ``ensure``/``get`` resolves
 placement independently, which is what lets the same helpers drive one
@@ -133,8 +132,7 @@ READ_PAGE_BYTES = 4 * 1024 * 1024
 def iter_bag_chunks(store, bag_id: str, *, page_bytes: int = READ_PAGE_BYTES):
     """Stream a bag's chunks non-destructively, one bounded page resident.
 
-    The streamed replacement for ``bag.read_all()`` on refill/snapshot
-    paths: each ``read_page(cursor, page_bytes)`` round trip holds at
+    The bulk read of refill, snapshot and side-input paths: each ``read_page(cursor, page_bytes)`` round trip holds at
     most one page of payloads in this process (and, for remote bags, at
     most one page per RPC frame), so reading a spilled bag larger than
     the shard's ``resident_bytes`` never re-materializes it anywhere.

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterator, Optional
 
+from repro.engine.common import iter_bag_chunks
 from repro.errors import BagError
 from repro.model.execution_graph import ExecutionNode
 from repro.serde.chunks import ChunkBuilder, iter_chunk
@@ -92,8 +93,7 @@ class TaskContext:
             raise BagError(
                 f"task {self._node.node_id!r} has no side input {index}"
             ) from None
-        bag = self._runtime.store.get(bag_id)
-        for chunk in bag.read_all():
+        for chunk in iter_bag_chunks(self._runtime.store, bag_id):
             yield from self._decode(bag_id, chunk)
 
     # -- output ------------------------------------------------------------------

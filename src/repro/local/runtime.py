@@ -29,7 +29,7 @@ from repro.engine.common import (
 )
 from repro.errors import ReproError, SchedulingError
 from repro.local.context import TaskContext
-from repro.runtime.adaptive import AdaptiveConfig, CloneGovernor
+from repro.dist.adaptive import AdaptiveConfig, CloneGovernor
 from repro.model.application import Application
 from repro.model.execution_graph import (
     ExecutionGraph,
@@ -102,7 +102,7 @@ class LocalRuntime:
         self.records_per_chunk = records_per_chunk
         self.clone_min_chunks = clone_min_chunks
         self.max_clones_per_task = max_clones_per_task or workers
-        # Same policy module as the dist engine (repro.runtime.adaptive):
+        # Same policy module as the dist engine (repro.dist.adaptive):
         # with a config, clone grants go through the overload governor —
         # queue depth plus per-task chunk-time p95 drift — instead of the
         # static clone_min_chunks floor. None/False = unchanged engine.

@@ -359,21 +359,6 @@ class TestNearestRank:
 
 
 class TestOnePolicyModule:
-    def test_runtime_reexport_is_the_same_objects(self):
-        import repro.dist.adaptive as dist_policy
-        import repro.runtime.adaptive as shared_policy
-
-        for name in (
-            "AdaptiveConfig",
-            "BatchDepthController",
-            "CloneGovernor",
-            "derive_batch_depth",
-            "nearest_rank",
-            "reservoir_sample",
-            "utilization_floor",
-        ):
-            assert getattr(shared_policy, name) is getattr(dist_policy, name)
-
     def test_local_engine_uses_the_shared_module(self):
         from repro.local import runtime as local_runtime
 

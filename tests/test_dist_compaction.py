@@ -3,11 +3,14 @@
 Three layers of lockdown for the two new disk-path mechanisms:
 
 * **Pagination contract** — every bag flavor exposing
-  ``read_page(cursor, max_bytes)`` (segment-backed, local in-memory,
-  replicated) must honor the same contract: cursor indexes a stable
-  order, an empty page means done, a cursor past the end is answered
-  rather than rejected, pages never exceed the byte budget except when a
-  single oversized chunk must travel alone — plus the
+  ``read_page(cursor, max_bytes)`` must honor the same contract: cursor
+  indexes a stable order, an empty page means done, a cursor past the
+  end is answered rather than rejected, pages never exceed the byte
+  budget except when a single oversized chunk must travel alone. The
+  two shard stores are held to it by ``test_dist_bag_contract.py``;
+  here are the local engine's bags (the reference), what is particular
+  to each shard store (frame-length budgets and faults from disk; the
+  memory store's consumed-then-pending order), and the
   ``iter_bag_chunks`` regression that a refill of a bag far larger than
   the page budget never holds more than one page of payloads resident.
 * **Compaction correctness** — ``finalize_bag`` unit behavior (reclaims
@@ -38,6 +41,7 @@ from repro.errors import BagSealedError
 from repro.apps import build_clicklog_local
 from repro.storage.local import LocalBag
 
+from tests.test_dist_bag_contract import chunks_of, payload
 from tests.test_dist_runtime import (
     REGIONS,
     clicklog_baseline,
@@ -46,8 +50,6 @@ from tests.test_dist_runtime import (
 )
 
 
-def payload(i: int) -> bytes:
-    return bytes([i % 256]) * 64
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +69,6 @@ class TestSegmentBagPagination:
         # budgets translate into exact chunks-per-page counts.
         return len(pack_frame(("c#000", payload(0))))
 
-    def test_empty_bag_answers_done_immediately(self, tmp_path):
-        _store, bag = self.fill(tmp_path, 0)
-        assert bag.read_page(0, 1 << 20) == ([], 0)
-
     def test_exact_page_boundary(self, tmp_path):
         # Budget = exactly two frames: six chunks paginate 2/2/2 with
         # cursors landing on the boundaries, then an empty done page.
@@ -84,25 +82,9 @@ class TestSegmentBagPagination:
         assert chunks == [payload(4), payload(5)] and cursor == 6
         assert bag.read_page(cursor, budget) == ([], 6)
 
-    def test_cursor_past_end_is_answered_not_rejected(self, tmp_path):
-        _store, bag = self.fill(tmp_path, 3)
-        assert bag.read_page(99, 1 << 20) == ([], 99)
-
-    def test_oversized_frame_travels_alone(self, tmp_path):
-        # A budget below one frame must still make progress: one chunk
-        # per page, never a stall, never a rejection.
-        _store, bag = self.fill(tmp_path, 4)
-        cursor, pages = 0, []
-        while True:
-            chunks, cursor = bag.read_page(cursor, 1)
-            if not chunks:
-                break
-            pages.append(chunks)
-        assert pages == [[payload(i)] for i in range(4)]
-
-    def test_pages_chain_to_read_all_from_disk(self, tmp_path):
+    def test_pages_chain_to_the_whole_bag_from_disk(self, tmp_path):
         # The 512-byte budget evicted most of the bag: paging faults the
-        # payloads back in and still reproduces read_all exactly.
+        # payloads back in and still reproduces the bag exactly.
         store, bag = self.fill(tmp_path, 64)
         got, cursor = [], 0
         while True:
@@ -110,13 +92,11 @@ class TestSegmentBagPagination:
             if not chunks:
                 break
             got.extend(chunks)
-        assert got == bag.read_all()
+        assert got == [payload(i) for i in range(64)]
         assert store.spill_stats()["faults"] > 0
 
-    def test_consumed_chunks_still_page(self, tmp_path):
-        # read_page is non-destructive over the full membership (order
-        # includes consumed chunks) — that is what refill-after-reset
-        # relies on.
+    def test_consumed_chunks_page_in_insertion_order(self, tmp_path):
+        # Unlike the memory store, a consumed chunk keeps its place.
         _store, bag = self.fill(tmp_path, 8)
         bag.remove_batch(3, "w", 1)
         chunks, cursor = bag.read_page(0, 1 << 20)
@@ -194,13 +174,7 @@ class TestRepBagPagination:
                 break
             assert sum(len(c) for c in chunks) <= 100
             ordered.extend(chunks)
-        assert ordered == bag.read_all()
-        assert ordered[:2] == [b"\x00" * 50, b"\x01" * 50]
-
-    def test_empty_and_past_end(self):
-        bag = RepBag("b")
-        assert bag.read_page(0, 64) == ([], 0)
-        assert bag.read_page(12, 64) == ([], 12)
+        assert ordered == [bytes([i]) * 50 for i in range(6)]
 
 
 class _PageSpy:
@@ -285,7 +259,7 @@ class TestFinalizeBagUnit:
         )
         assert before - after == reclaimed
         # Live chunks survive, in order; remaining unchanged.
-        assert bag.read_all() == [payload(i) for i in range(24, 32)]
+        assert chunks_of(store) == [payload(i) for i in range(24, 32)]
         assert bag.remaining() == 8
         stats = store.spill_stats()
         assert stats["segments_compacted"] == segs
@@ -301,7 +275,7 @@ class TestFinalizeBagUnit:
         segs, reclaimed = store.finalize_bag("b")
         assert segs > 0 and reclaimed > 0
         assert self.seg_files(tmp_path) == []  # zero live frames: no files
-        assert bag.read_all() == [] and bag.remaining() == 0
+        assert chunks_of(store) == [] and bag.remaining() == 0
 
     def test_retry_is_idempotent(self, tmp_path):
         store = self.build(tmp_path)
@@ -338,7 +312,7 @@ class TestFinalizeBagUnit:
         store.close()
         back = SegmentBagStore(str(tmp_path), resident_bytes=512, reopen=True)
         bag = back.get("b")
-        assert bag.read_all() == [payload(i) for i in range(20, 32)]
+        assert chunks_of(back) == [payload(i) for i in range(20, 32)]
         assert bag.remaining() == 12 and bag.sealed
         # No consumed chunk is re-deliverable: a fresh drain serves only
         # the 12 live chunks.
@@ -380,7 +354,7 @@ class TestKillMidCompaction:
         # whatever the crash left on disk.
         back = SegmentBagStore(str(tmp_path), resident_bytes=512, reopen=True)
         bag = back.get("b")
-        assert bag.read_all()[-12:] == [payload(i) for i in range(20, 32)]
+        assert chunks_of(back)[-12:] == [payload(i) for i in range(20, 32)]
         assert bag.remaining() == 12
         # ...and never re-delivers a consumed chunk: a fresh consumer
         # sees only the live 12.
@@ -398,8 +372,7 @@ class TestKillMidCompaction:
         back = SegmentBagStore(str(tmp_path), resident_bytes=512, reopen=True)
         segs, reclaimed = back.finalize_bag("b")
         assert segs > 0 and reclaimed > 0
-        bag = back.get("b")
-        assert bag.read_all() == [payload(i) for i in range(20, 32)]
+        assert chunks_of(back) == [payload(i) for i in range(20, 32)]
         assert back.get("b").remaining() == 12
 
     def test_crash_after_index_record_unlinks_stale_files(self, tmp_path):
@@ -421,7 +394,7 @@ class TestKillMidCompaction:
         }
         assert files_before.isdisjoint(files_after)  # stale files gone
         assert back.finalize_bag("b") == (0, 0)
-        assert back.get("b").read_all() == [payload(i) for i in range(20, 32)]
+        assert chunks_of(back) == [payload(i) for i in range(20, 32)]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +418,7 @@ class TestCompactionModel:
     @settings(max_examples=40, deadline=None)
     def test_any_interleaving_matches_model(self, ops):
         # The model: pending/consumed FIFO lists. Invariant after every
-        # op: read_all() is exactly consumed-prefix + pending-suffix (a
+        # op: the paged read is exactly consumed-prefix + pending-suffix (a
         # finalize drops the consumed prefix), remaining() matches, and
         # remove_batch only ever serves the model's pending head.
         with tempfile.TemporaryDirectory() as root:
@@ -497,7 +470,7 @@ class TestCompactionModel:
                         reopen=True,
                     )
                     bag = store.get("b")
-                assert bag.read_all() == [
+                assert chunks_of(store) == [
                     data for _cid, data in consumed + pending
                 ]
                 assert bag.remaining() == len(pending)

@@ -13,8 +13,10 @@ needing no thread to reap, and ``_parse_epoch_vector``'s rejection of
 malformed NotPrimary payloads.
 """
 
+import inspect
 import multiprocessing
 import os
+import re
 import threading
 import time
 
@@ -24,7 +26,6 @@ from hypothesis import strategies as st
 
 import repro.dist.protocol as protocol
 from repro.dist.client import (
-    BatchChunkFetcher,
     MuxBatchFetcher,
     MuxPump,
     MuxShardClient,
@@ -41,7 +42,7 @@ from repro.dist.protocol import (
     FrameError,
     encode_frame,
 )
-from repro.dist.server import storage_server_main
+from repro.dist.server import _dispatch, storage_server_main
 from repro.dist.sharding import ShardRouter
 from repro.errors import (
     BagSealedError,
@@ -275,7 +276,7 @@ class TestMuxStore:
             for i in range(10):
                 bag = store.get(f"bag-{i}")
                 assert bag.size() == 1
-                assert bag.read_all() == [[i]]
+                assert bag.read_page(0, 1 << 20) == ([[i]], 1)
             remaining = store.remaining_many([f"bag-{i}" for i in range(10)])
             assert remaining == {f"bag-{i}": 1 for i in range(10)}
             stats = store.stats()
@@ -300,7 +301,7 @@ class TestMuxStore:
 
             def caller(k):
                 try:
-                    target.call("insert", bag, [k])
+                    target.call("insert", bag, f"caller#{k}", [k])
                     assert target.call("size", bag) >= 1
                 except BaseException as exc:  # pragma: no cover - fail loud
                     errors.append(exc)
@@ -368,6 +369,42 @@ class TestMuxStore:
             store.close()
 
 
+class TestOpFamily:
+    def test_dispatch_serves_exactly_the_documented_ops(self):
+        # repro.dist.protocol's docstring is the op contract; the server
+        # must not grow (or keep) an op the list does not name.
+        documented = re.findall(
+            r"^    ([a-z_]+) +\(", protocol.__doc__, flags=re.MULTILINE
+        )
+        dispatched = re.findall(r'op == "([a-z_]+)"', inspect.getsource(_dispatch))
+        assert len(documented) == len(set(documented))
+        assert sorted(dispatched) == sorted(documented)
+        assert len(dispatched) <= 19
+
+    def test_unknown_op_answers_value_error_in_an_err_frame(self, shards2):
+        # Spoken at the frame level: the client maps error names onto
+        # repro.errors types, which would hide the name on the wire.
+        conn = protocol.connect_with_retry(shards2.paths[0], AUTHKEY, QUICK)
+        try:
+            conn.send(("mux", "frame-tester"))
+            assert conn.recv() == ("ok", "frame-tester")
+            os.write(conn.fileno(), encode_frame(7, KIND_REQUEST, ("rinsert", "b")))
+            decoder, frames = FrameDecoder(), []
+            while not frames:
+                frames = decoder.feed(os.read(conn.fileno(), 1 << 16))
+            assert frames == [
+                (7, KIND_RESPONSE_ERR, ("ValueError", "unknown storage op 'rinsert'"))
+            ]
+            # The stream survives an op-level error.
+            os.write(conn.fileno(), encode_frame(8, KIND_REQUEST, ("seal", "b")))
+            frames = []
+            while not frames:
+                frames = decoder.feed(os.read(conn.fileno(), 1 << 16))
+            assert frames == [(8, KIND_RESPONSE_OK, None)]
+        finally:
+            conn.close()
+
+
 class TestMuxFetcher:
     def test_streams_all_chunks_then_eof(self, shards2):
         store = shards2.store()
@@ -377,8 +414,7 @@ class TestMuxFetcher:
             for i in range(23):
                 bag.insert([i])
             bag.seal()
-            fetcher = BatchChunkFetcher.for_bag(store, bag_id, 4, QUICK)
-            assert isinstance(fetcher, MuxBatchFetcher)
+            fetcher = MuxBatchFetcher(store, bag_id, 4)
             got = []
             while True:
                 chunk = fetcher.get(timeout=10.0)
@@ -405,8 +441,7 @@ class TestMuxFetcher:
                 bag.seal()
             before = threading.active_count()
             fetchers = [
-                BatchChunkFetcher.for_bag(store, bag_id, 2, QUICK)
-                for bag_id in bag_ids
+                MuxBatchFetcher(store, bag_id, 2) for bag_id in bag_ids
             ]
             # No per-stream fetch threads, exactly one pump thread.
             assert _threads_named("fetch-") == []
@@ -429,7 +464,7 @@ class TestMuxFetcher:
         try:
             bag_id = "slow-bag"
             store.ensure(bag_id)  # exists, empty, unsealed
-            fetcher = BatchChunkFetcher.for_bag(store, bag_id, 2, QUICK)
+            fetcher = MuxBatchFetcher(store, bag_id, 2)
             with pytest.raises(FetchTimeout):
                 fetcher.get(timeout=0.1)
             # The timeout lost nothing: once data arrives the same
@@ -452,7 +487,7 @@ class TestMuxFetcher:
                 bag.insert([i])
             bag.seal()
             primary, backup = store.router.replicas(bag_id)
-            fetcher = BatchChunkFetcher.for_bag(store, bag_id, 3, QUICK)
+            fetcher = MuxBatchFetcher(store, bag_id, 3)
             first = fetcher.get(timeout=10.0)
             rshards2.kill(primary)
             # Play the master: push the promotion so the backup's
@@ -486,7 +521,7 @@ class TestFetcherStop:
         try:
             bag_id = "stop-me"
             store.ensure(bag_id)  # empty, unsealed: request stays armed
-            fetcher = BatchChunkFetcher.for_bag(store, bag_id, 2, QUICK)
+            fetcher = MuxBatchFetcher(store, bag_id, 2)
             started = time.perf_counter()
             fetcher.stop()
             assert time.perf_counter() - started < 1.0

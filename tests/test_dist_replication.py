@@ -1,11 +1,11 @@
 """Replication protocol tests below the DistRuntime level.
 
 Covers the pieces the end-to-end shard-kill tests exercise only in
-aggregate: the replicated bag representation (id-keyed sets, removal-log
-dedup, monotone snapshot merge), the primary gate and removal shipping on
-real server processes, the client sweep's failover behavior, the fence
-sweep's continue-past-dead-shards fix, and the empty-sample latency
-percentile contract.
+aggregate: the primary gate and removal shipping on real server
+processes, the client sweep's failover behavior, the fence sweep's
+continue-past-dead-shards fix, and the empty-sample latency percentile
+contract. (The bag representation itself — id-keyed sets, removal-log
+dedup, monotone ``pull``/``push`` — is ``test_dist_bag_contract.py``.)
 """
 
 import multiprocessing
@@ -14,16 +14,14 @@ import os
 import pytest
 
 from repro.dist.client import (
-    BatchChunkFetcher,
-    RemoteBagStore,
+    MuxBatchFetcher,
     ShardedBagStore,
     _parse_epoch_vector,
 )
-from repro.dist.replica import RepBag, RepBagStore
 from repro.dist.runtime import _latency_percentiles
 from repro.dist.server import storage_server_main
 from repro.dist.sharding import ShardRouter
-from repro.errors import BagSealedError, NotPrimary, StorageNodeDown
+from repro.errors import NotPrimary, StorageNodeDown
 from repro.storage.policy import StorageConfig
 
 CTX = multiprocessing.get_context("fork")
@@ -83,9 +81,6 @@ class _Shards:
             router=ShardRouter(len(self.paths), self.replication),
         )
 
-    def raw(self, index, client_id="raw"):
-        return RemoteBagStore(self.paths[index], AUTHKEY, client_id, QUICK)
-
     def close(self):
         for proc in self.procs:
             if proc is not None and proc.is_alive():
@@ -100,116 +95,16 @@ def shards2(tmp_path):
     group.close()
 
 
-class TestRepBag:
-    def test_insert_is_idempotent_by_id(self):
-        bag = RepBag("b")
-        bag.insert_id("c#0", "alpha")
-        bag.insert_id("c#0", "alpha")
-        assert bag.remaining() == 1 and bag.size() == 1
-
-    def test_sealed_insert_raises(self):
-        bag = RepBag("b")
-        bag.seal()
-        with pytest.raises(BagSealedError):
-            bag.insert_id("c#0", "x")
-
-    def test_remove_batch_dedups_retried_seq(self):
-        bag = RepBag("b")
-        for i in range(4):
-            bag.insert_id(f"c#{i}", i)
-        first, _ = bag.remove_batch(2, "client", seq=1)
-        again, _ = bag.remove_batch(2, "client", seq=1)  # retry, same seq
-        assert again == first
-        fresh, _ = bag.remove_batch(2, "client", seq=2)
-        assert [cid for cid, _ in fresh] == ["c#2", "c#3"]
-        assert bag.remaining() == 0 and bag.size() == 4
-
-    def test_empty_reply_is_not_recorded_in_dedup(self):
-        # remove_batch deliberately skips the dedup record when it pops
-        # nothing (the ``if pairs:`` guard): serving [] mutates no state,
-        # so a retry of the same seq must see chunks that arrived in
-        # between rather than a pinned empty reply — recording [] would
-        # starve a retrying client forever on a slow-filling bag.
-        bag = RepBag("b")
-        served, sealed = bag.remove_batch(2, "client", seq=1)
-        assert served == [] and not sealed
-        bag.insert_id("c#0", "late")
-        retry, _ = bag.remove_batch(2, "client", seq=1)
-        assert retry == [("c#0", "late")]
-        # Once a non-empty serve lands, the same seq is exactly-once.
-        again, _ = bag.remove_batch(2, "client", seq=1)
-        assert again == retry
-
-    def test_apply_removals_lands_before_insert(self):
-        # A shipped removal can outrun the insert fan-out: the payload
-        # travels with it, the chunk lands consumed, the late insert is
-        # a dedup no-op (not a resurrection into pending).
-        bag = RepBag("b")
-        bag.apply_removals("client", 1, [("c#0", "early")], sealed=False)
-        bag.insert_id("c#0", "early")
-        assert bag.remaining() == 0
-        assert bag.read_all() == ["early"]
-
-    def test_apply_removals_keeps_highest_seq(self):
-        bag = RepBag("b")
-        bag.apply_removals("client", 2, [("c#1", "two")], sealed=False)
-        bag.apply_removals("client", 1, [("c#0", "one")], sealed=False)
-        # Both chunk moves applied; the dedup tail stays at seq 2.
-        assert bag.size() == 2
-        pairs, _ = bag.remove_batch(5, "client", seq=2)
-        assert pairs == [("c#1", "two")]
-
-    def test_rewind_restores_everything(self):
-        bag = RepBag("b")
-        for i in range(3):
-            bag.insert_id(f"c#{i}", i)
-        bag.remove_batch(2, "client", seq=1)
-        bag.rewind()
-        assert bag.remaining() == 3
-        # Post-rewind the removal log is void: same seq pops fresh.
-        pairs, _ = bag.remove_batch(3, "client", seq=1)
-        assert len(pairs) == 3
-
-    def test_merge_snapshot_is_monotone(self):
-        source = RepBag("b")
-        for i in range(3):
-            source.insert_id(f"c#{i}", i)
-        source.remove_batch(1, "client", seq=5)
-        source.seal()
-        target = RepBag("b")
-        target.insert_id("c#0", 0)  # already has a pending copy of c#0
-        target.apply_removals("client", 3, [("c#2", 2)], sealed=False)
-        target.merge_snapshot(source.snapshot())
-        # Consumed wins over pending: c#0 (consumed at source) must not
-        # stay deliverable at the target; c#2 (consumed locally) must not
-        # be resurrected by the snapshot's pending copy.
-        assert target.remaining() == 1  # only c#1
-        assert target.sealed
-        # Dedup: the snapshot's seq 5 tail replaced the local seq 3 one.
-        pairs, _ = target.remove_batch(5, "client", seq=5)
-        assert pairs == [("c#0", 0)]
-
-    def test_store_snapshot_roundtrip(self):
-        store = RepBagStore()
-        store.ensure("a").insert_id("c#0", "x")
-        store.ensure("b").seal()
-        other = RepBagStore()
-        other.merge_many(store.snapshot_many(["a", "b"]))
-        assert other.get("a").remaining() == 1
-        assert other.get("b").sealed
-
-
 class TestPrimaryGate:
     def test_backup_refuses_with_epoch_vector(self, shards2):
         store = shards2.store()
         bag_id = "gate-bag"
         backup = store.router.replicas(bag_id)[1]
         store.get(bag_id).insert(["r0"])
-        raw = shards2.raw(backup)
+        # Addressed to the backup directly, past the store's routing.
         with pytest.raises(NotPrimary) as excinfo:
-            raw.call("rremove_batch", bag_id, 1, "tester", 1)
+            store.stores[backup].call("remove_batch", bag_id, 1, "tester", 1)
         assert _parse_epoch_vector(str(excinfo.value)) == {}
-        raw.close()
         store.close()
 
     def test_shipping_consumes_on_backup_before_reply(self, shards2):
@@ -221,7 +116,7 @@ class TestPrimaryGate:
         assert len(chunks) == 2
         # The backup's copy shows the same chunks consumed already.
         backup = store.router.replicas(bag_id)[1]
-        snap = store.sync_pull(backup, [bag_id])[bag_id]
+        snap = store.pull(backup, [bag_id])[bag_id]
         assert len(snap["consumed"]) == 2 and len(snap["pending"]) == 1
         store.close()
 
@@ -231,23 +126,22 @@ class TestPrimaryGate:
         for i in range(4):
             store.get(bag_id).insert([i])
         primary, backup = store.router.replicas(bag_id)
-        served = shards2.raw(primary, "consumer").call(
-            "rremove_batch", bag_id, 2, "consumer", 1
+        served = store.stores[primary].call(
+            "remove_batch", bag_id, 2, "consumer", 1
         )
         # The primary dies before its client saw the reply; the master
         # promotes the backup. The client's retry carries the same seq...
         shards2.kill(primary)
         epochs = {primary: 1}
         store.push_epochs(backup, epochs)
-        retry = shards2.raw(backup, "consumer").call(
-            "rremove_batch", bag_id, 2, "consumer", 1
+        retry = store.stores[backup].call(
+            "remove_batch", bag_id, 2, "consumer", 1
         )
         # ...and gets the recorded removal, not two fresh chunks.
         assert retry == served
-        follow, _ = shards2.raw(backup, "consumer2").call(
-            "rremove_batch", bag_id, 4, "consumer", 2
-        ), None
-        chunks, _sealed = follow
+        chunks, _sealed = store.stores[backup].call(
+            "remove_batch", bag_id, 4, "consumer", 2
+        )
         assert len(chunks) == 2  # only the two never-served chunks remain
         store.close()
 
@@ -281,7 +175,7 @@ class TestClientSweep:
             store.get(bag_id).insert([i])
         store.get(bag_id).seal()
         primary, backup = store.router.replicas(bag_id)
-        fetcher = BatchChunkFetcher.for_bag(store, bag_id, batch=2, policy=QUICK)
+        fetcher = MuxBatchFetcher(store, bag_id, 2)
         got = [fetcher.get(timeout=5.0)]
         shards2.kill(primary)
         store.push_epochs(backup, {primary: 1})
@@ -326,7 +220,7 @@ class TestFenceSweep:
                 store.fence("worker-9", 0.2)
             assert "0" in str(excinfo.value)
             # The live shard WAS fenced despite the earlier failure.
-            stats = group.raw(1).call("stats")
+            stats = store.stores[1].call("stats")
             assert stats.get("fence", 0) >= 1
             store.close()
         finally:

@@ -1,9 +1,10 @@
 """Layered segment storage: spill beyond a resident budget, recover from disk.
 
-Unit half: :class:`SegmentBagStore` in isolation — write-through appends
-with a bounded hot cache, exactly-once removal with an id-keyed dedup
-log, reopen from an intact directory (torn tails physically truncated),
-and whole-segment shipping (``seg_pull``/``seg_push``) for resync.
+Unit half: what only :class:`SegmentBagStore` can show — write-through
+appends with a bounded hot cache, reopen from an intact directory (torn
+tails physically truncated, removal log restored), and ``pull``/``push``
+shipping sealed segments as raw bytes. The bag contract it shares with
+the memory store is ``test_dist_bag_contract.py``.
 
 End-to-end half: a dist run whose dataset exceeds the per-shard budget
 must still match the LocalRuntime baseline byte-for-byte, and the two
@@ -21,6 +22,7 @@ from repro.dist import DistRuntime, ShardRouter
 from repro.dist.journal import FRAME_HEADER_BYTES, pack_frame
 from repro.dist.segments import SegmentBagStore
 
+from tests.test_dist_bag_contract import chunks_of, payload
 from tests.test_dist_runtime import (
     REGIONS,
     clicklog_baseline,
@@ -29,8 +31,6 @@ from tests.test_dist_runtime import (
 )
 
 
-def payload(i: int) -> bytes:
-    return bytes([i % 256]) * 64
 
 
 class TestSegmentStoreUnit:
@@ -45,7 +45,7 @@ class TestSegmentStoreUnit:
         stats = store.spill_stats()
         assert stats["evictions"] > 0
         assert stats["spilled_bytes"] > 512
-        assert bag.read_all() == [payload(i) for i in range(64)]
+        assert chunks_of(store) == [payload(i) for i in range(64)]
         assert store.spill_stats()["faults"] > 0
 
     def test_resident_peak_bounded_by_budget_plus_one_frame(self, tmp_path):
@@ -58,29 +58,6 @@ class TestSegmentStoreUnit:
         for i in range(64):
             bag.insert_id(f"c#{i}", payload(i))
         assert store.spill_stats()["resident_peak_bytes"] <= budget + frame
-
-    def test_remove_batch_dedup_replays_same_ids(self, tmp_path):
-        store = SegmentBagStore(str(tmp_path), resident_bytes=256)
-        bag = store.ensure("b")
-        for i in range(8):
-            bag.insert_id(f"c#{i}", payload(i))
-        first, _ = bag.remove_batch(3, "w1", 7)
-        again, _ = bag.remove_batch(3, "w1", 7)  # retry of the same seq
-        assert again == first  # payloads faulted in from disk, same pops
-        fresh, _ = bag.remove_batch(3, "w1", 8)
-        assert {cid for cid, _ in fresh}.isdisjoint({cid for cid, _ in first})
-
-    def test_empty_serve_is_not_recorded(self, tmp_path):
-        # Mirror of RepBag's rule: serving [] mutates nothing, so a
-        # retry of the same seq after chunks arrive must pop them rather
-        # than replay the pinned empty reply.
-        store = SegmentBagStore(str(tmp_path))
-        bag = store.ensure("b")
-        served, sealed = bag.remove_batch(2, "w1", 1)
-        assert served == [] and not sealed
-        bag.insert_id("c#0", payload(0))
-        retry, _ = bag.remove_batch(2, "w1", 1)
-        assert [cid for cid, _ in retry] == ["c#0"]
 
     def test_reopen_restores_membership_markers_and_dedup(self, tmp_path):
         store = SegmentBagStore(str(tmp_path), resident_bytes=256)
@@ -97,7 +74,7 @@ class TestSegmentStoreUnit:
         back = reopened.get("b")
         assert back.sealed
         assert back.remaining() == 16 - 5
-        assert back.read_all() == [payload(i) for i in range(16)]
+        assert chunks_of(reopened) == [payload(i) for i in range(16)]
         # The removal-log tail survived: the same (client, seq) retry
         # returns the recorded pops, not fresh chunks.
         replay, sealed = back.remove_batch(5, "w1", 3)
@@ -122,10 +99,10 @@ class TestSegmentStoreUnit:
 
         reopened = SegmentBagStore(str(tmp_path), reopen=True)
         back = reopened.get("b")
-        assert back.read_all() == [payload(i) for i in range(4)]
+        assert chunks_of(reopened) == [payload(i) for i in range(4)]
         assert os.path.getsize(path) == intact  # torn frame physically gone
         back.insert_id("c#4", payload(4))  # the tail is appendable again
-        assert back.read_all()[-1] == payload(4)
+        assert chunks_of(reopened)[-1] == payload(4)
 
     def test_reopen_after_rewind_and_discard(self, tmp_path):
         store = SegmentBagStore(str(tmp_path))
@@ -141,9 +118,9 @@ class TestSegmentStoreUnit:
         reopened = SegmentBagStore(str(tmp_path), reopen=True)
         assert reopened.get("keep").remaining() == 6  # rewind stuck
         assert reopened.get("drop").size() == 0  # discard stuck
-        assert reopened.get("keep").read_all() == [payload(i) for i in range(6)]
+        assert chunks_of(reopened, "keep") == [payload(i) for i in range(6)]
 
-    def test_seg_push_installs_and_is_idempotent(self, tmp_path):
+    def test_push_installs_sealed_segments_once(self, tmp_path):
         # Tiny segment target so the source rolls several sealed
         # segments; the package must carry them as raw bytes and the
         # receiver must install each exactly once.
@@ -155,17 +132,17 @@ class TestSegmentStoreUnit:
             bag.insert_id(f"c#{i}", payload(i))
         bag.remove_batch(5, "w1", 2)
         bag.seal()
-        package = src.seg_pull(["b"])
+        package = src.pull(["b"])
         assert package["b"]["segments"]  # sealed segments travel as bytes
 
         dst = SegmentBagStore(str(tmp_path / "dst"))
-        dst.seg_push(package)
+        dst.push(package)
         copy = dst.get("b")
-        assert copy.read_all() == bag.read_all()
+        assert chunks_of(dst) == chunks_of(src)
         assert copy.remaining() == bag.remaining()
         assert copy.sealed
         written = dst.spill_stats()["segments_written"]
-        dst.seg_push(package)  # replayed ship: a no-op
+        dst.push(package)  # replayed ship: a no-op
         assert dst.get("b").remaining() == bag.remaining()
         assert dst.spill_stats()["segments_written"] == written
         # The shipped dedup tail holds on the receiver too.
@@ -246,7 +223,7 @@ class TestSegmentsEndToEnd:
         )
         assert result.shard_deaths == 1
         assert result.family_resets == 0
-        assert result.segment_resync  # resync used seg_pull/seg_push
+        assert result.segment_resync  # resync shipped segment packages
         assert counts == expected
 
     def test_caller_owned_segment_dir_is_used(self, tmp_path):

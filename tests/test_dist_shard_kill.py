@@ -15,6 +15,7 @@ import pytest
 from repro.apps import build_clicklog_local, build_hashjoin_local
 from repro.dist import DistRuntime, ShardRouter
 from repro.local import LocalRuntime
+from repro.trace import Tracer
 
 from tests.test_dist_runtime import (
     REGIONS,
@@ -129,6 +130,53 @@ class TestShardKillRecovery:
         result, counts, expected = clicklog_run(3, victim, 3)
         assert result.shard_deaths == 1
         assert counts == expected
+
+class TestOneRecoveryPath:
+    """Every configuration runs the same shard-death sequence (promote,
+    respawn, rebind, recover copies, loss closure over what is still
+    lost); which of reopen / resync / refill ran is pinned per
+    configuration by what a run already reports."""
+
+    @pytest.mark.parametrize(
+        "replication, resident_bytes, recovered_by",
+        [
+            (1, None, "refill"),
+            (1, 8192, "reopen"),
+            (2, None, "resync"),
+            (2, 8192, "resync"),
+        ],
+    )
+    def test_which_recovery_ran(self, replication, resident_bytes, recovered_by):
+        victim = ShardRouter(2).home("clicklog")
+        result, counts, expected = clicklog_run(
+            2,
+            victim,
+            3,
+            replication=replication,
+            resident_bytes=resident_bytes,
+            tracer=Tracer(),
+        )
+        assert result.shard_deaths == 1
+        assert counts == expected
+        reopens = result.trace_metrics.get("dist.shard_reopens", 0)
+        assert reopens == (1 if recovered_by == "reopen" else 0)
+        # resync_ms has an entry only when copies were re-replicated: the
+        # bench's resync_ms column must stay empty at replication 1.
+        assert len(result.resync_ms) == (1 if recovered_by == "resync" else 0)
+        assert result.segment_resync == (
+            recovered_by == "resync" and resident_bytes is not None
+        )
+        assert len(result.failover_ms) == (1 if replication > 1 else 0)
+        # One op family at every replication level and on either store.
+        stats = result.storage_stats
+        assert stats["insert"] > 0 and stats["remove_batch"] > 0
+        assert not {"rinsert", "rremove_batch", "remove", "read_all"} & set(stats)
+        # Only the configuration with no surviving copy anywhere replays.
+        if recovered_by == "refill":
+            assert result.family_resets > 0
+        else:
+            assert result.family_resets == 0
+
 
 class TestReplicatedShardKill:
     """With ``replication=2`` a shard death is absorbed by failover: the
@@ -307,3 +355,41 @@ class TestShardKillProtocol:
         assert not applied
         runtime._on_aborted(2, {"node_id": "partition.r"})
         assert applied == [["partition.r", "partition.s"]]
+
+    def test_nothing_is_dispatched_while_a_reset_is_pending(self, monkeypatch):
+        # The loss closure is closed over the families started when it is
+        # computed, but applies only once every cancel is acknowledged.
+        # A consumer dispatched in between — its producer condemned, the
+        # graph not yet reset, so still READY — streamed a bag the reset
+        # was about to discard: empty and (after a retried seal on the
+        # respawned shard) sealed. It finished on no input and its result
+        # stood: about one r=1 shard-kill run in 150 ended with one
+        # region's count at 0.
+        from repro.model.execution_graph import NodeState
+
+        runtime = DistRuntime(
+            build_hashjoin_local(partitions=2), workers=2, shards=2
+        )
+        consumer = next(
+            node
+            for node in runtime.exec.nodes.values()
+            if "partition.s" in {
+                producer.task_id
+                for bag_id in node.spec.inputs
+                for producer in runtime.graph.producers_of(bag_id)
+            }
+        )
+        consumer.state = NodeState.READY
+        runtime._ready = [consumer]
+        runtime._idle = [0]
+        dispatched = []
+        monkeypatch.setattr(
+            runtime, "_dispatch", lambda wid, node: dispatched.append(node.node_id)
+        )
+        runtime._recovery_tasks = {"partition.s"}  # condemned, acks pending
+        runtime._assign_ready()
+        assert dispatched == []
+        assert runtime._ready == [consumer] and runtime._idle == [0]
+        runtime._recovery_tasks = set()  # the reset applied
+        runtime._assign_ready()
+        assert dispatched == [consumer.node_id]
