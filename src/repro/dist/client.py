@@ -705,13 +705,8 @@ class ShardedBagStore:
     # -- master-side replication control ---------------------------------------
 
     def pull(self, shard: int, bag_ids: Iterable[str]) -> Dict[str, Any]:
-        """Package ``bag_ids`` from ``shard`` (re-replication source).
-
-        The package shape is the shard store's own business (memory:
-        monotone snapshots; segments: whole sealed segment files plus
-        loose open-tail chunks); this side only carries it to
-        :meth:`push`.
-        """
+        """Package ``bag_ids`` from ``shard`` (re-replication source);
+        this side only carries the packages to :meth:`push`."""
         return self.stores[shard].call("pull", list(bag_ids))
 
     def push(self, shard: int, packages: Dict[str, Any]) -> None:

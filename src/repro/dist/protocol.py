@@ -72,9 +72,9 @@ the same ``set_epochs`` payload — so primary failover keeps working
 while the master is absent.
 
 **Storage ops** — one family, at any replication level ``r >= 1`` and
-on either shard store (memory, or segments when
-``DistSettings.resident_bytes`` is set). This list is the contract; a
-test keeps it equal to what the server dispatches::
+over either backing of the shard's one bag store (memory, or segments
+when ``DistSettings.resident_bytes`` is set). This list is the
+contract; a test keeps it equal to what the server dispatches::
 
     insert          (bag, chunk_id, chunk)       id-stamped, idempotent; fanned out to all r replicas
     remove_batch    (bag, count, client, seq)    primary-gated, (client, seq)-deduplicated destructive read
@@ -98,10 +98,13 @@ test keeps it equal to what the server dispatches::
 (``shutdown`` is handled by the connection loop, not dispatched.) The
 id-stamped, seq-deduplicated ops are what let in-flight streams and
 writes retry through a torn connection, a failover to a promoted
-backup, or a shard respawn. The package ``pull`` returns and ``push``
-accepts is the shard store's own: monotone per-bag snapshots from the
-memory store, whole sealed segment files (raw bytes, never re-pickled
-chunk-by-chunk) plus loose open-tail chunks from the segment store.
+backup, or a shard respawn. ``pull`` returns and ``push`` accepts one
+package shape per bag, ``{sealed, order, consumed, dedup, segments,
+loose}`` (:meth:`repro.dist.bags.Bag.export`): the segment backing ships
+whole sealed segment files in ``segments`` (raw bytes, never re-pickled
+chunk-by-chunk) and only its open tail in ``loose``; the memory backing
+ships every chunk loose. The master moves one bag per round trip, so
+the frame cap bounds a bag, not a shard.
 
 Bulk reads stream: ``("read_page", bag_id, cursor, max_bytes)`` returns
 ``(chunks, next_cursor)`` — one bounded page of the bag's stable chunk
@@ -111,9 +114,9 @@ erroring). Refill/snapshot paths page with
 :func:`repro.engine.common.iter_bag_chunks` so no whole-bag payload is
 ever resident in one process or one reply frame. The master-only
 ``("finalize", bag_id)`` op triggers segment compaction of a finished
-bag (:meth:`repro.dist.segments.SegmentBagStore.finalize_bag`) on the
-addressed replica, returning ``(segments_compacted, bytes_reclaimed)``
-— idempotent, and ``(0, 0)`` from the memory store.
+bag (:meth:`repro.dist.bags.Bag.finalize`) on the addressed replica,
+returning ``(segments_compacted, bytes_reclaimed)`` — idempotent, and
+``(0, 0)`` over the memory backing.
 
 Connections are established with :func:`connect_with_retry`, which reuses
 the :class:`~repro.storage.policy.StorageConfig` retry/timeout/backoff
@@ -133,7 +136,7 @@ from multiprocessing.connection import Client, Connection
 from typing import Any, List, Optional, Tuple, Union
 
 from repro.dist.adaptive import AdaptiveConfig
-from repro.errors import ReproError
+from repro.errors import FrameError  # also re-exported from here
 from repro.storage.policy import StorageConfig
 from repro.units import KB
 
@@ -169,18 +172,6 @@ _KINDS = frozenset((KIND_REQUEST, KIND_RESPONSE_OK, KIND_RESPONSE_ERR))
 #: only exists so a corrupt length field (or a absurd caller) is rejected
 #: as a protocol error instead of attempting a multi-GB allocation.
 MAX_FRAME_PAYLOAD = 64 * 1024 * KB
-
-
-class FrameError(ReproError):
-    """A mux frame could not be encoded, or the byte stream is corrupt.
-
-    Raised by :func:`encode_frame` for oversized payloads and by
-    :class:`FrameDecoder` for headers that cannot be valid (unknown kind,
-    length past :data:`MAX_FRAME_PAYLOAD`). Unlike the journal's framing
-    — where a torn tail means "the log ends here" — a corrupt frame on a
-    live stream means sender and receiver have lost sync, so the only
-    safe reaction is tearing the connection down.
-    """
 
 
 def encode_frame(call_id: int, kind: int, obj: Any) -> bytes:
@@ -283,12 +274,12 @@ class DistSettings:
     #: client-side failover (shard death recovers by promotion).
     replication: int = 1
     #: Per-shard hot-memory budget in bytes; ``None`` (the default)
-    #: keeps every chunk resident (:mod:`repro.dist.replica`). Set,
-    #: it switches the shards to the disk-backed layered store
-    #: (:mod:`repro.dist.segments`): every chunk is written through to
-    #: append-only segment files and the in-memory hot tail is evicted
-    #: down to the budget, so a shard's dataset ceiling becomes disk,
-    #: not RAM.
+    #: keeps every chunk resident (the memory backing of
+    #: :mod:`repro.dist.bags`). Set, it switches the shards' bag store
+    #: to its disk backing (:mod:`repro.dist.segments`): every chunk is
+    #: written through to append-only segment files and the in-memory
+    #: hot tail is evicted down to the budget, so a shard's dataset
+    #: ceiling becomes disk, not RAM.
     resident_bytes: Optional[int] = None
     #: Closed-loop control (:mod:`repro.dist.adaptive`): ``None`` (the
     #: default) keeps ``batch_requests`` and the clone thresholds

@@ -80,7 +80,13 @@ from repro.engine.common import (
     iter_bag_chunks,
     refill_bag,
 )
-from repro.errors import RemoteTaskError, ReproError, SchedulingError, StorageNodeDown
+from repro.errors import (
+    FrameError,
+    RemoteTaskError,
+    ReproError,
+    SchedulingError,
+    StorageNodeDown,
+)
 from repro.model.application import Application
 from repro.model.execution_graph import (
     ExecutionGraph,
@@ -270,7 +276,7 @@ class DistResult:
         self.segments_compacted = aggregate.get("segments_compacted", 0)
         self.bytes_reclaimed = aggregate.get("bytes_reclaimed", 0)
         #: True when at least one shard death resynced by shipping
-        #: sealed segment files instead of chunk-by-chunk snapshots.
+        #: sealed segment files instead of loose chunks.
         self.segment_resync = (
             bool(runtime.resync_seconds)
             and runtime.settings.resident_bytes is not None
@@ -1544,16 +1550,18 @@ class DistRuntime:
         Each affected bag is pulled from its *serving* replica (the
         promoted copy clients are now reading — packages merge
         monotonically, so concurrent traffic is safe) and pushed into the
-        replacement, one batched pull/push per source shard. Returns the
-        bags with **no** surviving replica — at ``replication == 1``
-        every bag the shard held, otherwise deaths beyond the
-        replication factor; those fall back to the replay path.
+        replacement, one pull/push round trip per bag so no frame ever
+        carries more than one bag. Returns the bags with **no**
+        shippable replica — at ``replication == 1`` every bag the shard
+        held, otherwise deaths beyond the replication factor, or a bag
+        whose package alone exceeds the frame cap; those fall back to
+        the replay path.
         """
         resync_started = time.monotonic()
         graph_bags, partials = self._replica_bags(index)
         lost_bags: Set[str] = set()
         lost_partials: Dict[str, str] = {}
-        groups: Dict[int, List[str]] = {}
+        shipped = 0
         for bag_id in sorted(graph_bags) + sorted(partials):
             source = next(
                 (
@@ -1563,26 +1571,32 @@ class DistRuntime:
                 ),
                 None,
             )
-            if source is None:
-                if bag_id in partials:
-                    lost_partials[bag_id] = partials[bag_id]
-                else:
-                    lost_bags.add(bag_id)
+            if source is not None:
+                try:
+                    packages = self._retrying(
+                        lambda s=source, b=bag_id: self._store.pull(s, [b])
+                    )
+                    self._retrying(lambda p=packages: self._store.push(index, p))
+                    shipped += 1
+                    continue
+                except FrameError as exc:
+                    self.tracer.inc("dist.resync_oversize")
+                    if self.tracer.enabled:
+                        self.tracer.instant(
+                            "resync_oversize", cat="dist", bag=bag_id, error=str(exc)
+                        )
+            if bag_id in partials:
+                lost_partials[bag_id] = partials[bag_id]
             else:
-                groups.setdefault(source, []).append(bag_id)
-        for source, bag_ids in sorted(groups.items()):
-            packages = self._retrying(
-                lambda s=source, b=bag_ids: self._store.pull(s, b)
-            )
-            self._retrying(lambda p=packages, i=index: self._store.push(i, p))
-        if groups:
+                lost_bags.add(bag_id)
+        if shipped:
             self.resync_seconds.append(time.monotonic() - resync_started)
         if self.tracer.enabled:
             self.tracer.instant(
                 "shard_resynced",
                 cat="dist",
                 shard=index,
-                bags=sum(len(b) for b in groups.values()),
+                bags=shipped,
                 lost=len(lost_bags) + len(lost_partials),
             )
         return lost_bags, lost_partials

@@ -2,14 +2,15 @@
 
 One process owns one *shard* of a run's bags: every bag whose replica
 set (:class:`~repro.dist.sharding.ShardRouter`; at ``replication = 1``
-just the bag's home) includes its index, held in one of two stores
-behind one interface — :class:`~repro.dist.replica.RepBagStore` in
-memory, or :class:`~repro.dist.segments.SegmentBagStore` when the run
-set a memory budget (``segment_dir``). Every bag mutation happens under
-that store's locks — which is what makes chunk removal **exactly-once
-across processes**: two clones racing ``remove_batch`` on the same bag
-are serialized server-side by the shard serving it, so each chunk is
-handed to exactly one of them.
+just the bag's home) includes its index, held in one
+:class:`~repro.dist.bags.BagStore` whose chunks live in one of two
+backings — :class:`~repro.dist.bags.MemoryBacking`, or
+:class:`~repro.dist.segments.SegmentBacking` when the run set a memory
+budget (``segment_dir``). Every bag mutation happens under that store's
+lock — which is what makes chunk removal **exactly-once across
+processes**: two clones racing ``remove_batch`` on the same bag are
+serialized server-side by the shard serving it, so each chunk is handed
+to exactly one of them.
 
 There is one op family at any replication level. Inserts are id-keyed
 and idempotent, destructive reads carry a ``(client, seq)`` pair and are
@@ -32,7 +33,7 @@ the replica set is this shard alone:
   its backup replicas *before replying*, so any chunk a client has been
   handed is marked consumed on every live copy first; a promoted backup
   answers a retried request from the shipped log instead of popping
-  fresh chunks (:mod:`repro.dist.replica`).
+  fresh chunks (:mod:`repro.dist.bags`).
 
 With ``replication > 1`` the shards additionally **gossip** the
 demotion-epoch vector peer-to-peer (max-merge both ways, every
@@ -86,8 +87,8 @@ from repro.dist.protocol import (
     FrameError,
     encode_frame,
 )
-from repro.dist.replica import RepBagStore
-from repro.dist.segments import SegmentBagStore
+from repro.dist.bags import BagStore, MemoryBacking
+from repro.dist.segments import SegmentBacking
 from repro.dist.sharding import ShardRouter
 from repro.errors import NotPrimary
 
@@ -124,8 +125,9 @@ class _ServerState:
         self.replication = replication
         self.addresses = list(addresses) if addresses else []
         self.authkey = authkey
+        backing: Any = MemoryBacking()
         if segment_dir is not None:
-            self.store: Any = SegmentBagStore(
+            backing = SegmentBacking(
                 segment_dir, resident_bytes=resident_bytes, reopen=reopen
             )
             if kill_in_compaction is not None:
@@ -137,9 +139,8 @@ class _ServerState:
                     if stage == _want:
                         os._exit(SHARD_KILL_EXIT_CODE)
 
-                self.store.compaction_kill = die_in_window
-        else:
-            self.store = RepBagStore()
+                backing.compaction_kill = die_in_window
+        self.store = BagStore(backing)
         #: Replica placement, for primary gating and removal shipping at
         #: any replication level (a shard started without a peer list is
         #: a fleet of one).
@@ -279,7 +280,7 @@ def _dispatch(state: _ServerState, conn_id: int, req: Tuple[Any, ...]) -> Any:
         state.ensure_primary(bag_id)
         pairs, sealed = store.ensure(bag_id).remove_batch(count, client_id, seq)
         if pairs:
-            # Ship outside the bag lock (remove_batch released it), and
+            # Ship outside the store lock (remove_batch released it), and
             # on dedup hits too: a primary that died mid-fan-out may have
             # reached only some backups, and the client's retry at the
             # promoted one must converge the rest.
@@ -291,9 +292,8 @@ def _dispatch(state: _ServerState, conn_id: int, req: Tuple[Any, ...]) -> Any:
         store.ensure(bag_id).apply_removals(client_id, seq, pairs, sealed)
         return None
     if op == "pull":
-        # Master-only re-replication: each store packages its bags its
-        # own way (memory: monotone snapshots; segments: whole sealed
-        # segment files plus loose open-tail chunks).
+        # Master-only re-replication: one package shape; what travels as
+        # whole segment files and what as loose chunks is the backing's.
         return store.pull(list(req[1]))
     if op == "push":
         store.push(req[1])
@@ -361,7 +361,7 @@ def _serve_mux(
     """Serve one multiplexed connection: raw frames, interleaved calls.
 
     Requests are dispatched in decode order on this thread — the shard's
-    store locks already serialize bag mutations, so one lane per
+    store lock already serializes bag mutations, so one lane per
     connection keeps the exactly-once story unchanged — but replies only
     *start* in decode order: ``fence`` (the one op that blocks on
     external progress) is handed to its own thread, and every reply is
@@ -622,9 +622,9 @@ def storage_server_main(
     replacement must start out knowing it is demoted, or stale clients
     could read its empty, not-yet-resynced bags as truth.
 
-    With ``segment_dir`` set the shard stores its bags in the
-    disk-backed layered store (:mod:`repro.dist.segments`), bounded in
-    memory by ``resident_bytes``. ``reopen=True`` rebuilds state from an
+    With ``segment_dir`` set the shard's bag store keeps its chunks in
+    the disk backing (:mod:`repro.dist.segments`), bounded in memory by
+    ``resident_bytes``. ``reopen=True`` rebuilds state from an
     intact directory — how an r=1 respawn recovers everything it had
     acknowledged without master refill/replay; ``reopen=False`` wipes it
     (an r>1 respawn is repopulated by resync instead, and stale segments

@@ -132,6 +132,21 @@ class FetchTimeout(ReproError):
     """
 
 
+class FrameError(ReproError):
+    """A mux frame could not be encoded, or the byte stream is corrupt.
+
+    Raised by :func:`repro.dist.protocol.encode_frame` for oversized
+    payloads and by :class:`repro.dist.protocol.FrameDecoder` for headers
+    that cannot be valid (unknown kind, length past
+    ``MAX_FRAME_PAYLOAD``). Unlike the journal's framing — where a torn
+    tail means "the log ends here" — a corrupt frame on a live stream
+    means sender and receiver have lost sync, so the only safe reaction
+    is tearing the connection down. An *unencodable reply* is instead
+    the one call's failure: the server answers it with this error by
+    name (which is why it lives here, where the client resolves names).
+    """
+
+
 class StorageNodeDown(ReproError):
     """An in-flight storage request was lost because its server crashed.
 

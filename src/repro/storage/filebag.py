@@ -195,11 +195,11 @@ class FileBag:
     def read_page(self, cursor: int, max_bytes: int):
         """One bounded page of the chunk log, non-destructively.
 
-        Same contract as ``SegmentBag.read_page``: ``cursor`` indexes the
-        append order, an empty page means done, a page always carries at
-        least one chunk, and a cursor past the end is answered with an
-        empty page rather than rejected. Byte chunks count their length;
-        pickled object chunks count a nominal size.
+        Same contract as ``repro.dist.bags.Bag.read_page``: ``cursor``
+        indexes the append order, an empty page means done, a page
+        always carries at least one chunk, and a cursor past the end is
+        answered with an empty page rather than rejected. Byte chunks
+        count their length; pickled object chunks count a nominal size.
         """
         with self._lock:
             cursor = max(0, int(cursor))

@@ -89,10 +89,11 @@ class LocalBag:
     def read_page(self, cursor: int, max_bytes: int):
         """One bounded page of the chunk log, non-destructively.
 
-        Same contract as ``SegmentBag.read_page``: ``cursor`` indexes the
-        append order, an empty page means done, a page always carries at
-        least one chunk (an oversized chunk travels alone), and a cursor
-        past the end is answered with an empty page rather than rejected.
+        Same contract as ``repro.dist.bags.Bag.read_page``: ``cursor``
+        indexes the append order, an empty page means done, a page
+        always carries at least one chunk (an oversized chunk travels
+        alone), and a cursor past the end is answered with an empty page
+        rather than rejected.
         Object-bag chunks (plain record lists) have no byte length; they
         count a nominal size so pagination still terminates.
         """

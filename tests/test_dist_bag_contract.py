@@ -1,25 +1,33 @@
-"""One contract battery for the one shard-store interface.
+"""One contract battery for the one shard store, over each backing.
 
-A storage shard serves its bags from :class:`RepBagStore` (memory) or
-:class:`SegmentBagStore` (disk), chosen only by whether the run set a
-memory budget; everything above the store speaks to ``ensure(bag)`` the
-same way. So the contract is tested once, parametrised over both:
-idempotent ``insert_id``, ``(client, seq)``-deduplicated ``remove_batch``
-(including the empty-reply-not-recorded rule), monotone
-``apply_removals``, the ``read_page`` pagination contract,
-``rewind``/``discard``, and ``pull`` -> ``push`` re-replication into an
-empty store and into one that was written to in the meantime.
+A storage shard serves its bags from one :class:`BagStore` whose chunks
+live in a :class:`MemoryBacking` or a :class:`SegmentBacking` (disk),
+chosen only by whether the run set a memory budget; everything above
+the store speaks to ``ensure(bag)`` the same way. So the contract is
+tested once, parametrised over both: idempotent ``insert_id``,
+``(client, seq)``-deduplicated ``remove_batch`` (including the
+empty-reply-not-recorded rule), monotone ``apply_removals``, the
+``read_page`` pagination contract, ``rewind``/``discard``, and ``pull``
+-> ``push`` re-replication into an empty store and into one that was
+written to in the meantime. A Hypothesis differential test then drives
+one random op sequence through memory, segments, and segments reopened
+at random points, and demands they stay observationally equal.
 
-What only one store can show (eviction and faults, reopen from disk,
+What only the disk backing can show (eviction and faults, torn tails,
 sealed segments travelling as raw bytes, compaction) stays in
 ``test_dist_segments.py`` / ``test_dist_compaction.py``.
 """
 
+import io
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dist.replica import RepBagStore
+from repro.dist.bags import BagStore, MemoryBacking
+from repro.dist.journal import scan_frames
 from repro.dist.segments import SegmentBagStore
 from repro.engine.common import iter_bag_chunks
 from repro.errors import BagSealedError
@@ -32,7 +40,7 @@ def make_store(request, tmp_path):
 
     def make(name="store", **segment_kwargs):
         if request.param == "memory":
-            store = RepBagStore()
+            store = BagStore(MemoryBacking())
         else:
             # A budget and segment size far below the data: chunks are
             # evicted and faulted back, and bags span several segments.
@@ -205,16 +213,53 @@ class TestReadPage:
         assert got == [payload(i) for i in range(32)]
         assert cursor == 32
 
-    def test_consumed_chunks_still_page(self, make_store):
+    def test_consumed_chunks_still_page_in_insertion_order(self, make_store):
         # read_page is non-destructive over the full membership — that
-        # is what a rewind-and-replay after a family reset relies on.
+        # is what a rewind-and-replay after a family reset relies on —
+        # and a consumed chunk keeps its place: cursors index one stable
+        # order, so a page read while a consumer drains never shifts.
         store = make_store()
         bag = store.ensure("b")
         for i in range(8):
             bag.insert_id(f"c#{i}", payload(i))
+        first, cursor = bag.read_page(0, 1)
+        assert first == [payload(0)]
         bag.remove_batch(3, "client", 1)
-        assert sorted(chunks_of(store)) == [payload(i) for i in range(8)]
+        ordered = list(first)
+        while True:
+            chunks, cursor = bag.read_page(cursor, 200)
+            if not chunks:
+                break
+            ordered.extend(chunks)
+        assert ordered == chunks_of(store) == [payload(i) for i in range(8)]
         assert bag.remaining() == 5 and bag.size() == 8
+
+    def test_paging_is_linear_in_bag_size(self, make_store):
+        # Regression: the memory bag rebuilt consumed + pending value
+        # lists on *every* page, so a paged read of the whole bag (every
+        # result snapshot, refill and side input) was quadratic. Same
+        # shape as the drain test: n against 4n at one chunk per page.
+        def paging_seconds(n):
+            store = make_store(
+                f"page-{n}", resident_bytes=None, segment_target_bytes=None
+            )
+            bag = store.ensure("b")
+            for i in range(n):
+                bag.insert_id(f"c#{i}", b"x")
+            started = time.perf_counter()
+            cursor, pages = 0, 0
+            while True:
+                chunks, cursor = bag.read_page(cursor, 1)
+                if not chunks:
+                    break
+                pages += 1
+            elapsed = time.perf_counter() - started
+            assert pages == n
+            return elapsed
+
+        small = min(paging_seconds(2_500) for _ in range(3))
+        large = min(paging_seconds(10_000) for _ in range(3))
+        assert large < 8.0 * small, (small, large)
 
 
 class TestRewindDiscard:
@@ -257,6 +302,27 @@ class TestPullPush:
         bag.seal()
         store.ensure("open").insert_id("o#0", payload(40))
         return store
+
+    def test_package_shape_is_the_same_for_both_backings(self, make_store):
+        # One resync pair, one package: the master (and the wire) never
+        # learn which backing produced it. Only the split between what
+        # ships wholesale and what ships loose is the backing's own.
+        source = self.source(make_store)
+        package = source.pull(["b"])["b"]
+        assert set(package) == {
+            "sealed", "order", "consumed", "dedup", "segments", "loose",
+        }
+        assert package["order"] == [f"c#{i:02d}" for i in range(12)]
+        assert package["consumed"] == package["order"][:5]
+        assert package["dedup"] == {"client": (7, package["order"][:5], False)}
+        shipped = {
+            record[0]
+            for _n, blob in package["segments"]
+            for _off, _end, record in scan_frames(io.BytesIO(blob))
+        }
+        assert shipped | set(package["loose"]) == set(package["order"])
+        if isinstance(source.backing, MemoryBacking):
+            assert package["segments"] == []
 
     def test_round_trip_into_an_empty_store(self, make_store):
         source = self.source(make_store)
@@ -304,3 +370,137 @@ class TestPullPush:
         assert pairs == [("c#0", payload(0))]
         left, _ = copy.remove_batch(5, "client", 6)
         assert left == [("c#1", payload(1))]
+
+
+# ---------------------------------------------------------------------------
+# The backings are observationally equal
+
+
+#: Insertable ids; ``apply`` draws from two more, which therefore only
+#: ever arrive through a shipped removal (never-inserted chunks). Reuse
+#: makes duplicates, re-inserts after discard and stale records common.
+_POOL = 10
+_CLIENTS = st.sampled_from(["w1", "w2"])
+_STORE = st.integers(0, 1)
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _STORE, st.integers(0, _POOL - 1)),
+        # (count, fresh seq or retry of the client's latest)
+        st.tuples(st.just("remove"), _STORE, _CLIENTS, st.integers(1, 4), st.booleans()),
+        # (seq relative to the client's latest: stale, same, ahead; ids; sealed flag)
+        st.tuples(
+            st.just("apply"), _STORE, _CLIENTS, st.integers(-1, 2),
+            st.lists(st.integers(0, _POOL + 1), min_size=1, max_size=3, unique=True),
+            st.booleans(),
+        ),
+        st.tuples(st.just("seal"), _STORE),
+        st.tuples(st.just("rewind"), _STORE),
+        st.tuples(st.just("discard"), _STORE),
+        st.tuples(st.just("ship"), _STORE),  # pull here, push into the other
+        st.tuples(st.just("reopen"), _STORE),
+    ),
+    max_size=40,
+)
+
+
+def _pool_id(k):
+    return f"c#{k:02d}"
+
+
+def _pool_payload(k):
+    return bytes([k]) * 120  # two frames fill a 256-byte segment
+
+
+class _Replicas:
+    """Two stores of one flavour (a serving copy and a second replica
+    that is written to while packages travel), driven op by op."""
+
+    def __init__(self, make):
+        #: (index, store to reopen or None) -> store, or None when this
+        #: flavour has nothing to reopen from.
+        self.make = make
+        self.stores = [make(0, None), make(1, None)]
+        self.seqs = {}
+
+    def step(self, op):
+        kind, index = op[0], op[1]
+        bag = self.stores[index].ensure("b")
+        if kind == "insert":
+            try:
+                bag.insert_id(_pool_id(op[2]), _pool_payload(op[2]))
+            except BagSealedError:
+                return "sealed"
+        elif kind == "remove":
+            _, _, client, count, fresh = op
+            seq = self.seqs.get((index, client), 0) + (1 if fresh else 0)
+            self.seqs[(index, client)] = seq = max(1, seq)
+            return bag.remove_batch(count, client, seq)
+        elif kind == "apply":
+            _, _, client, delta, ids, sealed = op
+            seq = max(1, self.seqs.get((index, client), 0) + delta)
+            pairs = [(_pool_id(k), _pool_payload(k)) for k in ids]
+            bag.apply_removals(client, seq, pairs, sealed)
+        elif kind == "ship":
+            self.stores[1 - index].push(self.stores[index].pull(["b"]))
+        elif kind == "reopen":
+            self.stores[index] = (
+                self.make(index, self.stores[index]) or self.stores[index]
+            )
+        else:
+            getattr(bag, kind)()  # seal / rewind / discard
+        return None
+
+    def observe(self):
+        return [
+            (
+                store.get("b").remaining(),
+                store.get("b").size(),
+                store.get("b").sealed,
+                list(iter_bag_chunks(store, "b", page_bytes=300)),
+            )
+            for store in self.stores
+        ]
+
+
+class TestBackingsAreObservationallyEqual:
+    @given(ops=_ops)
+    @settings(deadline=None)
+    def test_observationally_equal_under_any_op_sequence(self, ops):
+        with tempfile.TemporaryDirectory() as root:
+            opened = []
+
+            def on_disk(reopens):
+                def make(index, previous):
+                    if previous is not None:
+                        if not reopens:
+                            return None
+                        previous.close()
+                    store = SegmentBagStore(
+                        f"{root}/{reopens}-{index}",
+                        resident_bytes=256,
+                        segment_target_bytes=256,
+                        compact_every=8,  # index folds mid-sequence too
+                        reopen=previous is not None,
+                    )
+                    opened.append(store)
+                    return store
+
+                return _Replicas(make)
+
+            memory = _Replicas(
+                lambda index, previous: (
+                    BagStore(MemoryBacking()) if previous is None else None
+                )
+            )
+            disk = [on_disk(reopens=False), on_disk(reopens=True)]
+            try:
+                for op in ops:
+                    reply = memory.step(op)
+                    state = memory.observe()
+                    for flavour in disk:
+                        assert flavour.step(op) == reply, op
+                        assert flavour.observe() == state, op
+            finally:
+                for store in opened:
+                    store.close()

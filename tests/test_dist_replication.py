@@ -116,8 +116,8 @@ class TestPrimaryGate:
         assert len(chunks) == 2
         # The backup's copy shows the same chunks consumed already.
         backup = store.router.replicas(bag_id)[1]
-        snap = store.pull(backup, [bag_id])[bag_id]
-        assert len(snap["consumed"]) == 2 and len(snap["pending"]) == 1
+        package = store.pull(backup, [bag_id])[bag_id]
+        assert len(package["consumed"]) == 2 and len(package["order"]) == 3
         store.close()
 
     def test_promoted_backup_answers_retry_from_shipped_log(self, shards2):

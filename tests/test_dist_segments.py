@@ -1,10 +1,11 @@
 """Layered segment storage: spill beyond a resident budget, recover from disk.
 
-Unit half: what only :class:`SegmentBagStore` can show — write-through
-appends with a bounded hot cache, reopen from an intact directory (torn
-tails physically truncated, removal log restored), and ``pull``/``push``
-shipping sealed segments as raw bytes. The bag contract it shares with
-the memory store is ``test_dist_bag_contract.py``.
+Unit half: what only the store over a :class:`SegmentBacking` can show
+— write-through appends with a bounded hot cache, reopen from an intact
+directory (torn tails physically truncated, removal log restored), and
+``pull``/``push`` shipping sealed segments as raw bytes. The bag
+contract, which is the same at either backing, is
+``test_dist_bag_contract.py``.
 
 End-to-end half: a dist run whose dataset exceeds the per-shard budget
 must still match the LocalRuntime baseline byte-for-byte, and the two
@@ -148,6 +149,26 @@ class TestSegmentStoreUnit:
         # The shipped dedup tail holds on the receiver too.
         replay, _ = copy.remove_batch(5, "w1", 2)
         assert len(replay) == 5
+
+    def test_reopen_after_push_keeps_chunk_order(self, tmp_path):
+        # Shipped segments are installed *above* the receiver's open
+        # tail, which is rolled first: file order stays chunk order, so
+        # the scan on reopen reproduces the order cursors and FIFO
+        # removal were following. (Found by the differential test in
+        # test_dist_bag_contract.py; the tail used to stay open below
+        # the installed files and later chunks jumped the queue.)
+        src = SegmentBagStore(str(tmp_path / "src"), segment_target_bytes=128)
+        for i in range(1, 4):
+            src.ensure("b").insert_id(f"c#{i}", payload(i))
+        dst = SegmentBagStore(str(tmp_path / "dst"), segment_target_bytes=128)
+        dst.ensure("b").insert_id("c#0", payload(0))
+        dst.push(src.pull(["b"]))
+        dst.ensure("b").insert_id("c#4", payload(4))
+        live = chunks_of(dst)
+        assert live == [payload(i) for i in range(5)]
+        dst.close()
+        back = SegmentBagStore(str(tmp_path / "dst"), reopen=True)
+        assert chunks_of(back) == live
 
     def test_unbudgeted_store_still_spills_but_never_evicts(self, tmp_path):
         store = SegmentBagStore(str(tmp_path))  # resident_bytes=None

@@ -178,6 +178,53 @@ class TestOneRecoveryPath:
             assert result.family_resets == 0
 
 
+class TestResyncUnderTheFrameCap:
+    """Re-replication ships one bag per round trip, so the frame cap
+    bounds a *bag*, not a shard's whole replicated dataset — and a bag
+    that still cannot be framed has no shippable replica: it degrades to
+    the replay path instead of killing the run. The cap is lowered
+    before the fleet forks, so every process inherits it; one outstanding
+    1 KiB chunk per request keeps ordinary traffic far below it."""
+
+    def run(self, monkeypatch, cap, records, resident_bytes):
+        from repro.dist import protocol
+
+        monkeypatch.setattr(protocol, "MAX_FRAME_PAYLOAD", cap)
+        records = clicklog_records(records)
+        result = DistRuntime(
+            build_clicklog_local(regions=REGIONS),
+            workers=3,
+            shards=2,
+            replication=2,
+            chunk_size=1024,
+            batch_requests=1,
+            resident_bytes=resident_bytes,
+            kill_shard=ShardRouter(2).home("clicklog"),
+            kill_shard_after_ops=3,
+            tracer=Tracer(),
+        ).run({"clicklog": records}, timeout=180)
+        assert result.shard_deaths == 1
+        assert clicklog_counts(result) == clicklog_baseline(records)
+        return result
+
+    @pytest.mark.parametrize("resident_bytes", [None, 8192])
+    def test_dataset_over_the_cap_ships_bag_by_bag(self, monkeypatch, resident_bytes):
+        # Regression: the resync pulled every bag a source held in one
+        # frame; here that frame is past the cap while each bag alone is
+        # under it, which used to end the run in a bare ReproError.
+        result = self.run(monkeypatch, 5000, 6_000, resident_bytes)
+        assert result.family_resets == 0
+        assert result.trace_metrics.get("dist.resync_oversize", 0) == 0
+
+    @pytest.mark.parametrize("resident_bytes", [None, 8192])
+    def test_one_bag_over_the_cap_degrades_to_replay(self, monkeypatch, resident_bytes):
+        # The source bag alone (~14 KB) cannot be framed: it joins the
+        # lost bags, its families reset, and the sinks still match.
+        result = self.run(monkeypatch, 4000, 24_000, resident_bytes)
+        assert result.family_resets > 0
+        assert result.trace_metrics["dist.resync_oversize"] >= 1
+
+
 class TestReplicatedShardKill:
     """With ``replication=2`` a shard death is absorbed by failover: the
     backup replica is promoted and re-replication restores two copies —
