@@ -18,13 +18,17 @@ connections (Section 3's scheduling/data-plane split made concrete):
   from killed workers — and killed *storage shards* — by resetting the
   affected task families (:mod:`repro.dist.runtime`).
 
-The master itself is recoverable: with ``journal_dir`` set it write-ahead
-journals every control-plane decision (assignments, clone grants, done
-transitions, family condemnations, demotion epochs) with periodic
+Everything the master must remember is one
+:class:`~repro.dist.control.ControlState`, changed only by its
+``apply(record)`` (:mod:`repro.dist.control` — no socket, thread or
+clock). That makes the master recoverable: with ``journal_dir`` set it
+write-ahead journals each record it applies (assignments, clone grants,
+done transitions, family condemnations, demotion epochs) with periodic
 compacted snapshots (:mod:`repro.dist.journal`). A master death surfaces
 as :class:`MasterKilled` carrying the surviving :class:`MasterFleet`;
-``DistRuntime.resume`` on a fresh runtime replays the journal, re-adopts
-the worker and shard fleet, and drives the run to the same sinks.
+``DistRuntime.resume`` on a fresh runtime applies the journaled records
+through the same function, re-adopts the worker and shard fleet, and
+drives the run to the same sinks.
 
 Because workers are processes, CPU-bound task functions scale across
 cores — the thread-pool :class:`~repro.local.LocalRuntime` is capped at

@@ -7,12 +7,14 @@ else (bag contents, removal logs) lives in the storage shards. Master
 checkpoint-replay persists exactly that little: every state transition
 is appended to ``wal.bin`` *before* its externally visible effect, and a
 periodic compaction rewrites ``snapshot.bin`` as an equivalent compacted
-record sequence (per family: clone grants in index order, done marks,
-assigns of still-running nodes) and truncates the log. Recovery loads
-``snapshot + log tail`` and replays the records through the very same
-graph machinery (``restore_clone`` / ``node_done`` / ``reset_families``)
-the live master used, so a replayed master and a never-crashed master
-are bit-for-bit the same control state.
+record sequence (``ControlState.snapshot_records()``) and truncates the
+log. What a record *means* is defined in one place,
+:meth:`repro.dist.control.ControlState.apply`: the live master runs every
+record through it as it commits it, and recovery runs ``snapshot + log
+tail`` through the same function, so a replayed master and a
+never-crashed one hold the same control state by construction — not by
+two copies of each transition kept alike. This module only frames,
+appends and reads records back.
 
 Records are framed ``length(4) | crc32(4) | pickle`` so a torn tail —
 the master died mid-append, or the file was truncated — parses as "log
@@ -180,9 +182,9 @@ class MasterJournal:
     def write_snapshot(self, header: Any, records: Iterable[Any]) -> None:
         """Atomically replace the snapshot and truncate the WAL.
 
-        ``header`` is the snapshot's first record (inputs, generation,
-        counters); ``records`` is the compacted event sequence replay
-        will feed through the graph machinery. The temp-write + rename
+        ``header`` is the snapshot's first record (the input manifests);
+        ``records`` is the compacted sequence recovery will ``apply``.
+        The temp-write + rename
         keeps a crash mid-snapshot from ever corrupting the previous
         checkpoint, and the WAL truncation happens only after the rename
         lands.

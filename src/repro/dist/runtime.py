@@ -6,7 +6,11 @@ path), fills the source bags through a shard-routing
 :class:`~repro.dist.client.ShardedBagStore`, forks N worker processes
 (each holding a copy-on-write snapshot of the application graph), then
 drives the shared :class:`~repro.model.execution_graph.ExecutionGraph`
-from a single event loop fed by per-worker reader threads:
+from a single event loop fed by per-worker reader threads. Everything
+the master must remember — the graph, who holds which node, what is
+condemned — is one :class:`~repro.dist.control.ControlState`, changed
+only through :meth:`DistRuntime._commit` (journal the record, then
+``apply`` it); this module decides and performs the *effects*:
 
 * READY nodes are assigned to idle workers as
   :class:`~repro.dist.protocol.NodeDescriptor` messages;
@@ -49,7 +53,6 @@ mirroring ``LocalRuntime._complete``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import os
@@ -58,11 +61,11 @@ import shutil
 import tempfile
 import threading
 import time
-from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dist.adaptive import AdaptiveConfig, CloneGovernor
 from repro.dist.client import ShardedBagStore
+from repro.dist.control import ControlState
 from repro.dist.journal import MasterJournal
 from repro.dist.protocol import (
     DIST_STORAGE_POLICY,
@@ -89,7 +92,6 @@ from repro.errors import (
 )
 from repro.model.application import Application
 from repro.model.execution_graph import (
-    ExecutionGraph,
     ExecutionNode,
     NodeKind,
     NodeState,
@@ -212,7 +214,7 @@ class DistResult:
     ):
         self.clone_counts: Dict[str, int] = {
             task_id: 1 + len(family.clones)
-            for task_id, family in runtime.exec.families.items()
+            for task_id, family in runtime.control.exec.families.items()
         }
         self.records_processed = runtime.records_processed
         self.chunks_processed = runtime.chunks_processed
@@ -290,11 +292,11 @@ class DistResult:
         self.adaptive_enabled = runtime.adaptive is not None
         self.adaptive_b_trajectory: Dict[str, List[Tuple[int, int]]] = {
             task_id: [tuple(point) for point in (snap.get("trajectory") or [])]
-            for task_id, snap in runtime._adaptive_state.items()
+            for task_id, snap in runtime.control.adaptive.items()
         }
         self.adaptive_final_depth: Dict[str, int] = {
             task_id: int(snap["depth"])
-            for task_id, snap in runtime._adaptive_state.items()
+            for task_id, snap in runtime.control.adaptive.items()
             if snap.get("depth") is not None
         }
         self.clone_decisions: List[Dict[str, Any]] = (
@@ -475,7 +477,8 @@ class DistRuntime:
         )
         self.snapshot_bags = snapshot_bags
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.exec = ExecutionGraph(self.graph)
+        #: Everything the journal records; changed only via ``_commit``.
+        self.control = ControlState(self.graph)
         self.records_processed = 0
         self.chunks_processed = 0
         self.worker_deaths = 0
@@ -492,55 +495,28 @@ class DistRuntime:
         self._ctx = multiprocessing.get_context("fork")
         self._events: "queue.Queue[Tuple]" = queue.Queue()
         self._workers: Dict[int, _Worker] = {}
-        self._wid_counter = itertools.count()
-        #: Highest wid ever issued (snapshot compaction journals it so a
-        #: recovered master continues the sequence instead of recycling).
-        self._max_wid = -1
         self._idle: List[int] = []
         self._ready: List[ExecutionNode] = []
-        self._assigned: Dict[int, ExecutionNode] = {}
-        self._node_worker: Dict[str, int] = {}
-        self._node_member: Dict[str, int] = {}
-        self._forced_pending: Set[str] = set(self.forced_clones)
-        #: Worker-kill injection state: the node currently armed to die,
-        #: and whether a kill was actually delivered. Arming alone does
-        #: not spend the injection — if the armed incarnation is
+        #: The node currently armed to die by the worker-kill injection.
+        #: Arming alone does not spend the injection
+        #: (``control.kill_delivered`` does) — if the armed incarnation is
         #: cancelled or reset (e.g. a shard death condemned its family)
         #: before reaching kill_after_chunks, the next incarnation
         #: re-arms, so the requested fault reliably happens once.
         self._kill_armed_node: Optional[str] = None
-        self._kill_delivered = False
-        self._shard_kill_spent = False
-        self._recovery_tasks: Set[str] = set()
-        self._recovery_pending: Set[str] = set()
-        self._recovery_refill: Set[str] = set()
-        #: Families whose re-adoption claim was cancelled (the journal
-        #: could not confirm the worker's in-flight node): the cancelled
-        #: incarnation consumed chunks nobody re-delivers, so resume
-        #: seeds its loss closure with these.
-        self._unadopted_tasks: Set[str] = set()
         self._in_recovery = False
         self._inputs: Dict[str, List[Any]] = {}
-        #: Latest controller snapshot per task family (adaptive mode).
-        #: Journaled on change, so clones start at the learned depth and
-        #: a recovered master re-dispatches with it instead of the cold
-        #: default; replay rebuilds this dict from "adaptive" records.
-        self._adaptive_state: Dict[str, dict] = {}
-        #: Trajectory length already journaled per family — an
-        #: "adaptive" record is appended only when a *decision* moved
-        #: the depth, not on every progress heartbeat.
-        self._adaptive_journaled: Dict[str, int] = {}
-        #: Overload-driven clone governor (None = static thresholds).
+        #: Overload-driven clone governor (None = static thresholds): the
+        #: live controller, fed by heartbeats; ``control.governor`` holds
+        #: its last journaled snapshot.
         self._governor: Optional[CloneGovernor] = (
             CloneGovernor(self.adaptive) if self.adaptive is not None else None
         )
-        #: Master-authoritative demotion-epoch vector (replicated mode):
-        #: bumped for a shard on each of its deaths, pushed to every live
-        #: shard and into every spawn, and piggybacked on rebinds.
-        #: Guarded by _epoch_lock: the shard-monitor threads promote
+        #: Guards ``control.epochs``, the one control field written off
+        #: the event-loop thread: the shard-monitor threads promote
         #: backups the instant a corpse is joined, concurrently with the
-        #: event loop.
-        self._epochs: Dict[int, int] = {}
+        #: event loop. The vector is pushed to every live shard and into
+        #: every spawn, and piggybacked on rebinds.
         self._epoch_lock = threading.Lock()
         #: Dead shard processes whose backups were already promoted
         #: (strong refs on purpose: identity must not be recycled while a
@@ -557,11 +533,6 @@ class DistRuntime:
         #: this master's lifetime: a *re*spawn of one at replication 1
         #: reopens the directory (recovery-by-reopen) instead of wiping it.
         self._segments_opened: Set[int] = set()
-        #: Bags whose segments were compacted (spill mode): every consumer
-        #: family finished, so their dead consumed frames were rewritten
-        #: away. Journaled write-ahead — a compacted bag can no longer
-        #: serve a rewind, so recovery must escalate its loss to a refill.
-        self._finalized: Set[str] = set()
         self._shard_paths: List[str] = []
         self._shard_procs: List[Any] = []
         self._shard_addresses: List[StorageAddress] = []
@@ -570,11 +541,6 @@ class DistRuntime:
         self._teardown = False
         #: Write-ahead journal (None = journaling off, zero overhead).
         self._journal: Optional[MasterJournal] = None
-        #: Master incarnation: 0 originally, +1 per journal recovery. Scopes
-        #: the store client id so a recovered master's chunk-id stamps and
-        #: removal seqs can never collide with (and be deduplicated against)
-        #: its dead predecessor's.
-        self._generation = 0
         self._compact_base = 0
         #: True once a simulated master death fired: _shutdown becomes a
         #: no-op so the fleet survives for the next incarnation to adopt.
@@ -591,13 +557,12 @@ class DistRuntime:
         """
         kill_after = None
         kill_in_compaction = None
-        if self.kill_shard == index and not self._shard_kill_spent:
+        if self.kill_shard == index and not self.control.shard_kill_spent:
             # Fault injection arms the *first* incarnation only; the
             # respawned replacement must live, or recovery would livelock.
             # Journaled so a recovered master does not re-arm the fault on
             # the victim's next respawn and kill the same shard twice.
-            self._shard_kill_spent = True
-            self._jappend(("shard_kill_armed",))
+            self._commit(("shard_kill_armed",))
             if self.kill_shard_in_compaction is not None:
                 kill_in_compaction = self.kill_shard_in_compaction
             else:
@@ -641,14 +606,16 @@ class DistRuntime:
         ready_parent.close()
         self._shard_procs[index] = proc
         self._shard_addresses[index] = address
-        monitor = threading.Thread(
+        self._watch_shard(index, proc)
+        return reopen
+
+    def _watch_shard(self, index: int, proc) -> None:
+        threading.Thread(
             target=self._shard_monitor,
             args=(index, proc),
             daemon=True,
             name=f"dist-shardmon-{index}",
-        )
-        monitor.start()
-        return reopen
+        ).start()
 
     def _shard_monitor(self, index: int, proc) -> None:
         proc.join()
@@ -702,12 +669,13 @@ class DistRuntime:
             if proc in self._promoted:
                 return
             self._promoted.add(proc)
-            self._epochs[index] = max(self._epochs.values(), default=0) + 1
-            vector = dict(self._epochs)
-        # Journaled from this (monitor) thread — MasterJournal serializes
-        # appends internally. A recovered master must start from the
-        # bumped vector, or it could briefly trust a demoted shard.
-        self._jappend(("epochs", vector))
+            vector = dict(self.control.epochs)
+            vector[index] = max(vector.values(), default=0) + 1
+            # Journaled from this (monitor) thread — MasterJournal
+            # serializes appends internally. A recovered master must start
+            # from the bumped vector, or it could briefly trust a demoted
+            # shard.
+            self._commit(("epochs", vector))
         started = time.monotonic()
         self._store.adopt_epochs(vector)
         for shard in range(self.shards):
@@ -721,16 +689,11 @@ class DistRuntime:
 
     def _epoch_vector(self) -> Dict[int, int]:
         with self._epoch_lock:
-            return dict(self._epochs)
+            return dict(self.control.epochs)
 
     def _spawn_worker(self) -> _Worker:
-        wid = next(self._wid_counter)
-        self._max_wid = max(self._max_wid, wid)
-        # Journaled so a recovered master continues the wid sequence past
-        # every wid ever issued: ``worker-<wid>`` names the per-client
-        # storage state (fence registry, removal-seq dedup logs), and a
-        # recycled wid would silently alias a dead worker's.
-        self._jappend(("spawn", wid))
+        wid = self.control.max_wid + 1
+        self._commit(("spawn", wid))
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         # Close inherited copies of every *other* worker's pipe ends in the
         # child, so one worker holding a sibling's fd can't mask its EOF.
@@ -825,63 +788,25 @@ class DistRuntime:
                     chunk_size=self.settings.chunk_size,
                     records_per_chunk=self.settings.records_per_chunk,
                 )
-            # Workers fork *before* any reader thread exists.
-            procs = []
             for _ in range(self.workers):
-                wid = next(self._wid_counter)
-                self._max_wid = max(self._max_wid, wid)
-                self._jappend(("spawn", wid))
-                parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-                procs.append((wid, parent_conn, child_conn))
-            for wid, parent_conn, child_conn in procs:
-                # A child must not inherit open copies of any sibling pipe
-                # end, or a sibling's death would never read as EOF.
-                close_conns = [
-                    conn
-                    for other_wid, pc, cc in procs
-                    if other_wid != wid
-                    for conn in (pc, cc)
-                ]
-                proc = self._ctx.Process(
-                    target=worker_main,
-                    args=(
-                        wid,
-                        child_conn,
-                        list(self._shard_addresses),
-                        self._authkey,
-                        self.graph,
-                        self.settings,
-                        close_conns,
-                        self._epoch_vector(),
-                    ),
-                    name=f"dist-worker-{wid}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                worker = _Worker(wid, proc, parent_conn, None, self._events)
-                self._workers[wid] = worker
-            for worker in list(self._workers.values()):
-                reader = threading.Thread(
-                    target=self._reader_loop,
-                    args=(worker,),
-                    daemon=True,
-                    name=f"dist-reader-{worker.wid}",
-                )
-                worker.reader = reader
-                reader.start()
-            self._ready.extend(self.exec.initially_ready())
-            self._event_loop(deadline)
-            snapshots = self._snapshot()
-            shard_stats = self._store.stats()
-            return DistResult(self, snapshots, shard_stats)
+                self._spawn_worker()
+            return self._run_to_completion(deadline)
         finally:
             self._shutdown()
+
+    def _run_to_completion(self, deadline: float) -> DistResult:
+        """The tail ``run`` and ``resume`` share, each under its own
+        ``finally: _shutdown``: event loop, snapshot, shard stats, result."""
+        # From graph state, not from what ``_commit`` returned so far: a
+        # resumed master's predecessor held its queue only in memory.
+        self._ready = self.control.ready_nodes()
+        self._event_loop(deadline)
+        return DistResult(self, self._snapshot(), self._store.stats())
 
     # -- event loop ------------------------------------------------------------
 
     def _event_loop(self, deadline: float) -> None:
-        while not self.exec.all_done():
+        while not self.control.exec.all_done():
             if self._journal is not None:
                 self._maybe_kill_master()
                 if (
@@ -924,13 +849,14 @@ class DistRuntime:
                     raise
 
     def _pending_ready(self) -> bool:
+        nodes = self.control.exec.nodes
         return any(
-            node.node_id in self.exec.nodes and node.state == NodeState.READY
+            node.node_id in nodes and node.state == NodeState.READY
             for node in self._ready
         )
 
     def _assign_ready(self) -> None:
-        if self._recovery_tasks:
+        if self.control.condemned or self.control.refills:
             # Nothing starts between a condemnation and its reset (which
             # applies only once every cancel is acknowledged). A member
             # of a condemned family would be discarded unfenced — a
@@ -945,7 +871,10 @@ class DistRuntime:
         while self._idle and self._ready:
             node = self._ready.pop(0)
             # Skip nodes discarded by a family reset, or already taken.
-            if node.node_id not in self.exec.nodes or node.state != NodeState.READY:
+            if (
+                node.node_id not in self.control.exec.nodes
+                or node.state != NodeState.READY
+            ):
                 continue
             wid = self._idle.pop(0)
             self._dispatch(wid, node)
@@ -958,10 +887,7 @@ class DistRuntime:
         # RUNNING-unclaimed and resets its family — conservative but safe;
         # the reverse order could leave a running task the replay has
         # never heard of, silently double-producing after recovery.
-        self._jappend(("assign", node.node_id, wid))
-        node.state = NodeState.RUNNING
-        self._assigned[wid] = node
-        self._node_worker[node.node_id] = wid
+        self._commit(("assign", node.node_id, wid))
         if self.tracer.enabled:
             self.tracer.instant(
                 "dist_assign", cat="dist", node=node.node_id, worker=wid
@@ -970,20 +896,17 @@ class DistRuntime:
 
     def _descriptor(self, node: ExecutionNode) -> NodeDescriptor:
         kill_after = None
-        if self._kill_armed_node is not None and not self._kill_delivered:
+        if (
+            self._kill_armed_node is not None
+            and self.control.owner(self._kill_armed_node) is None
+        ):
             # The armed incarnation went away without dying (cancelled by
             # a concurrent recovery, or finished under the threshold and
             # was reset): the injection is unspent, so let it re-arm.
-            armed = self.exec.nodes.get(self._kill_armed_node)
-            if (
-                armed is None
-                or armed.state != NodeState.RUNNING
-                or self._kill_armed_node not in self._node_worker
-            ):
-                self._kill_armed_node = None
+            self._kill_armed_node = None
         if (
             self._kill_armed_node is None
-            and not self._kill_delivered
+            and not self.control.kill_delivered
             and self.kill_task is not None
             and node.task_id == self.kill_task
             and node.kind != NodeKind.MERGE
@@ -998,12 +921,12 @@ class DistRuntime:
             side_inputs=tuple(node.side_inputs),
             outputs=tuple(node.outputs),
             merge_inputs=tuple(node.merge_inputs),
-            member=self._node_member.get(node.node_id, 0),
+            member=node.member,
             kill_after_chunks=kill_after,
             # Clones and post-recovery re-dispatches continue from the
             # family's learned controller state; merges never stream.
             adaptive_state=(
-                self._adaptive_state.get(node.task_id)
+                self.control.adaptive.get(node.task_id)
                 if self.adaptive is not None and node.kind != NodeKind.MERGE
                 else None
             ),
@@ -1024,7 +947,8 @@ class DistRuntime:
         elif mtype == "failed":
             node_id = msg.get("node_id")
             error = str(msg.get("error", ""))
-            if node_id in self._recovery_pending:
+            held = self.control.assignment.get(wid)
+            if held is not None and held.task_id in self.control.condemned:
                 # The cancel raced the failure (e.g. a cancelled merge read
                 # an already-discarded partial bag); same cleanup.
                 self._on_aborted(wid, msg)
@@ -1042,68 +966,85 @@ class DistRuntime:
         Recovery can introduce a worker twice (a re-hello racing an
         aborted ack, or a completion whose assignment record died with the
         old master). Double-listing would let one worker hold two nodes,
-        and the second assignment would overwrite the first in
-        ``_assigned`` — the orphaned node then never reports done, a
+        and the second assignment would overwrite the first in the
+        assignment map — the orphaned node then never reports done, a
         silent hang. Dead or busy workers never re-enter the pool.
         """
         if (
             wid in self._workers
-            and wid not in self._assigned
+            and wid not in self.control.assignment
             and wid not in self._idle
         ):
             self._idle.append(wid)
+
+    def _release(self, wid: int) -> Optional[ExecutionNode]:
+        """``wid`` no longer holds its node — it finished, aborted, failed
+        or died, each of which also acknowledges any cancel in flight to
+        it. Returns the node it held."""
+        node = self.control.assignment.get(wid)
+        if node is not None:
+            self._commit(("release", wid))
+        return node
 
     def _on_hello(self, wid: int, msg: dict) -> None:
         """A worker introduced itself: fresh spawn, or recovery re-hello.
 
         A re-hello (answer to ``reattach``) carries ``running``: the node
-        id the worker is mid-task on, or ``None``. Running work whose
-        assignment the journal confirms is **re-adopted** — the task keeps
-        streaming, nothing resets. A claim the journal cannot back (the
-        family was reset before the crash, or the record never landed) is
-        cancelled instead; the aborted ack returns the worker to the pool.
+        id the worker is mid-task on, or ``None``. What it claims replaces
+        what the journal said it holds. Running work is **re-adopted** —
+        the task keeps streaming, nothing resets — whether the journal
+        has its assignment or lost that one record to a torn tail; a
+        member of a condemned family is cancelled again (the dead
+        master's cancel may have died with it) and the reset waits for
+        the ack like any other.
         """
         running = msg.get("running")
+        held = self.control.assignment.get(wid)
+        if held is not None and held.node_id != running:
+            # The journal's last word on this worker is stale: it finished
+            # (or lost) that node into the dead master's void. The node it
+            # left RUNNING is an orphan for the loop-top sweep, and its
+            # family replays.
+            self._commit(("release", wid))
+            held = None
         if running is None:
             self._mark_idle(wid)
             return
-        node = self.exec.nodes.get(running)
+        node = self.control.exec.nodes.get(running)
         if (
-            node is None
-            or node.state != NodeState.RUNNING
-            or node.task_id in self._recovery_tasks
-            or self._node_worker.get(running, wid) != wid
+            node is not None
+            and node.state in (NodeState.READY, NodeState.RUNNING)
+            and self.control.owner(running) in (None, wid)
         ):
-            try:
-                self._workers[wid].conn.send(
-                    {"type": "cancel", "node_id": running}
+            if held is not node:
+                self._commit(("assign", running, wid))
+            if node.task_id in self.control.condemned:
+                self._cancel(wid, running)
+            elif self.tracer.enabled:
+                self.tracer.instant(
+                    "dist_readopt", cat="dist", node=running, worker=wid
                 )
-            except (KeyError, OSError, BrokenPipeError):
-                pass  # dying worker; its EOF recovery takes over
-            # The cancelled incarnation consumed stream chunks nobody
-            # will re-deliver: its family is in doubt and must replay
-            # (resume seeds the loss closure with these). The hello's
-            # task id covers claims whose very node the journal lost.
-            task_id = node.task_id if node is not None else msg.get("task")
-            if task_id in self.exec.families:
-                self._unadopted_tasks.add(task_id)
             return
-        self._assigned[wid] = node
-        self._node_worker[running] = wid
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "dist_readopt", cat="dist", node=running, worker=wid
-            )
+        # Nothing the journal holds accounts for this claim — its node is
+        # gone, finished, or another worker's — so more than one tail
+        # record was lost. The claimant consumed stream chunks nobody
+        # will re-deliver: kill it so it can never write again and
+        # recover it as a corpse (fenced, replaced) whose family replays.
+        # The hello's task id covers a claim whose very node is unknown.
+        self._workers[wid].proc.terminate()
+        self._on_worker_dead(
+            wid, node.task_id if node is not None else msg.get("task")
+        )
 
     def _absorb_adaptive(self, task_id: str, msg: dict) -> None:
         """Fold a worker's controller snapshot and latency windows in.
 
-        Snapshots are journaled only when a decision actually moved the
-        depth (the trajectory grew) — journaling every progress
-        heartbeat would bloat the WAL with identical states. Among
-        concurrent family members the furthest-adapted snapshot (most
-        chunks observed) wins; a clone that just started from the
-        journaled state must not regress it.
+        A snapshot is committed only when it is the family's first or a
+        decision actually moved the depth (the trajectory grew) —
+        journaling every progress heartbeat would bloat the WAL with
+        identical states. Among concurrent family members the
+        furthest-adapted snapshot (most chunks observed) wins; a clone
+        that just started from the journaled state must not regress it.
         """
         if self._governor is not None:
             for shard, samples in (msg.get("latency_window") or {}).items():
@@ -1111,16 +1052,15 @@ class DistRuntime:
         snapshot = msg.get("adaptive")
         if snapshot is None or self.adaptive is None:
             return
-        current = self._adaptive_state.get(task_id)
-        if current is not None and current.get("chunks_seen", 0) > snapshot.get(
-            "chunks_seen", 0
+        current = self.control.adaptive.get(task_id)
+        trajectory = snapshot.get("trajectory") or []
+        if current is not None and (
+            current.get("chunks_seen", 0) > snapshot.get("chunks_seen", 0)
+            or len(trajectory) <= len(current.get("trajectory") or [])
         ):
             return
-        self._adaptive_state[task_id] = snapshot
-        trajectory = snapshot.get("trajectory") or []
-        if len(trajectory) > self._adaptive_journaled.get(task_id, 1):
-            self._adaptive_journaled[task_id] = len(trajectory)
-            self._jappend(("adaptive", task_id, snapshot))
+        self._commit(("adaptive", task_id, snapshot))
+        if len(trajectory) > 1:
             self.tracer.inc("dist.adaptive_decisions")
             if self.tracer.enabled:
                 self.tracer.instant(
@@ -1131,7 +1071,7 @@ class DistRuntime:
                 )
 
     def _on_progress(self, wid: int, msg: dict) -> None:
-        node = self._assigned.get(wid)
+        node = self.control.assignment.get(wid)
         if node is None:
             return
         if self.tracer.enabled:
@@ -1142,27 +1082,21 @@ class DistRuntime:
         task_id = node.task_id
         if (
             node.kind == NodeKind.TASK
-            and task_id in self._forced_pending
-            and task_id not in self._recovery_tasks
+            and task_id in self.forced_clones
+            and task_id not in self.control.forced_spent
+            and task_id not in self.control.condemned
         ):
             # The original is demonstrably mid-task (it just reported
             # progress): grant the forced clones now.
             # Forced schedules are explicit test/benchmark instructions and
             # bypass the max-clones heuristic cap.
-            self._forced_pending.discard(task_id)
+            self._commit(("forced", task_id))
             for _ in range(self.forced_clones[task_id]):
                 self._grant_clone(task_id)
 
     def _grant_clone(self, task_id: str) -> None:
-        family = self.exec.families[task_id]
-        clone = self.exec.add_clone(task_id)
-        # Clone grants are replayed through restore_clone in increasing
-        # index order, which reproduces the partial-bag wiring exactly.
-        self._jappend(("clone", task_id, family.clone_counter))
-        self._node_member[clone.node_id] = family.clone_counter
-        if family.merge is not None:
-            self._node_member.setdefault(family.original.node_id, 0)
-        self._ready.append(clone)
+        index = self.control.exec.families[task_id].clone_counter + 1
+        self._ready.extend(self._commit(("clone", task_id, index)))
         if self.tracer.enabled:
             self.tracer.instant("clone_granted", cat="dist", task=task_id)
         self.tracer.inc("dist.clones")
@@ -1171,17 +1105,17 @@ class DistRuntime:
         """Idle workers clone the running task with the most input left."""
         running = [
             (task_id, family)
-            for task_id, family in self.exec.families.items()
+            for task_id, family in self.control.exec.families.items()
             if not family.finished
-            and task_id not in self._recovery_tasks
+            and task_id not in self.control.condemned
             and any(w.state == NodeState.RUNNING for w in family.workers)
-            and self.exec.clone_count(task_id) < self.max_clones_per_task
+            and self.control.exec.clone_count(task_id) < self.max_clones_per_task
             # An armed-but-undelivered worker kill pins its task to the
             # armed incarnation: a clone could drain the stream under the
             # kill threshold, and the injected fault would silently never
             # happen. Forced clone schedules still apply (explicit).
             and not (
-                task_id == self.kill_task and not self._kill_delivered
+                task_id == self.kill_task and not self.control.kill_delivered
             )
         ]
         if not running:
@@ -1206,7 +1140,7 @@ class DistRuntime:
             # Journaled post-decision: a resumed master continues the
             # governor's onset/baseline state and its decision log
             # instead of re-warming and double-granting.
-            self._jappend(("governor", self._governor.snapshot()))
+            self._commit(("governor", self._governor.snapshot()))
             if self.tracer.enabled:
                 self.tracer.instant(
                     "governor_clone",
@@ -1218,11 +1152,19 @@ class DistRuntime:
         self._grant_clone(best)
 
     def _on_done(self, wid: int, msg: dict) -> None:
-        node = self._assigned.pop(wid, None)
-        self._mark_idle(wid)
-        if node is None:
-            return
-        self._node_worker.pop(node.node_id, None)
+        node = self.control.assignment.get(wid)
+        try:
+            if node is not None:
+                self._complete(node, msg)
+        finally:
+            # The worker is idle whichever way that went. A committed
+            # ``done`` released it; where the completion was ignored, or
+            # the promotion unwound on a dead shard, the node it leaves
+            # RUNNING is the loop-top sweep's to reset.
+            self._release(wid)
+            self._mark_idle(wid)
+
+    def _complete(self, node: ExecutionNode, msg: dict) -> None:
         self.records_processed += msg.get("records", 0)
         self.chunks_processed += msg.get("chunks", 0)
         self._absorb_adaptive(node.task_id, msg)
@@ -1231,15 +1173,11 @@ class DistRuntime:
         for shard, samples in msg.get("latencies_by_shard", {}).items():
             self.chunk_rpc_seconds.extend(samples)
             self.chunk_rpc_seconds_by_shard.setdefault(shard, []).extend(samples)
-        if node.node_id in self._recovery_pending:
+        if not self.control.live(node):
             # Completed before the cancel landed; the family is being reset,
             # so ignore the completion itself.
-            self._recovery_pending.discard(node.node_id)
-            self._finish_recovery_if_ready()
             return
-        if node.node_id not in self.exec.nodes:
-            return  # discarded by a reset that already happened
-        family = self.exec.families[node.task_id]
+        family = self.control.exec.families[node.task_id]
         if (
             node.kind != NodeKind.MERGE
             and node.spec.needs_merge
@@ -1274,12 +1212,7 @@ class DistRuntime:
         # graph transition (a done the journal never saw leaves the family
         # in doubt, and the recovery reset discards whatever this node
         # wrote — including that emitted value — before re-running it).
-        self._jappend(("done", node.node_id))
-        newly_ready = self.exec.node_done(node.node_id)
-        for ready in newly_ready:
-            if ready.kind == NodeKind.MERGE:
-                self._node_member.setdefault(ready.node_id, 0)
-            self._ready.append(ready)
+        self._ready.extend(self._commit(("done", node.node_id)))
         if family.finished:
             for bag_id in family.original.spec.outputs:
                 self._seal_if_complete(bag_id)
@@ -1295,8 +1228,8 @@ class DistRuntime:
         bag back, in which case it is left alone. Journaled write-ahead
         per bag: a compacted bag can no longer serve a rewind, so a
         recovered master must know to escalate its loss to a refill (see
-        :meth:`_loss_closure`) even when the compaction RPCs themselves
-        never landed.
+        ``ControlState.loss_closure``) even when the compaction RPCs
+        themselves never landed.
         """
         if self.settings.resident_bytes is None:
             return
@@ -1306,11 +1239,10 @@ class DistRuntime:
             if (
                 bag_id not in self.graph.bags
                 or bag_id in keep
-                or bag_id in self._finalized
+                or bag_id in self.control.finalized
             ):
                 continue
-            self._finalized.add(bag_id)
-            self._jappend(("finalize", bag_id))
+            self._commit(("finalize", bag_id))
             # Every replica compacts its own copy: compaction is a local
             # disk rewrite, not a replicated mutation, so it is driven
             # per-shard like pull/push rather than fanned out.
@@ -1330,18 +1262,15 @@ class DistRuntime:
         """
 
         def attempt() -> None:
-            if not self.exec.bag_complete(bag_id):
+            if not self.control.exec.bag_complete(bag_id):
                 return
             self._store.get(bag_id).seal()
 
         self._retrying(attempt)
 
     def _on_aborted(self, wid: int, msg: dict) -> None:
-        node = self._assigned.pop(wid, None)
+        self._release(wid)
         self._mark_idle(wid)
-        if node is not None:
-            self._node_worker.pop(node.node_id, None)
-        self._recovery_pending.discard(msg.get("node_id"))
         self._finish_recovery_if_ready()
 
     # -- failure recovery --------------------------------------------------------
@@ -1394,7 +1323,7 @@ class DistRuntime:
                 return False
             time.sleep(0.02)
 
-    def _on_worker_dead(self, wid: int) -> None:
+    def _on_worker_dead(self, wid: int, in_doubt: Optional[str] = None) -> None:
         worker = self._workers.pop(wid, None)
         if worker is None or self._teardown:
             return
@@ -1410,13 +1339,18 @@ class DistRuntime:
         self.tracer.inc("dist.worker_deaths")
         if self.tracer.enabled:
             self.tracer.instant("worker_dead", cat="dist", worker=wid)
-        node = self._assigned.pop(wid, None)
+        # A cancel in flight to this worker can never be acknowledged —
+        # the EOF *is* the acknowledgement, like every release. Without
+        # it a member killed between its family's condemnation and its
+        # abort poll holds its node forever: the reset never applies, every
+        # worker idles, and the run rides its timeout out (seen as a
+        # shard-kill + worker-kill cocktail wedging the whole job).
+        node = self._release(wid)
         if node is not None and node.node_id == self._kill_armed_node:
-            self._kill_delivered = True
             self._kill_armed_node = None
             # Journaled so a recovered master knows the injected worker
             # kill already happened and must not re-arm it.
-            self._jappend(("kill_delivered",))
+            self._commit(("kill_delivered",))
         if self.worker_deaths > self.max_worker_restarts:
             raise SchedulingError(
                 f"{self.worker_deaths} worker deaths exceed the restart budget"
@@ -1425,26 +1359,20 @@ class DistRuntime:
         # touched — are applied before recovery mutates any bag.
         self._retrying(lambda: self._store.fence(f"worker-{wid}", 10.0))
         self._spawn_worker()
-        if node is None:
-            return
-        self._node_worker.pop(node.node_id, None)
-        # A cancel in flight to this worker can never be acknowledged —
-        # the EOF *is* the acknowledgement. Without this, a member killed
-        # between its family's condemnation and its abort poll leaves a
-        # permanent _recovery_pending entry: the reset never applies, every
-        # worker idles, and the run rides its timeout out (seen as a
-        # shard-kill + worker-kill cocktail wedging the whole job).
-        self._recovery_pending.discard(node.node_id)
-        if (
-            node.node_id not in self.exec.nodes
-            or node.task_id in self._recovery_tasks
-            or node.state != NodeState.RUNNING
-        ):
-            # The family is already being reset (e.g. its shard died first).
-            self._finish_recovery_if_ready()
-            return
-        to_reset, refills = self._loss_closure(set(), {}, seed_tasks=(node.task_id,))
-        self._begin_family_resets(to_reset, refills)
+        # Unless the family is already being reset (e.g. its shard died
+        # first), what the corpse consumed is gone: replay its family
+        # (``in_doubt``: the one it claimed, unknown to the journal).
+        seeds = self._seed(node)
+        if in_doubt in self.control.exec.families:
+            seeds += (in_doubt,)
+        self._condemn(set(), {}, seeds)
+
+    def _seed(self, node: Optional[ExecutionNode]) -> Tuple[str, ...]:
+        """The loss-closure seed for a node whose worker failed under it:
+        its family, unless the node is no longer live."""
+        if node is not None and self.control.live(node):
+            return (node.task_id,)
+        return ()
 
     def _on_shard_dead(self, index: int, proc) -> None:
         if self._teardown:
@@ -1508,28 +1436,8 @@ class DistRuntime:
             if self.tracer.enabled:
                 self.tracer.instant("shard_reopened", cat="dist", shard=index)
             return
-        lost_bags, lost_partials = self._resync_shard(index)
-        if not lost_bags and not lost_partials:
-            return  # every copy re-replicated; zero families reset
-        to_reset, refills = self._loss_closure(lost_bags, lost_partials)
-        self._begin_family_resets(to_reset, refills)
-
-    def _replica_bags(self, shard: int) -> Tuple[Set[str], Dict[str, str]]:
-        """Graph bags and live partial bags (-> owner task) with a copy on ``shard``."""
-        graph_bags = {
-            bag_id
-            for bag_id in self.graph.bags
-            if shard in self.router.replicas(bag_id)
-        }
-        partials: Dict[str, str] = {}
-        for task_id, family in self.exec.families.items():
-            if not family.original.spec.needs_merge:
-                continue
-            for index in range(family.clone_counter + 1):
-                bag_id = partial_bag_id(task_id, index)
-                if shard in self.router.replicas(bag_id):
-                    partials[bag_id] = task_id
-        return graph_bags, partials
+        # With every copy re-replicated nothing is lost: zero resets.
+        self._condemn(*self._resync_shard(index))
 
     def _shard_alive(self, shard: int) -> bool:
         proc = self._shard_procs[shard]
@@ -1558,7 +1466,7 @@ class DistRuntime:
         the replay path.
         """
         resync_started = time.monotonic()
-        graph_bags, partials = self._replica_bags(index)
+        graph_bags, partials = self.control.replica_bags(index, self.router)
         lost_bags: Set[str] = set()
         lost_partials: Dict[str, str] = {}
         shipped = 0
@@ -1601,169 +1509,68 @@ class DistRuntime:
             )
         return lost_bags, lost_partials
 
-    def _loss_closure(
+    def _condemn(
         self,
         lost_bags: Set[str],
         lost_partials: Dict[str, str],
-        seed_tasks: Iterable[str] = (),
-    ) -> Tuple[Set[str], Set[str]]:
-        """Families to reset (and source bags to refill) after data loss.
+        seeds: Iterable[str] = (),
+    ) -> None:
+        """Close the loss over the started families, record the
+        condemnation, cancel what still runs, reset if nothing does.
 
-        Fixpoint over bags: a lost or discarded bag pulls in every
-        *started* producer family (finished ones included — their output
-        is gone) and every started-but-unfinished consumer family (it may
-        have consumed chunks that recovery will re-produce, so replaying
-        it from a rewound input is the only consistent option). Resetting
-        a family discards its outputs and partials, which feed back into
-        the frontier; intact inputs of a reset family do NOT cascade
-        upstream — replay just re-reads them. Lost *source* bags have no
-        producer to re-run and are refilled from the master's kept inputs.
-        Worker death is the degenerate case: no lost bags, seeded with the
-        dead worker's family (this subsumes the old shared-output-bag
-        cascade, and unlike it can recover a finished co-producer).
+        The one path from any failure to a family reset: a dead worker,
+        a storage blip or an orphan seeds its family; a dead shard names
+        the bags with no surviving copy.
         """
-        sources = set(self.graph.source_bags())
-        to_reset: Set[str] = set()
-        refills: Set[str] = set()
-        frontier: deque = deque()
-        seen: Set[str] = set()
-
-        def push(bag_id: str) -> None:
-            if bag_id not in seen:
-                seen.add(bag_id)
-                frontier.append(bag_id)
-
-        def started(family) -> bool:
-            if family.finished:
-                return True
-            if any(
-                w.state in (NodeState.RUNNING, NodeState.DONE)
-                for w in family.workers
-            ):
-                return True
-            merge = family.merge
-            return merge is not None and merge.state != NodeState.PENDING
-
-        def add_family(task_id: str) -> None:
-            if task_id in to_reset:
-                return
-            to_reset.add(task_id)
-            family = self.exec.families[task_id]
-            spec = family.original.spec
-            for bag_id in spec.outputs:
-                push(bag_id)
-            if spec.needs_merge:
-                for index in range(family.clone_counter + 1):
-                    push(partial_bag_id(task_id, index))
-            for bag_id in spec.inputs:
-                # A finalized (compacted) input physically dropped its
-                # consumed frames and cannot serve the replay's rewind:
-                # its loss escalates upstream exactly like a lost bag,
-                # re-producing (or refilling) it from scratch.
-                if bag_id in self._finalized:
-                    push(bag_id)
-
-        for bag_id in sorted(lost_bags):
-            push(bag_id)
-        for bag_id in sorted(lost_partials):
-            push(bag_id)
-        for task_id in seed_tasks:
-            add_family(task_id)
-
-        while frontier:
-            bag_id = frontier.popleft()
-            if bag_id in self.graph.bags:
-                if bag_id in sources:
-                    refills.add(bag_id)
-                else:
-                    for producer in self.graph.producers_of(bag_id):
-                        if started(self.exec.families[producer.task_id]):
-                            add_family(producer.task_id)
-                for task_id, spec in self.graph.tasks.items():
-                    if bag_id not in spec.inputs:
-                        continue
-                    family = self.exec.families[task_id]
-                    if started(family) and not family.finished:
-                        add_family(task_id)
-            else:
-                # A partial bag: only its owner family cares. Partials of a
-                # *finished* family were already folded into the real
-                # output, so their loss is harmless.
-                owner = lost_partials.get(bag_id)
-                if owner is None:
-                    continue  # pushed by its own family's add_family
-                family = self.exec.families[owner]
-                if started(family) and not family.finished:
-                    add_family(owner)
-        return to_reset, refills
-
-    def _begin_family_resets(self, to_reset: Set[str], refills: Set[str]) -> None:
-        """Queue the resets, cancel running members, finish if nothing runs."""
+        to_reset, refills = self.control.loss_closure(
+            lost_bags, lost_partials, seeds
+        )
         if to_reset or refills:
             # Write-ahead condemnation: the decision to reset these
             # families must survive a master death that lands between the
             # cancels below and the eventual reset record — replaying only
             # the assigns would resurrect families whose inputs a
             # shard-loss closure already declared inconsistent.
-            self._jappend(("condemn", sorted(to_reset), sorted(refills)))
-        self._recovery_tasks |= to_reset
-        self._recovery_refill |= refills
-        for task_id in sorted(to_reset):
-            family = self.exec.families[task_id]
-            members = list(family.workers)
-            if family.merge is not None:
-                members.append(family.merge)
-            for member in members:
-                owner = self._node_worker.get(member.node_id)
-                if owner is None:
-                    continue
-                try:
-                    self._workers[owner].conn.send(
-                        {"type": "cancel", "node_id": member.node_id}
-                    )
-                    self._recovery_pending.add(member.node_id)
-                except (KeyError, OSError, BrokenPipeError):
-                    pass  # that worker is dying too; its EOF will arrive
+            self._commit(("condemn", sorted(to_reset), sorted(refills)))
+        for wid, node in sorted(self.control.assignment.items()):
+            if node.task_id in to_reset:
+                self._cancel(wid, node.node_id)
         self._finish_recovery_if_ready()
+
+    def _cancel(self, wid: int, node_id: str) -> None:
+        try:
+            self._workers[wid].conn.send({"type": "cancel", "node_id": node_id})
+        except (KeyError, OSError, BrokenPipeError):
+            pass  # that worker is dying too; its EOF releases the node
 
     def _on_storage_failed(self, wid: int, msg: dict) -> None:
         """A task failed with StorageNodeDown: shard death or a blip."""
-        node = self._assigned.pop(wid, None)
+        node = self._release(wid)
         self._mark_idle(wid)
-        self._recovery_pending.discard(msg.get("node_id"))
-        if node is not None:
-            self._node_worker.pop(node.node_id, None)
         # Most likely a shard just died under the task; handling the death
         # first usually folds this family into the loss closure.
         self._absorb_storage_down()
-        if node is None:
-            self._finish_recovery_if_ready()
-            return
-        if (
-            node.node_id not in self.exec.nodes
-            or node.task_id in self._recovery_tasks
-            or node.state != NodeState.RUNNING
-        ):
-            self._finish_recovery_if_ready()
-            return
-        # No dead shard owns this: a blip (e.g. a stale connection racing a
-        # respawn). Reset just this family, under a budget.
-        self.storage_resets += 1
-        self.tracer.inc("dist.storage_resets")
-        if self.storage_resets > self.max_storage_resets:
-            raise RemoteTaskError(
-                msg.get("node_id", "?"), msg.get("error", "storage failure"),
-                msg.get("traceback", ""),
-            )
-        to_reset, refills = self._loss_closure(set(), {}, seed_tasks=(node.task_id,))
-        self._begin_family_resets(to_reset, refills)
+        seed = self._seed(node)
+        if seed:
+            # No dead shard owns this: a blip (e.g. a stale connection
+            # racing a respawn). Reset just this family, under a budget.
+            self.storage_resets += 1
+            self.tracer.inc("dist.storage_resets")
+            if self.storage_resets > self.max_storage_resets:
+                raise RemoteTaskError(
+                    msg.get("node_id", "?"), msg.get("error", "storage failure"),
+                    msg.get("traceback", ""),
+                )
+        self._condemn(set(), {}, seed)
 
     def _finish_recovery_if_ready(self) -> None:
         if self._in_recovery:
-            return  # a nested shard death queued more work; the loop below sees it
+            return  # a nested shard death condemned more; the loop below sees it
         self._in_recovery = True
         try:
-            while self._recovery_tasks and not self._recovery_pending:
+            while (
+                self.control.condemned or self.control.refills
+            ) and not self.control.cancels_outstanding():
                 self._apply_recovery()
         finally:
             self._in_recovery = False
@@ -1774,67 +1581,46 @@ class DistRuntime:
         A worker death and a shard death landing together can unwind
         ``_on_worker_dead`` / ``_apply_recovery`` mid-way: the event loop
         absorbs the StorageNodeDown (respawn + segment reopen or replica
-        resync, zero resets) and carries on, but the interrupted handler's
-        bookkeeping is gone — a replacement worker never spawned, a
-        condemned family never re-applied, a RUNNING node owned by nobody.
-        The pointer-replay r=1 path used to mask all three by resetting
-        every family homed on the dead shard; the zero-reset paths do not,
-        so repair each explicitly:
+        resync, zero resets) and carries on, but the interrupted handler
+        never finished — a replacement worker never spawned, a condemned
+        family never reset, a RUNNING node held by nobody. A resumed
+        master finds the same three in its journal. Repair each:
 
-        * finish any condemned-but-unapplied reset (the set survives the
-          unwind — see ``_apply_recovery``);
+        * finish any condemned-but-unapplied reset (the condemnation
+          stays outstanding until its ``reset`` is committed);
         * top the worker pool back up if a death handler unwound before
           its ``_spawn_worker``;
-        * condemn RUNNING nodes that no live worker owns — nothing will
+        * condemn RUNNING nodes that no live worker holds — nothing will
           ever report those done, and every worker idles forever.
         """
         self._finish_recovery_if_ready()
         while len(self._workers) < self.workers:
             self._spawn_worker()
-        orphans: Set[str] = set()
-        for node in self.exec.nodes.values():
-            if node.state != NodeState.RUNNING:
-                continue
-            if node.task_id in self._recovery_tasks:
-                continue  # condemned already; its reset will re-ready it
-            wid = self._node_worker.get(node.node_id)
-            if (
-                wid is None
-                or wid not in self._workers
-                or self._assigned.get(wid) is not node
-            ):
-                orphans.add(node.task_id)
+        for wid in [w for w in self.control.assignment if w not in self._workers]:
+            # Held by no worker of ours (the journal's fleet lost it, or
+            # its death handler unwound early): it will never ack or finish.
+            self._release(wid)
+        orphans = self.control.orphans()
         if orphans:
             self.tracer.inc("dist.orphan_resets")
-            to_reset, refills = self._loss_closure(
-                set(), {}, seed_tasks=tuple(sorted(orphans))
-            )
-            self._begin_family_resets(to_reset, refills)
+            self._condemn(set(), {}, sorted(orphans))
 
     def _apply_recovery(self) -> None:
-        tasks, self._recovery_tasks = self._recovery_tasks, set()
-        refills, self._recovery_refill = self._recovery_refill, set()
-        try:
-            self._apply_recovery_inner(tasks, refills)
-        except BaseException:
-            # A StorageNodeDown that outlives _retrying's budget (shard
-            # dying while a worker-death reset is being applied) unwinds
-            # to the event loop, which absorbs the death and carries on.
-            # The condemned set must survive that unwind: the graph may
-            # already be reset but the discards/refills/_ready re-queue
-            # have not happened, so the loop-top reconcile re-runs the
-            # whole (idempotent) apply. Dropping the set here is a
-            # permanent hang — READY families nobody ever dispatches.
-            self._recovery_tasks |= tasks
-            self._recovery_refill |= refills
-            raise
+        """Carry out the outstanding condemnation, then record the reset.
 
-    def _apply_recovery_inner(self, tasks: Set[str], refills: Set[str]) -> None:
-        # Collect the physical bags *before* the graph reset wipes the
-        # clone/merge wiring they are derived from.
-        plan = []
-        for task_id in sorted(tasks):
-            family = self.exec.families[task_id]
+        Nothing is committed before every storage effect has landed: a
+        StorageNodeDown that outlives _retrying's budget (a shard dying
+        while a worker-death reset is being applied) unwinds to the event
+        loop, which absorbs the death and carries on — the condemnation
+        is still outstanding, so the loop-top reconcile re-runs the whole
+        (idempotent) apply. Dropping it would be a permanent hang.
+        """
+        tasks = sorted(self.control.condemned)
+        refills = sorted(self.control.refills)
+        deaths = self.shard_deaths
+        families = self.control.exec.families
+        for task_id in tasks:
+            family = families[task_id]
             bags = set()
             for member in family.workers:
                 bags.update(member.outputs)
@@ -1845,16 +1631,9 @@ class DistRuntime:
             if family.original.spec.needs_merge:
                 for index in range(family.clone_counter + 1):
                     bags.add(partial_bag_id(task_id, index))
-            plan.append((task_id, bags, family.original.spec.stream_input))
-        self.exec.reset_families(tasks)
-        for task_id, bags, _ in plan:
             for bag_id in sorted(bags):
-                # The discard births a fresh, un-compacted incarnation of
-                # the bag; rewinds against it are legal again.
-                self._finalized.discard(bag_id)
                 self._retrying(lambda b=bag_id: self._store.get(b).discard())
-        for bag_id in sorted(refills):
-            self._finalized.discard(bag_id)
+        for bag_id in refills:
             self._retrying(
                 lambda b=bag_id: refill_bag(
                     self._store,
@@ -1865,31 +1644,37 @@ class DistRuntime:
                     records_per_chunk=self.settings.records_per_chunk,
                 )
             )
-        for _, _, stream_input in plan:
+        for task_id in tasks:
+            stream_input = families[task_id].original.spec.stream_input
             self._retrying(lambda b=stream_input: self._store.get(b).rewind())
-        for task_id, _, _ in plan:
-            family = self.exec.families[task_id]
-            # PENDING originals wait for their (also-reset) producers to
-            # finish again; _finish_family re-readies them.
-            if family.original.state == NodeState.READY:
-                self._ready.append(family.original)
-            self.family_resets += 1
-            self.tracer.inc("dist.family_resets")
-            if self.tracer.enabled:
-                self.tracer.instant("family_reset", cat="dist", task=task_id)
-        # Journaled *after* the storage effects: the record asserts "these
+        if self.shard_deaths != deaths:
+            # A shard died under these effects (absorbed inside _retrying):
+            # some of what was just discarded, refilled or rewound may have
+            # gone with it, and its loss closure may have condemned more.
+            # Close nothing — the caller's loop runs the effects again over
+            # the union once the new cancels are acknowledged.
+            return
+        # Committed *after* the storage effects: the record asserts "these
         # families were reset and their bags discarded/rewound", which is
         # only true here. A death before this line replays the condemn
         # record instead, and the recovery re-runs the (idempotent)
         # discards — conservative, never wrong.
-        self._jappend(("reset", sorted(tasks)))
+        self._ready.extend(self._commit(("reset", tasks, refills)))
+        for task_id in tasks:
+            self.family_resets += 1
+            self.tracer.inc("dist.family_resets")
+            if self.tracer.enabled:
+                self.tracer.instant("family_reset", cat="dist", task=task_id)
 
     # -- master checkpoint-replay -------------------------------------------------
 
-    def _jappend(self, record: Tuple) -> None:
-        """Append one write-ahead record; a no-op with journaling off."""
+    def _commit(self, record: Tuple) -> List[ExecutionNode]:
+        """The one way control state changes: journal ``record`` (when
+        journaling; write-ahead of the effect it licenses), then apply it.
+        Returns the nodes the transition made READY."""
         if self._journal is not None:
             self._journal.append(record)
+        return self.control.apply(record)
 
     def _maybe_kill_master(self) -> None:
         """Fault injection: simulate a master SIGKILL at the event-loop top.
@@ -1928,178 +1713,15 @@ class DistRuntime:
     def _write_checkpoint(self) -> None:
         """Compact the journal: current state as snapshot, WAL truncated."""
         header = {
-            "generation": self._generation,
             "inputs": {
                 bag_id: list(records)
                 for bag_id, records in self._inputs.items()
             },
         }
-        self._journal.write_snapshot(header, self._snapshot_records())
+        with self._epoch_lock:  # a monitor thread may be bumping the vector
+            records = self.control.snapshot_records()
+        self._journal.write_snapshot(header, records)
         self._compact_base = self._journal.appended
-
-    def _snapshot_records(self) -> List[Tuple]:
-        """The live control state as an equivalent compact record sequence.
-
-        Replay reproduces the graph exactly: per family, clone grants in
-        member-index order, the clone-counter high-water mark (gaps are
-        clones discarded by resets), done marks (members before the
-        merge), then assigns of still-RUNNING nodes; plus the wid
-        high-water mark, the epoch vector, any in-flight condemnation,
-        and the fault-injection arming — everything a recovered master
-        must know and cannot re-derive from the fleet.
-        """
-        records: List[Tuple] = []
-        if self._max_wid >= 0:
-            records.append(("spawn", self._max_wid))
-        for task_id in sorted(self.exec.families):
-            family = self.exec.families[task_id]
-            for clone in sorted(
-                family.clones, key=lambda c: self._node_member[c.node_id]
-            ):
-                records.append(
-                    ("clone", task_id, self._node_member[clone.node_id])
-                )
-            if family.clone_counter:
-                records.append(("counter", task_id, family.clone_counter))
-            members = list(family.workers)
-            if family.merge is not None:
-                members.append(family.merge)
-            for member in members:
-                if member.state == NodeState.DONE:
-                    records.append(("done", member.node_id))
-            for member in members:
-                if member.state == NodeState.RUNNING:
-                    wid = self._node_worker.get(member.node_id)
-                    if wid is not None:
-                        records.append(("assign", member.node_id, wid))
-        vector = self._epoch_vector()
-        if vector:
-            records.append(("epochs", vector))
-        for bag_id in sorted(self._finalized):
-            records.append(("finalize", bag_id))
-        if self._recovery_tasks or self._recovery_refill:
-            records.append(
-                (
-                    "condemn",
-                    sorted(self._recovery_tasks),
-                    sorted(self._recovery_refill),
-                )
-            )
-        if self._shard_kill_spent:
-            records.append(("shard_kill_armed",))
-        if self._kill_delivered:
-            records.append(("kill_delivered",))
-        for task_id in sorted(self._adaptive_state):
-            records.append(("adaptive", task_id, self._adaptive_state[task_id]))
-        if self._governor is not None and (
-            self._governor.decisions or self._governor.snapshot()["baseline_p95"]
-        ):
-            records.append(("governor", self._governor.snapshot()))
-        return records
-
-    def _replay(
-        self, records: List[Tuple]
-    ) -> Tuple[Dict[str, int], Set[str], Set[str]]:
-        """Feed journal records through the live graph machinery.
-
-        Returns ``(running, condemned, refills)``: the node -> wid
-        assignments the journal last saw RUNNING (recovery must prove
-        each one is still claimed by a live worker, or reset it), and the
-        condemned-family / source-refill intent of any reset whose final
-        record never landed. Records replay in append order through the
-        same methods the live master used, so a replayed master and a
-        never-crashed one hold bit-for-bit the same control state.
-        """
-        self.exec.initially_ready()
-        running: Dict[str, int] = {}
-        condemned: Set[str] = set()
-        refills: Set[str] = set()
-        max_wid = self._max_wid
-        generation = self._generation
-        for record in records:
-            kind = record[0]
-            if kind == "spawn":
-                max_wid = max(max_wid, record[1])
-            elif kind == "clone":
-                task_id, index = record[1], record[2]
-                node = self.exec.restore_clone(task_id, index)
-                self._node_member[node.node_id] = index
-                # A replayed grant proves the forced-clone schedule fired
-                # for this task already; re-granting would double it.
-                self._forced_pending.discard(task_id)
-            elif kind == "counter":
-                family = self.exec.families[record[1]]
-                family.clone_counter = max(family.clone_counter, record[2])
-            elif kind == "assign":
-                node = self.exec.nodes.get(record[1])
-                if node is not None and node.state != NodeState.DONE:
-                    node.state = NodeState.RUNNING
-                    running[record[1]] = record[2]
-            elif kind == "done":
-                if record[1] in self.exec.nodes:
-                    self.exec.node_done(record[1])
-                running.pop(record[1], None)
-            elif kind == "condemn":
-                condemned.update(record[1])
-                refills.update(record[2])
-            elif kind == "reset":
-                self.exec.reset_families(set(record[1]))
-                for node_id in list(running):
-                    node = self.exec.nodes.get(node_id)
-                    if node is None or node.state != NodeState.RUNNING:
-                        running.pop(node_id, None)
-                # Mirror the live reset's un-finalize: the discarded
-                # outputs (and refilled sources) are fresh incarnations
-                # that were never compacted.
-                for task_id in record[1]:
-                    spec = self.graph.tasks.get(task_id)
-                    if spec is not None:
-                        for bag_id in spec.outputs:
-                            self._finalized.discard(bag_id)
-                for bag_id in refills:
-                    self._finalized.discard(bag_id)
-                # The reset record closes out the whole accumulated
-                # condemnation (the live master swaps the full set out
-                # atomically), so the outstanding intent is clean again.
-                condemned.clear()
-                refills.clear()
-            elif kind == "epochs":
-                with self._epoch_lock:
-                    for shard, epoch in record[1].items():
-                        if epoch > self._epochs.get(shard, 0):
-                            self._epochs[shard] = epoch
-            elif kind == "shard_kill_armed":
-                self._shard_kill_spent = True
-            elif kind == "kill_delivered":
-                self._kill_delivered = True
-            elif kind == "finalize":
-                self._finalized.add(record[1])
-            elif kind == "adaptive":
-                # Last write wins: records land in append order, so the
-                # final one per family is the furthest-adapted snapshot.
-                self._adaptive_state[record[1]] = record[2]
-                self._adaptive_journaled[record[1]] = len(
-                    record[2].get("trajectory") or []
-                )
-            elif kind == "governor":
-                if self.adaptive is not None:
-                    self._governor = CloneGovernor.restore(
-                        self.adaptive, record[1]
-                    )
-            elif kind == "generation":
-                generation = max(generation, record[1])
-            # Unknown kinds fall through: a journal written by a newer
-            # master may carry records this replay does not need.
-        self._generation = generation
-        self._max_wid = max_wid
-        self._wid_counter = itertools.count(max_wid + 1)
-        # Prune member entries for nodes a replayed reset deleted.
-        self._node_member = {
-            node_id: member
-            for node_id, member in self._node_member.items()
-            if node_id in self.exec.nodes
-        }
-        return running, condemned, refills
 
     def resume(self, fleet: MasterFleet, timeout: float = 120.0) -> DistResult:
         """Reconstruct the master from its journal and drive the run home.
@@ -2107,13 +1729,16 @@ class DistRuntime:
         Call on a **fresh** runtime built with the same constructor
         arguments (and the same ``journal_dir``) as the one that raised
         :class:`MasterKilled`. Recovery: load snapshot + WAL tail and
-        replay; adopt the surviving shard fleet (probing each survivor
-        for its epoch vector and inventory, respawning the dead);
-        re-adopt the workers via the reattach handshake — running nodes a
-        live worker still claims continue untouched, everything RUNNING
-        per the journal but claimed by nobody is in doubt and its family
-        resets through the ordinary loss-closure machinery; re-seal what
-        finished; resume the event loop.
+        ``apply`` each record — the very function the dead master ran them
+        through; adopt the surviving shard fleet (probing each survivor
+        for its epoch vector, respawning the dead); re-adopt the workers
+        via the reattach handshake — a re-hello replaces what the journal
+        said that worker holds with what it claims, so running nodes a
+        live worker still claims continue untouched, and everything
+        RUNNING per the journal but claimed by nobody is an orphan the
+        event loop's ordinary loop-top sweep resets, as it finishes any
+        condemnation the journal left outstanding; re-seal what finished;
+        resume the event loop.
         """
         deadline = time.monotonic() + timeout
         started = time.monotonic()
@@ -2129,9 +1754,14 @@ class DistRuntime:
             bag_id: list(header.get("inputs", {}).get(bag_id, ()))
             for bag_id in self.graph.source_bags()
         }
-        self._generation = header.get("generation", 0)
-        running, condemned, refills = self._replay(records)
-        self._generation += 1
+        for record in records:
+            self.control.apply(record)
+        if self._governor is not None and self.control.governor is not None:
+            # Continue the governor's onset/baseline state and decision
+            # log instead of re-warming and double-granting.
+            self._governor = CloneGovernor.restore(
+                self.adaptive, self.control.governor
+            )
         # Adopt the surviving fleet.
         self._socket_dir = fleet.socket_dir
         if self.settings.resident_bytes is not None:
@@ -2143,15 +1773,15 @@ class DistRuntime:
         self._shard_procs = list(fleet.shard_procs)
         self._shard_addresses = list(fleet.shard_addresses)
         self._authkey = fleet.authkey
-        if fleet.workers:
-            # The fleet outranks the journal on wids in use: a spawn
-            # record lost to a torn tail must not make the counter hand
-            # out a wid some surviving process already owns.
-            self._max_wid = max(self._max_wid, max(fleet.workers))
-            self._wid_counter = itertools.count(self._max_wid + 1)
+        self._workers = fleet.workers
         self._journal = MasterJournal(self.journal_dir)
         self._compact_base = self._journal.appended
-        self._jappend(("generation", self._generation))
+        self._commit(("generation", self.control.generation + 1))
+        if fleet.workers:
+            # The fleet outranks the journal on wids in use: a spawn
+            # record lost to a torn tail must not make the sequence hand
+            # out a wid some surviving process already owns.
+            self._commit(("spawn", max(fleet.workers)))
         try:
             # Generation-scoped client id: the dead incarnation's chunk-id
             # stamps and removal seqs live on in the shards' dedup state,
@@ -2160,32 +1790,24 @@ class DistRuntime:
             self._store = ShardedBagStore(
                 self._shard_addresses,
                 self._authkey,
-                f"master.g{self._generation}",
+                f"master.g{self.control.generation}",
                 self.settings.policy,
                 router=self.router,
             )
-            for index, proc in enumerate(self._shard_procs):
-                if proc is not None and proc.is_alive():
-                    threading.Thread(
-                        target=self._shard_monitor,
-                        args=(index, proc),
-                        daemon=True,
-                        name=f"dist-shardmon-{index}",
-                    ).start()
             # Probe the survivors: max-merge any demotions the shards
             # gossiped among themselves while no master was alive, then
             # make the merged vector authoritative everywhere.
-            for index in range(self.shards):
+            for index, proc in enumerate(self._shard_procs):
                 if not self._shard_alive(index):
                     continue
+                self._watch_shard(index, proc)
                 try:
-                    info = self._store.probe(index)
+                    gossiped = self._store.probe(index).get("epochs")
                 except ReproError:
                     continue  # died since the aliveness check; reaped below
-                with self._epoch_lock:
-                    for shard, epoch in info.get("epochs", {}).items():
-                        if epoch > self._epochs.get(shard, 0):
-                            self._epochs[shard] = epoch
+                if gossiped:
+                    with self._epoch_lock:
+                        self._commit(("epochs", gossiped))
             vector = self._epoch_vector()
             self._store.adopt_epochs(vector)
             if self.replication > 1 and vector:
@@ -2198,7 +1820,6 @@ class DistRuntime:
                         pass  # its death event re-pushes
             # Re-adopt the workers: repoint their reader-thread sinks at
             # our queue, then take attendance with the reattach handshake.
-            self._workers = fleet.workers
             for worker in self._workers.values():
                 worker.sink = self._events
             dead_wids: Set[int] = set()
@@ -2233,7 +1854,7 @@ class DistRuntime:
                     # Post-hello traffic from an adopted mid-task worker
                     # (progress, or its done landing while attendance
                     # continues elsewhere): live — re-injected below, once
-                    # the recovery resets are decided.
+                    # the dead are recovered.
                     stashed.append(event)
                 # Pre-hello traffic is from the dead master's era and is
                 # DROPPED, exactly as the dead master's queue dropped it.
@@ -2251,78 +1872,24 @@ class DistRuntime:
                 # never write again, then recover it as a corpse.
                 self._workers[wid].proc.terminate()
                 dead_wids.add(wid)
-            # Dead shards next (cancels from their loss closure need the
-            # assignment map the adoption just rebuilt).
+            # The dead, through the ordinary handlers: the assignment map
+            # already says what each corpse held.
             for index, proc in enumerate(list(self._shard_procs)):
                 if proc is not None and not proc.is_alive():
                     self._on_shard_dead(index, proc)
-            # Dead workers: restore the journal's assignment so the
-            # ordinary corpse recovery fences them and resets their
-            # families.
             for wid in sorted(dead_wids):
-                node_id = next(
-                    (n for n, w in running.items() if w == wid), None
-                )
-                if (
-                    node_id is not None
-                    and node_id in self.exec.nodes
-                    and node_id not in self._node_worker
-                    and self.exec.nodes[node_id].state == NodeState.RUNNING
-                ):
-                    self._assigned[wid] = self.exec.nodes[node_id]
-                    self._node_worker[node_id] = wid
-                if wid in self._workers:
-                    self._on_worker_dead(wid)
-            # In-doubt sweep: RUNNING per the journal, claimed by nobody.
-            # The worker may have finished the node and reported into the
-            # void, or died unreported — either way the committed state
-            # cannot be proven, so the family replays. Journal-recorded
-            # condemnation intent joins the same closure.
-            in_doubt = {
-                self.exec.nodes[node_id].task_id
-                for node_id in running
-                if node_id in self.exec.nodes
-                and self.exec.nodes[node_id].state == NodeState.RUNNING
-                and node_id not in self._node_worker
-            }
-            unadopted, self._unadopted_tasks = self._unadopted_tasks, set()
-            seeds = sorted(
-                task_id
-                for task_id in in_doubt | condemned | unadopted
-                if task_id in self.exec.families
-                and task_id not in self._recovery_tasks
-            )
-            if seeds or refills:
-                to_reset, closure_refills = self._loss_closure(
-                    set(refills), {}, seed_tasks=seeds
-                )
-                self._begin_family_resets(to_reset, closure_refills)
+                self._on_worker_dead(wid)
             # Re-seal: a family whose done landed in the journal may have
             # died before its output bag's seal RPC. Idempotent.
             for bag_id in sorted(self.graph.bags):
-                if self.exec.bag_complete(bag_id):
+                if self.control.exec.bag_complete(bag_id):
                     self._seal_if_complete(bag_id)
-            # Rebuild the ready list from graph state (assignment replays
-            # left READY whatever was in the dead master's in-memory
-            # queue); duplicates are tolerated — _assign_ready skips any
-            # entry no longer READY when popped.
-            for node in self.exec.nodes.values():
-                if node.kind == NodeKind.MERGE:
-                    self._node_member.setdefault(node.node_id, 0)
-                if node.state == NodeState.READY:
-                    self._ready.append(node)
-            for family in self.exec.families.values():
-                if family.merge is not None:
-                    self._node_member.setdefault(family.original.node_id, 0)
             self.master_recoveries += 1
             self._write_checkpoint()
             self.master_failover_seconds.append(time.monotonic() - started)
             for event in stashed:
                 self._events.put(event)
-            self._event_loop(deadline)
-            snapshots = self._snapshot()
-            shard_stats = self._store.stats()
-            return DistResult(self, snapshots, shard_stats)
+            return self._run_to_completion(deadline)
         finally:
             self._shutdown()
 

@@ -58,6 +58,9 @@ class ExecutionNode:
         self.outputs = outputs
         #: For MERGE nodes: the partial-output bags to reconcile.
         self.merge_inputs = merge_inputs
+        #: Family member index: a clone's index (which also names its
+        #: partial bag); 0 for the original and the merge.
+        self.member = 0
         self.state = NodeState.PENDING
 
     @property
@@ -235,6 +238,7 @@ class ExecutionGraph:
             side_inputs=spec.side_inputs,
             outputs=outputs,
         )
+        clone.member = index
         clone.state = NodeState.READY
         self.nodes[clone.node_id] = clone
         family.clones.append(clone)

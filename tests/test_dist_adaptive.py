@@ -115,7 +115,7 @@ class TestAdaptiveJournal:
         behind = self.snapshot_after(8)
         runtime._absorb_adaptive("t", {"adaptive": ahead})
         runtime._absorb_adaptive("t", {"adaptive": behind})
-        assert runtime._adaptive_state["t"] == ahead
+        assert runtime.control.adaptive["t"] == ahead
 
     def test_journaled_only_when_the_trajectory_grows(self, tmp_path):
         runtime = self.build_runtime(tmp_path)
@@ -135,16 +135,22 @@ class TestAdaptiveJournal:
             "t", {"adaptive": snapshot, "latency_window": {0: [0.01] * 8}}
         )
         runtime._governor.evaluate(20)
-        runtime._jappend(("governor", runtime._governor.snapshot()))
+        runtime._commit(("governor", runtime._governor.snapshot()))
         runtime._journal.close()
         _header, records = MasterJournal.load(str(tmp_path))
         successor = self.build_runtime()
-        successor._replay(records)
-        assert successor._adaptive_state["t"] == snapshot
-        # Replay must also restore the dedup cursor, or the successor
-        # would re-journal the same trajectory on the next heartbeat.
-        assert successor._adaptive_journaled["t"] == len(snapshot["trajectory"])
-        restored = successor._governor.snapshot()
+        for record in records:
+            successor.control.apply(record)
+        assert successor.control.adaptive["t"] == snapshot
+        # Replay must also restore the dedup cursor (the journaled
+        # trajectory's length), or the successor would re-journal the
+        # same trajectory on the next heartbeat.
+        further = dict(snapshot, chunks_seen=snapshot["chunks_seen"] + 1)
+        successor._absorb_adaptive("t", {"adaptive": further})
+        assert successor.control.adaptive["t"] == snapshot
+        restored = CloneGovernor.restore(
+            successor.adaptive, successor.control.governor
+        ).snapshot()
         assert restored == runtime._governor.snapshot()
 
     def test_descriptor_and_settings_carry_adaptive_state(self):

@@ -360,13 +360,9 @@ class TestShardKillProtocol:
         # the same loss closure, seed 11 hashjoin).
         from types import SimpleNamespace
 
-        from repro.model.execution_graph import NodeState
-
         runtime = DistRuntime(
             build_hashjoin_local(partitions=2), workers=2, shards=2
         )
-        node = runtime.exec.nodes["partition.s"]
-        node.state = NodeState.RUNNING
         corpse = SimpleNamespace(
             wid=1,
             proc=SimpleNamespace(
@@ -380,17 +376,18 @@ class TestShardKillProtocol:
             alive=True,
         )
         runtime._workers = {1: corpse}
-        runtime._assigned = {1: node}
-        runtime._node_worker = {"partition.s": 1}
         # Mid-condemnation: both partitions' cancels are in flight.
-        runtime._recovery_tasks = {"partition.r", "partition.s"}
-        runtime._recovery_pending = {"partition.r", "partition.s"}
+        for record in (
+            ("assign", "partition.s", 1),
+            ("assign", "partition.r", 2),
+            ("condemn", ["partition.r", "partition.s"], []),
+        ):
+            runtime._commit(record)
         applied = []
 
         def fake_apply():
-            applied.append(sorted(runtime._recovery_tasks))
-            runtime._recovery_tasks = set()
-            runtime._recovery_refill = set()
+            applied.append(sorted(runtime.control.condemned))
+            runtime._commit(("reset", applied[-1], []))
 
         monkeypatch.setattr(runtime, "_apply_recovery", fake_apply)
         monkeypatch.setattr(runtime, "_spawn_worker", lambda: None)
@@ -398,7 +395,7 @@ class TestShardKillProtocol:
         runtime._on_worker_dead(1)
         # The corpse's cancel is acked by its EOF; the reset still waits
         # for the live owner of partition.r, and applies on its ack.
-        assert "partition.s" not in runtime._recovery_pending
+        assert runtime.control.owner("partition.s") is None
         assert not applied
         runtime._on_aborted(2, {"node_id": "partition.r"})
         assert applied == [["partition.r", "partition.s"]]
@@ -412,31 +409,33 @@ class TestShardKillProtocol:
         # respawned shard) sealed. It finished on no input and its result
         # stood: about one r=1 shard-kill run in 150 ended with one
         # region's count at 0.
-        from repro.model.execution_graph import NodeState
-
         runtime = DistRuntime(
             build_hashjoin_local(partitions=2), workers=2, shards=2
         )
-        consumer = next(
-            node
-            for node in runtime.exec.nodes.values()
-            if "partition.s" in {
-                producer.task_id
-                for bag_id in node.spec.inputs
-                for producer in runtime.graph.producers_of(bag_id)
-            }
-        )
-        consumer.state = NodeState.READY
+        # Both producers finish, which readies their consumers.
+        ready = []
+        for wid, task_id in enumerate(("partition.r", "partition.s")):
+            runtime._commit(("assign", task_id, wid))
+            ready += runtime._commit(("done", task_id))
+        consumer = ready[0]
+        assert "partition.s" in {
+            producer.task_id
+            for bag_id in consumer.spec.inputs
+            for producer in runtime.graph.producers_of(bag_id)
+        }
         runtime._ready = [consumer]
         runtime._idle = [0]
         dispatched = []
         monkeypatch.setattr(
             runtime, "_dispatch", lambda wid, node: dispatched.append(node.node_id)
         )
-        runtime._recovery_tasks = {"partition.s"}  # condemned, acks pending
+        # partition.s's output is lost: condemned, acks pending.
+        runtime._commit(("condemn", ["partition.s"], []))
         runtime._assign_ready()
         assert dispatched == []
         assert runtime._ready == [consumer] and runtime._idle == [0]
-        runtime._recovery_tasks = set()  # the reset applied
+        # The reset applied: dispatch resumes — with the re-run producer,
+        # the consumer having gone back to waiting for it.
+        runtime._ready += runtime._commit(("reset", ["partition.s"], []))
         runtime._assign_ready()
-        assert dispatched == [consumer.node_id]
+        assert dispatched == ["partition.s"]
