@@ -210,9 +210,9 @@ class DistTaskContext(TaskContext):
                         pending_windows = {}
                 self._cmd_conn.send(progress)
             serving_started = time.perf_counter()
-            for record in self._decode(self._node.stream_input, chunk):
-                self.records_in += 1
-                yield record
+            records = self._decode(self._node.stream_input, chunk)
+            self.records_in += len(records)
+            yield from records
             # Wall time from delivery to the consumer asking for the next
             # chunk — the controller's per-chunk service signal (applied
             # with a one-chunk lag; the EMA does not care).

@@ -11,7 +11,8 @@ storage server or ``m`` shards.
 Bags come in two representations, decided by the bag's ``codec_spec``:
 
 * **typed bags** hold serialized chunk payloads (``bytes``) built with
-  :mod:`repro.serde.chunks`;
+  :mod:`repro.serde.chunks` — ``uvarint(record_count)`` plus the records
+  packed as one column per field, never longer than ``chunk_size``;
 * **object bags** (``codec_spec is None``) hold chunks that are plain
   Python lists of records — the escape hatch for values with no codec
   (counters, bitsets, merged aggregates).

@@ -15,12 +15,12 @@ A :class:`TaskContext` gives a task function:
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.engine.common import iter_bag_chunks
 from repro.errors import BagError
 from repro.model.execution_graph import ExecutionNode
-from repro.serde.chunks import ChunkBuilder, iter_chunk
+from repro.serde.chunks import ChunkBuilder, decode_chunk
 from repro.serde.codecs import codec_for
 
 
@@ -60,11 +60,11 @@ class TaskContext:
         spec = self._graph.bags[bag_id].codec_spec
         return codec_for(spec) if spec is not None else None
 
-    def _decode(self, bag_id: str, chunk) -> Iterator[Any]:
+    def _decode(self, bag_id: str, chunk) -> List[Any]:
         codec = self._codec_of(bag_id)
         if codec is None:
-            return iter(chunk)  # object chunk: a list of records
-        return iter_chunk(chunk, codec)
+            return chunk  # object chunk: a list of records
+        return decode_chunk(chunk, codec)
 
     def records(self) -> Iterator[Any]:
         """Late-binding iteration over the stream input (exactly-once)."""
@@ -79,9 +79,9 @@ class TaskContext:
                 return  # input bags are sealed before the task starts
             self.chunks_in += 1
             served = time.perf_counter() if note is not None else 0.0
-            for record in self._decode(self._node.stream_input, chunk):
-                self.records_in += 1
-                yield record
+            records = self._decode(self._node.stream_input, chunk)
+            self.records_in += len(records)
+            yield from records
             if note is not None:
                 note(self._node.task_id, time.perf_counter() - served)
 
@@ -98,34 +98,34 @@ class TaskContext:
 
     # -- output ------------------------------------------------------------------
 
-    def _builder_for(self, bag_id: str):
-        if bag_id not in self._builders:
-            codec = self._codec_of(bag_id)
-            if codec is None:
-                self._builders[bag_id] = _ObjectBatcher(
-                    self._runtime.records_per_chunk
-                )
-            else:
-                self._builders[bag_id] = ChunkBuilder(
-                    codec, self._runtime.chunk_size
-                )
-        return self._builders[bag_id]
-
-    def emit(self, bag_id: Optional[str], record: Any) -> None:
-        """Append a record to an output bag (buffered into chunks)."""
-        target = bag_id if bag_id is not None else self._node.outputs[0]
+    def _open_builder(self, target: str):
+        """Validate ``target`` and create its builder: once per output bag."""
         if target not in self._node.spec.outputs and target not in self._node.outputs:
             raise BagError(
                 f"task {self._node.task_id!r} cannot emit to {target!r}; "
                 f"declared outputs are {self._node.spec.outputs}"
             )
-        chunk = self._builder_for(target).add(record)
+        codec = self._codec_of(target)
+        if codec is None:
+            builder = _ObjectBatcher(self._runtime.records_per_chunk)
+        else:
+            builder = ChunkBuilder(codec, self._runtime.chunk_size)
+        self._builders[target] = builder
+        return builder
+
+    def emit(self, bag_id: Optional[str], record: Any) -> None:
+        """Append a record to an output bag (buffered into chunks)."""
+        target = bag_id if bag_id is not None else self._node.outputs[0]
+        builder = self._builders.get(target)
+        if builder is None:
+            builder = self._open_builder(target)
+        chunk = builder.add(record)
         if chunk is not None:
             self._runtime.store.get(target).insert(chunk)
 
     def flush(self) -> None:
-        """Push every buffered tail chunk (called by the runtime at task end)."""
+        """Push every buffered chunk (called by the runtime at task end)."""
         for bag_id, builder in self._builders.items():
-            chunk = builder.flush()
-            if chunk is not None:
+            # A builder that cut a prefix can hold more than one chunk.
+            while (chunk := builder.flush()) is not None:
                 self._runtime.store.get(bag_id).insert(chunk)

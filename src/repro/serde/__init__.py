@@ -8,11 +8,18 @@ invariants from the paper are enforced here:
   decodable, which is what lets any clone process any chunk in isolation;
 * **typed iterators compose** — primitive codecs (ints, floats, strings,
   bytes) combine into tuples and lists to represent nested record types.
+
+The chunk is also the unit of serde *work*: ``uvarint(record_count)`` plus
+the records packed as one column (layouts in :mod:`repro.serde.codecs`) by
+C-level standard-library calls — no Python bytecode per record between
+``ChunkBuilder.add``, an append and a compare, and the task's own loop — with
+the size bound verified on the packed chunk (:mod:`repro.serde.chunks`).
 """
 
 from repro.serde.chunks import (
     ChunkBuilder,
     chunk_records,
+    decode_chunk,
     iter_chunk,
     iter_chunks,
 )
@@ -43,6 +50,7 @@ __all__ = [
     "Utf8Codec",
     "chunk_records",
     "codec_for",
+    "decode_chunk",
     "decode_uvarint",
     "encode_uvarint",
     "iter_chunk",

@@ -1,15 +1,22 @@
 """Packing records into fixed-size chunks.
 
-A chunk is the indivisible unit of data in a bag (Section 2.2). The wire
-format is ``uvarint(record_count)`` followed by the concatenated encoded
-records. A :class:`ChunkBuilder` flushes a chunk as soon as adding the next
-record would exceed the size limit, guaranteeing that no record spans two
-chunks; a record that alone exceeds the limit raises
-:class:`~repro.errors.ChunkOverflowError`.
+A chunk is the indivisible unit of data in a bag (Section 2.2) and the unit
+of serde work: ``uvarint(record_count)`` followed by the records packed as
+one column by their codec (layouts in :mod:`repro.serde.codecs`; no version
+byte, chunks never outlive a run). Every chunk decodes alone — no record
+spans two — and is never longer than the builder's ``chunk_size``.
+
+A column's size is known only once it is packed, so :class:`ChunkBuilder`
+**packs and verifies**: it buffers records up to a learned count, packs them
+and checks the byte bound on the result. What fits and is at least 7/8 full
+is emitted; what fits with room to spare stays buffered and the count rises;
+what overshoots is cut at the longest prefix that fits and the rest stays
+buffered. Each time the count is re-aimed from the bytes per record observed.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Iterable, Iterator, List, Optional
 
 from repro.errors import ChunkOverflowError, SerdeError
@@ -17,54 +24,98 @@ from repro.serde.codecs import Codec
 from repro.serde.varint import decode_uvarint, encode_uvarint
 from repro.units import DEFAULT_CHUNK_SIZE
 
-#: Bytes reserved for the record-count header when sizing chunks.
-_HEADER_RESERVE = 10
-
 
 class ChunkBuilder:
-    """Accumulates encoded records and emits chunk payloads of bounded size."""
+    """Buffers records and emits chunk payloads of bounded size.
+
+    ``add`` is an append and a compare; packing happens about once per chunk,
+    and chunk boundaries depend on the record sequence alone. A record that
+    does not fit in a chunk by itself raises
+    :class:`~repro.errors.ChunkOverflowError` — not necessarily from the
+    ``add`` that buffered it, but once it heads the buffer, at a later ``add``
+    or ``flush``. After a cut the buffer can hold more than one chunk: call
+    ``flush`` until it returns None.
+    """
 
     def __init__(self, codec: Codec, chunk_size: int = DEFAULT_CHUNK_SIZE):
-        if chunk_size <= _HEADER_RESERVE:
+        if chunk_size <= 10:  # a count header and one 8-byte integer
             raise ValueError(f"chunk_size too small: {chunk_size}")
         self.codec = codec
         self.chunk_size = chunk_size
-        self._parts: List[bytes] = []
-        self._size = 0
-        self._count = 0
+        self._records: List[Any] = []
+        #: Records to buffer before packing; 1 until a pack has been observed.
+        self._target = 1
 
     @property
     def pending_records(self) -> int:
-        return self._count
+        return len(self._records)
 
     def add(self, record: Any) -> Optional[bytes]:
-        """Add a record; returns a completed chunk if this record filled one."""
-        encoded = self.codec.encode(record)
-        if len(encoded) > self.chunk_size - _HEADER_RESERVE:
-            raise ChunkOverflowError(
-                f"record of {len(encoded)} bytes exceeds chunk size "
-                f"{self.chunk_size} (records may not span chunks)"
-            )
-        completed = None
-        if self._size + len(encoded) > self.chunk_size - _HEADER_RESERVE:
-            completed = self._flush()
-        self._parts.append(encoded)
-        self._size += len(encoded)
-        self._count += 1
-        return completed
+        """Buffer a record; returns a completed chunk if this record filled one."""
+        self._records.append(record)
+        if len(self._records) < self._target:
+            return None
+        return self._cut(final=False)
 
-    def _flush(self) -> bytes:
-        chunk = encode_uvarint(self._count) + b"".join(self._parts)
-        self._parts = []
-        self._size = 0
-        self._count = 0
-        return chunk
+    def extend(self, records: Iterable[Any]) -> Iterator[bytes]:
+        """``add`` every record, yielding the chunks they complete."""
+        source, pending = iter(records), self._records
+        while True:
+            pending.extend(islice(source, max(1, self._target - len(pending))))
+            if len(pending) < self._target:
+                return  # source exhausted
+            chunk = self._cut(final=False)
+            if chunk is not None:
+                yield chunk
 
     def flush(self) -> Optional[bytes]:
-        """Emit the final partial chunk, or None if nothing is pending."""
-        if self._count == 0:
+        """Emit the next pending chunk, or None once nothing is pending."""
+        if not self._records:
             return None
-        return self._flush()
+        return self._cut(final=True)
+
+    def _pack(self, records: List[Any]) -> bytes:
+        return encode_uvarint(len(records)) + self.codec.pack(records)
+
+    def _cut(self, final: bool) -> Optional[bytes]:
+        """Pack the buffer; emit a chunk of its head, or keep filling."""
+        records, limit = self._records, self.chunk_size
+        count, chunk = len(records), self._pack(records)
+        roomy = not final and len(chunk) * 8 < limit * 7
+        if len(chunk) > limit:
+            count, chunk = self._longest_prefix(len(chunk))
+        # Records that fill a chunk at the bytes per record just observed
+        # (headers included, so the aim errs low).
+        self._target = max(1, count * limit // len(chunk))
+        if roomy and self._target > count:
+            return None
+        del records[:count]
+        return chunk
+
+    def _longest_prefix(self, size: int):
+        """The most leading records that pack within the limit -> (count, chunk).
+
+        A prefix never packs larger than a longer one, so this bisects, from
+        the proportional guess (the buffer packed to ``size``) that a near
+        miss confirms in a step or two.
+        """
+        records, limit = self._records, self.chunk_size
+        fits, over, best = 0, len(records), None
+        guess = over * limit // size
+        while over - fits > 1:
+            guess = min(max(guess, fits + 1), over - 1)
+            chunk = self._pack(records[:guess])
+            if len(chunk) <= limit:
+                fits, best = guess, chunk
+            else:
+                over, size = guess, len(chunk)
+            guess = (fits + over) // 2
+        if best is None:
+            raise ChunkOverflowError(
+                f"record of {size} bytes exceeds chunk size "
+                f"{limit} (records may not span chunks)"
+            )
+        return fits, best
 
 
 def chunk_records(
@@ -72,29 +123,33 @@ def chunk_records(
 ) -> Iterator[bytes]:
     """Serialize ``records`` into a stream of chunk payloads."""
     builder = ChunkBuilder(codec, chunk_size)
-    for record in records:
-        chunk = builder.add(record)
-        if chunk is not None:
-            yield chunk
-    tail = builder.flush()
-    if tail is not None:
-        yield tail
+    yield from builder.extend(records)
+    while (chunk := builder.flush()) is not None:
+        yield chunk
 
 
-def iter_chunk(chunk: bytes, codec: Codec) -> Iterator[Any]:
-    """Decode all records from one chunk payload."""
+def decode_chunk(chunk: bytes, codec: Codec) -> List[Any]:
+    """Decode one chunk payload into the list of its records."""
     view = memoryview(chunk)
     count, offset = decode_uvarint(view, 0)
-    for _ in range(count):
-        record, offset = codec.decode(view, offset)
-        yield record
+    records, offset = codec.unpack(view, offset, count)
     if offset != len(view):
         raise SerdeError(
             f"chunk has {len(view) - offset} trailing bytes after {count} records"
         )
+    return records
+
+
+def iter_chunk(chunk: bytes, codec: Codec) -> Iterator[Any]:
+    """Decode all records from one chunk payload.
+
+    Eagerly: a corrupt chunk raises :class:`~repro.errors.SerdeError` from
+    this call, before the caller sees its first record.
+    """
+    return iter(decode_chunk(chunk, codec))
 
 
 def iter_chunks(chunks: Iterable[bytes], codec: Codec) -> Iterator[Any]:
     """Decode records from a stream of chunk payloads."""
     for chunk in chunks:
-        yield from iter_chunk(chunk, codec)
+        yield from decode_chunk(chunk, codec)

@@ -1,9 +1,29 @@
 """Composable typed codecs ("typed iterators" in the paper's terms).
 
-A :class:`Codec` turns one record into bytes and back. Primitive codecs
-cover the formats the paper lists (integers, floats, strings) and
-:class:`TupleCodec` / :class:`ListCodec` compose them into nested records.
-``codec_for`` builds a codec from a compact spec, e.g.::
+A :class:`Codec` serializes a *column*: ``pack(values)`` turns a sequence of
+values of one type into bytes and ``unpack(view, offset, count)`` reads
+``count`` of them back. A chunk is one column of records
+(:mod:`repro.serde.chunks`), so serde is a few C-level standard-library calls
+per chunk and no Python bytecode per value. The layouts, all little-endian:
+
+``u64``    one width byte (1, 2, 4 or 8: the narrowest that holds the column's
+           maximum), then ``count`` unsigned integers of that width
+``i64``    the same over two's-complement signed integers
+``f64``    ``count`` IEEE-754 doubles, no header
+``bool``   one byte per value (0 or 1; any non-zero byte reads as true)
+``bytes``  a ``u64`` column of lengths, then the values concatenated
+``str``    a ``u64`` column of lengths *in characters*, ``uvarint(byte
+           length)``, then the values concatenated and UTF-8 encoded once
+``tuple``  each field's column in field order (the records transposed)
+``list``   a ``u64`` column of lengths, then the element codec's column of
+           every list's items, flattened (a list of tuples is the tuple's
+           field columns over all items)
+
+A value its column cannot represent exactly (a non-integer, a negative or an
+integer past 64 bits in an integer column, a lone surrogate in ``str``)
+raises :class:`~repro.errors.SerdeError` from ``pack``, in the producer; a
+truncated or corrupt column raises it from ``unpack`` before any value is
+returned. ``codec_for`` builds a codec from a compact spec, e.g.::
 
     codec_for("u64")
     codec_for(("tuple", "str", "f64"))
@@ -12,106 +32,176 @@ cover the formats the paper lists (integers, floats, strings) and
 
 from __future__ import annotations
 
-import struct
+import io
+import sys
+from array import array
+from itertools import accumulate, chain, pairwise
 from typing import Any, Sequence, Tuple, Union
 
 from repro.errors import SerdeError
-from repro.serde.varint import (
-    decode_uvarint,
-    encode_uvarint,
-    zigzag_decode,
-    zigzag_encode,
-)
+from repro.serde.varint import decode_uvarint, encode_uvarint
+
+#: What a standard-library call raises for a value its column cannot hold.
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
+
+def _dump(typecode: str, values: Sequence[Any]) -> bytes:
+    """``values`` as little-endian items of ``typecode`` (raises ``_BAD_VALUE``)."""
+    column = array(typecode, values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tobytes()
+
+
+def _take(view, offset: int, size: int) -> Tuple[Any, int]:
+    """The next ``size`` bytes of ``view`` at ``offset`` -> (slice, new_offset)."""
+    end = offset + size
+    if end > len(view):
+        raise SerdeError(f"truncated column: {size} bytes at {offset} of {len(view)}")
+    return view[offset:end], end
+
+
+def _load(view, offset: int, count: int, typecode: str) -> Tuple[list, int]:
+    """Read ``count`` little-endian items of ``typecode`` -> (values, new_offset)."""
+    column = array(typecode)
+    raw, end = _take(view, offset, count * column.itemsize)
+    column.frombytes(raw)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tolist(), end
 
 
 class Codec:
-    """Encode/decode one record. Subclasses implement both directions."""
+    """Pack/unpack one column of values. Subclasses implement both directions."""
 
     #: Spec name used by :func:`codec_for`; subclasses override.
     name = "abstract"
 
-    def encode(self, value: Any) -> bytes:
+    def pack(self, values: Sequence[Any]) -> bytes:
+        """Serialize a sequence (sized, iterable twice) of values as one column."""
         raise NotImplementedError
 
-    def decode(self, buf, offset: int) -> Tuple[Any, int]:
-        """Decode a record from ``buf`` at ``offset`` -> (value, new_offset)."""
+    def unpack(self, view: memoryview, offset: int, count: int) -> Tuple[list, int]:
+        """Read ``count`` values from ``view`` at ``offset`` -> (values, new_offset)."""
         raise NotImplementedError
+
+    def encode(self, value: Any) -> bytes:
+        """One value, as a one-element column."""
+        return self.pack((value,))
+
+    def decode(self, buf, offset: int) -> Tuple[Any, int]:
+        """Decode a one-element column at ``offset`` -> (value, new_offset)."""
+        (value,), offset = self.unpack(memoryview(buf), offset, 1)
+        return value, offset
 
 
 class UInt64Codec(Codec):
     name = "u64"
+    #: Column width in bytes -> array typecode, narrowest first.
+    _typecodes = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-    def encode(self, value: Any) -> bytes:
-        return encode_uvarint(int(value))
+    def pack(self, values: Sequence[Any]) -> bytes:
+        # The narrowest width whose array() takes every value: a width too
+        # narrow gives up at its first oversized value, usually an early one.
+        # (Only the message is kept: a stored exception would pin ``values``
+        # in a traceback cycle until the next garbage collection.)
+        for width, typecode in self._typecodes.items():
+            try:
+                return bytes((width,)) + _dump(typecode, values)
+            except OverflowError as exc:
+                reason = str(exc)  # too narrow, or (at 8 bytes) outside 64 bits
+            except (TypeError, ValueError) as exc:
+                reason = str(exc)  # not an integer at any width
+                break
+        raise SerdeError(f"value outside the {self.name} domain: {reason}")
 
-    def decode(self, buf, offset: int) -> Tuple[int, int]:
-        return decode_uvarint(buf, offset)
+    def unpack(self, view, offset, count):
+        (width,), offset = _take(view, offset, 1)
+        if width not in self._typecodes:
+            raise SerdeError(f"illegal {self.name} column width {width}")
+        return _load(view, offset, count, self._typecodes[width])
 
 
-class Int64Codec(Codec):
+class Int64Codec(UInt64Codec):
     name = "i64"
-
-    def encode(self, value: Any) -> bytes:
-        return encode_uvarint(zigzag_encode(int(value)))
-
-    def decode(self, buf, offset: int) -> Tuple[int, int]:
-        raw, offset = decode_uvarint(buf, offset)
-        return zigzag_decode(raw), offset
+    _typecodes = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 class Float64Codec(Codec):
     name = "f64"
-    _packer = struct.Struct("<d")
 
-    def encode(self, value: Any) -> bytes:
-        return self._packer.pack(value)
-
-    def decode(self, buf, offset: int) -> Tuple[float, int]:
+    def pack(self, values: Sequence[Any]) -> bytes:
         try:
-            (value,) = self._packer.unpack_from(buf, offset)
-        except struct.error as exc:
-            raise SerdeError(f"truncated f64 at offset {offset}") from exc
-        return value, offset + 8
+            return _dump("d", values)
+        except _BAD_VALUE as exc:
+            raise SerdeError(f"value outside the f64 domain: {exc}") from exc
+
+    def unpack(self, view, offset, count):
+        return _load(view, offset, count, "d")
 
 
 class BoolCodec(Codec):
     name = "bool"
 
-    def encode(self, value: Any) -> bytes:
-        return b"\x01" if value else b"\x00"
-
-    def decode(self, buf, offset: int) -> Tuple[bool, int]:
+    def pack(self, values: Sequence[Any]) -> bytes:
         try:
-            return buf[offset] != 0, offset + 1
-        except IndexError:
-            raise SerdeError(f"truncated bool at offset {offset}") from None
+            return bytes(map(bool, values))
+        except _BAD_VALUE as exc:
+            raise SerdeError(f"value with no truth value: {exc}") from exc
+
+    def unpack(self, view, offset, count):
+        raw, end = _take(view, offset, count)
+        return list(map(bool, raw)), end
+
+
+_U64 = UInt64Codec()
 
 
 class BytesCodec(Codec):
     name = "bytes"
 
-    def encode(self, value: Any) -> bytes:
-        value = bytes(value)
-        return encode_uvarint(len(value)) + value
+    def pack(self, values: Sequence[Any]) -> bytes:
+        try:
+            try:
+                blob, lengths = b"".join(values), list(map(len, values))
+                if sum(lengths) != len(blob):
+                    raise TypeError("a buffer of items wider than a byte")
+            except TypeError:
+                # Not all flat byte buffers: whatever else bytes() accepts.
+                values = list(map(bytes, values))
+                blob, lengths = b"".join(values), list(map(len, values))
+        except _BAD_VALUE as exc:
+            raise SerdeError(f"value is not bytes-like: {exc}") from exc
+        return _U64.pack(lengths) + blob
 
-    def decode(self, buf, offset: int) -> Tuple[bytes, int]:
-        length, offset = decode_uvarint(buf, offset)
-        end = offset + length
-        if end > len(buf):
-            raise SerdeError(f"truncated bytes record at offset {offset}")
-        return bytes(buf[offset:end]), end
+    def unpack(self, view, offset, count):
+        lengths, offset = _U64.unpack(view, offset, count)
+        raw, end = _take(view, offset, sum(lengths))
+        return list(map(io.BytesIO(raw).read, lengths)), end
 
 
 class Utf8Codec(Codec):
     name = "str"
-    _bytes = BytesCodec()
 
-    def encode(self, value: Any) -> bytes:
-        return self._bytes.encode(str(value).encode("utf-8"))
+    def pack(self, values: Sequence[Any]) -> bytes:
+        try:
+            texts = list(map(str, values))
+            blob = "".join(texts).encode("utf-8")
+        except _BAD_VALUE as exc:
+            raise SerdeError(f"value has no UTF-8 encoding: {exc}") from exc
+        return _U64.pack(list(map(len, texts))) + encode_uvarint(len(blob)) + blob
 
-    def decode(self, buf, offset: int) -> Tuple[str, int]:
-        raw, offset = self._bytes.decode(buf, offset)
-        return raw.decode("utf-8"), offset
+    def unpack(self, view, offset, count):
+        lengths, offset = _U64.unpack(view, offset, count)
+        size, offset = decode_uvarint(view, offset)
+        raw, end = _take(view, offset, size)
+        try:
+            text = str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerdeError(f"str column is not UTF-8: {exc}") from exc
+        if sum(lengths) != len(text):
+            raise SerdeError(f"str lengths do not sum to its {len(text)} characters")
+        return list(map(io.StringIO(text).read, lengths)), end
 
 
 class TupleCodec(Codec):
@@ -124,53 +214,51 @@ class TupleCodec(Codec):
             raise SerdeError("TupleCodec needs at least one field")
         self.fields = fields
 
-    def encode(self, value: Any) -> bytes:
-        if len(value) != len(self.fields):
-            raise SerdeError(
-                f"tuple arity mismatch: got {len(value)}, codec has {len(self.fields)}"
-            )
-        return b"".join(f.encode(v) for f, v in zip(self.fields, value))
+    def pack(self, values: Sequence[Any]) -> bytes:
+        arity = len(self.fields)
+        try:
+            columns = list(zip(*values, strict=True)) if values else [()] * arity
+        except _BAD_VALUE as exc:
+            raise SerdeError(f"records are not tuples of one arity: {exc}") from exc
+        if len(columns) != arity:
+            raise SerdeError(f"tuple arity mismatch: {len(columns)} for {arity} fields")
+        return b"".join(f.pack(column) for f, column in zip(self.fields, columns))
 
-    def decode(self, buf, offset: int) -> Tuple[tuple, int]:
-        out = []
+    def unpack(self, view, offset, count):
+        columns = []
         for field in self.fields:
-            value, offset = field.decode(buf, offset)
-            out.append(value)
-        return tuple(out), offset
+            column, offset = field.unpack(view, offset, count)
+            columns.append(column)
+        return list(zip(*columns)), offset
 
 
 class ListCodec(Codec):
-    """A variable-length homogeneous list of one sub-codec."""
+    """A variable-length homogeneous list (any sized iterable) of one sub-codec."""
 
     name = "list"
 
     def __init__(self, element: Codec):
         self.element = element
 
-    def encode(self, value: Any) -> bytes:
-        items = list(value)
-        parts = [encode_uvarint(len(items))]
-        parts.extend(self.element.encode(item) for item in items)
-        return b"".join(parts)
+    def pack(self, values: Sequence[Any]) -> bytes:
+        try:
+            lengths = list(map(len, values))
+            items = list(chain.from_iterable(values))
+        except _BAD_VALUE as exc:
+            raise SerdeError(f"value is not a sized iterable: {exc}") from exc
+        return _U64.pack(lengths) + self.element.pack(items)
 
-    def decode(self, buf, offset: int) -> Tuple[list, int]:
-        count, offset = decode_uvarint(buf, offset)
-        out = []
-        for _ in range(count):
-            value, offset = self.element.decode(buf, offset)
-            out.append(value)
-        return out, offset
+    def unpack(self, view, offset, count):
+        lengths, offset = _U64.unpack(view, offset, count)
+        items, offset = self.element.unpack(view, offset, sum(lengths))
+        bounds = pairwise(accumulate(lengths, initial=0))
+        return [items[start:stop] for start, stop in bounds], offset
 
 
 _PRIMITIVES = {
     codec.name: codec
     for codec in (
-        UInt64Codec(),
-        Int64Codec(),
-        Float64Codec(),
-        BoolCodec(),
-        BytesCodec(),
-        Utf8Codec(),
+        _U64, Int64Codec(), Float64Codec(), BoolCodec(), BytesCodec(), Utf8Codec(),
     )
 }
 

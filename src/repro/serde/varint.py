@@ -1,4 +1,4 @@
-"""LEB128 variable-length integers (the framing primitive for all codecs)."""
+"""LEB128 variable-length integers: the length headers of chunks and file bags."""
 
 from __future__ import annotations
 
@@ -48,12 +48,3 @@ def decode_uvarint(buf, offset: int = 0) -> Tuple[int, int]:
                 raise SerdeError("uvarint too long (corrupt chunk?)")
     except IndexError:
         raise SerdeError("truncated uvarint") from None
-
-
-def zigzag_encode(value: int) -> int:
-    """Map a signed integer onto an unsigned one (small magnitudes stay small)."""
-    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
-
-
-def zigzag_decode(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)

@@ -207,19 +207,30 @@ class TestResyncUnderTheFrameCap:
         assert clicklog_counts(result) == clicklog_baseline(records)
         return result
 
+    # Sizes under the column layout (width-4 u64 columns: the china ips
+    # set bit 26, so every clicklog chunk pays 4 B a record whatever the
+    # usa ips would need alone). 6 000 generated records keep 1 361; the
+    # source bag's package — all six 1 KiB chunks, consumed or not, plus
+    # ids and the removal log — frames at 5 750 B from memory and 5 975 B
+    # from segments. The ten bags beside it add at least 1 030 B however
+    # early the pull lands (eight near-empty ones of ~100 B and the two
+    # region bags, ~100 B empty and up to 2.2 KB by the end of phase 1).
+
     @pytest.mark.parametrize("resident_bytes", [None, 8192])
     def test_dataset_over_the_cap_ships_bag_by_bag(self, monkeypatch, resident_bytes):
         # Regression: the resync pulled every bag a source held in one
-        # frame; here that frame is past the cap while each bag alone is
-        # under it, which used to end the run in a bare ReproError.
-        result = self.run(monkeypatch, 5000, 6_000, resident_bytes)
+        # frame; here that frame (>= 6 750 B) is past the 6 400 B cap
+        # while each bag alone (<= 5 975 B) is under it, which used to
+        # end the run in a bare ReproError.
+        result = self.run(monkeypatch, 6400, 6_000, resident_bytes)
         assert result.family_resets == 0
         assert result.trace_metrics.get("dist.resync_oversize", 0) == 0
 
     @pytest.mark.parametrize("resident_bytes", [None, 8192])
     def test_one_bag_over_the_cap_degrades_to_replay(self, monkeypatch, resident_bytes):
-        # The source bag alone (~14 KB) cannot be framed: it joins the
-        # lost bags, its families reset, and the sinks still match.
+        # The source bag alone (5 316 records, a ~22 KB package) cannot
+        # be framed: it joins the lost bags, its families reset, and the
+        # sinks still match.
         result = self.run(monkeypatch, 4000, 24_000, resident_bytes)
         assert result.family_resets > 0
         assert result.trace_metrics["dist.resync_oversize"] >= 1
