@@ -40,6 +40,13 @@ With ``m`` shards, each fetcher's RPCs land on the shard serving its bag
 prefetch keeps its outstanding requests spread over the shards its bags
 land on — Eq. 1's ``m`` made real.
 
+:class:`ChunkWriter` (``ShardedBagStore.writer(depth)``) is the same
+equation for producers: the master's source fill and every task's
+``emit`` keep ``b`` insert fan-outs in flight over those links — no
+thread, no new op — settled by the rule the synchronous
+:meth:`ShardedBagStore.fanout` uses, and drained (or, on a failure
+path, abandoned) before anything is acknowledged upward.
+
 Bulk reads page through ``read_page`` (see :mod:`repro.dist.protocol`)
 so a refill of a disk-backed bag never materializes the whole bag in
 any process; ``finalize_bag`` triggers server-side segment compaction
@@ -49,6 +56,7 @@ of a finished bag, one replica at a time.
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import os
 import selectors
@@ -57,7 +65,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeout
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import repro.errors as errors_mod
 from repro.dist.protocol import (
@@ -158,10 +166,10 @@ class MuxPump:
         except OSError:
             pass
 
-    def register(self, fd: int, client: "MuxShardClient") -> None:
-        """Watch ``fd`` and deliver its bytes to ``client._on_readable``."""
+    def register(self, fd: int, on_readable: Callable[[], None]) -> None:
+        """Watch ``fd`` and call ``on_readable`` whenever it has bytes."""
         with self._lock:
-            self._ops.append(("register", fd, client))
+            self._ops.append(("register", fd, on_readable))
             if self._thread is None:
                 self._thread = threading.Thread(
                     target=self._run, daemon=True, name="mux-pump"
@@ -228,7 +236,7 @@ class MuxPump:
                         pass
                     continue
                 if key.data is not None:
-                    key.data._on_readable()
+                    key.data()
         self._close_resources()
 
     def _close_resources(self) -> None:
@@ -286,13 +294,15 @@ class MuxShardClient:
         self.client_id = client_id
         self.policy = policy
         self._pump = pump
+        #: Held across connect and the blocking frame write — so never
+        #: taken on the pump's read path, which owns ``_pending_lock``.
         self._lock = threading.Lock()
         self._conn = None
-        self._decoder: Optional[FrameDecoder] = None
         #: Never reset across reconnects: a late reply from a torn
         #: connection can then never collide with a new call's future.
         self._call_ids = itertools.count(1)
         self._pending: Dict[int, Future] = {}
+        self._pending_lock = threading.Lock()
 
     # -- connection lifecycle ---------------------------------------------------
 
@@ -312,8 +322,10 @@ class MuxShardClient:
             conn.close()
             raise StorageNodeDown(f"storage mux handshake failed: {payload}")
         self._conn = conn
-        self._decoder = FrameDecoder()
-        self._pump.register(conn.fileno(), self)
+        self._pump.register(
+            conn.fileno(),
+            functools.partial(self._on_readable, conn, FrameDecoder()),
+        )
 
     @property
     def connected(self) -> bool:
@@ -323,15 +335,19 @@ class MuxShardClient:
         """Drop the connection; the caller fails the returned futures
         *outside* the lock (their callbacks may re-enter this client)."""
         conn, self._conn = self._conn, None
-        self._decoder = None
-        doomed = list(self._pending.values())
-        self._pending.clear()
+        with self._pending_lock:
+            doomed = list(self._pending.values())
+            self._pending.clear()
         if conn is not None:
             self._pump.discard(conn)
         return doomed
 
-    def _fail(self, exc: BaseException) -> None:
+    def _fail(self, exc: BaseException, conn: Any = None) -> None:
+        """Tear the link down and fail its calls; with ``conn``, only if
+        that is still the live link (its calls were failed otherwise)."""
         with self._lock:
+            if conn is not None and conn is not self._conn:
+                return
             doomed = self._teardown_locked()
         for future in doomed:
             if not future.done():
@@ -357,7 +373,8 @@ class MuxShardClient:
             self._ensure_conn_locked()
             call_id = next(self._call_ids)
             data = encode_frame(call_id, KIND_REQUEST, (op,) + args)
-            self._pending[call_id] = future
+            with self._pending_lock:
+                self._pending[call_id] = future
             try:
                 self._send_locked(data)
             except OSError as exc:
@@ -378,19 +395,15 @@ class MuxShardClient:
 
     # -- pump side --------------------------------------------------------------
 
-    def _on_readable(self) -> None:
-        # Non-blocking grab: a caller mid-reconnect holds the lock for
-        # the whole backoff schedule, and the pump must never wait that
-        # out (it would freeze every other shard's traffic). Declining
-        # is safe — unread bytes stay queued and select re-fires.
-        if not self._lock.acquire(blocking=False):
-            return
-        try:
-            conn, decoder = self._conn, self._decoder
-        finally:
-            self._lock.release()
-        if conn is None:
-            return
+    def _on_readable(self, conn: Any, decoder: FrameDecoder) -> None:
+        # Takes no lock a sender holds: a caller blocked in ``os.write``
+        # (or mid-reconnect, for the whole backoff schedule) owns
+        # ``_lock``, and the shard it is writing to may itself be blocked
+        # writing the very reply this read drains — with b writes in
+        # flight per lane that is a cycle, not a delay. The link's conn
+        # and decoder come with the registration instead.
+        if conn is not self._conn:
+            return  # torn down; its unregistration is queued behind us
         try:
             data = os.read(conn.fileno(), 1 << 16)
         except OSError:
@@ -399,7 +412,8 @@ class MuxShardClient:
             self._fail(
                 StorageNodeDown(
                     f"storage shard at {self.address!r} closed the mux link"
-                )
+                ),
+                conn,
             )
             return
         try:
@@ -408,11 +422,12 @@ class MuxShardClient:
             self._fail(
                 StorageNodeDown(
                     f"mux stream from {self.address!r} corrupt: {exc}"
-                )
+                ),
+                conn,
             )
             return
         for call_id, kind, payload in frames:
-            with self._lock:
+            with self._pending_lock:
                 future = self._pending.pop(call_id, None)
             if future is None or future.done():
                 continue  # caller gave up on this id; drop the reply
@@ -429,7 +444,8 @@ class MuxShardClient:
                     StorageNodeDown(
                         f"storage shard at {self.address!r} sent a "
                         f"request frame to a client"
-                    )
+                    ),
+                    conn,
                 )
                 return
 
@@ -656,7 +672,44 @@ class ShardedBagStore:
         )
 
     def fanout(self, bag_id: str, op: str, *args: Any) -> None:
-        """Apply a write-side op to every replica of ``bag_id``.
+        """Apply a write-side op to every replica of ``bag_id``, acked on
+        return: one submit round, settled at once (see :meth:`settle`)."""
+        self.settle(bag_id, op, args, self.submit_round(bag_id, op, args))
+
+    def submit_round(
+        self, bag_id: str, op: str, args: Tuple[Any, ...]
+    ) -> List[Tuple[int, Future]]:
+        """Submit ``op`` to every replica of ``bag_id`` without waiting:
+        the replicas serve the write concurrently instead of paying ``r``
+        serial round trips. An unreachable replica is demoted and skipped."""
+        submitted: List[Tuple[int, Future]] = []
+        for shard in self.router.replicas(bag_id):
+            try:
+                submitted.append((shard, self.stores[shard].submit(op, *args)))
+            except StorageNodeDown:
+                self.mark_demoted(shard)
+        return submitted
+
+    def gather_round(self, submitted: List[Tuple[int, Future]]) -> int:
+        """Wait for a submit round; how many replicas accepted. A replica
+        that died under the write is demoted; any other error raises."""
+        served = 0
+        for shard, future in submitted:
+            try:
+                future.result()
+                served += 1
+            except StorageNodeDown:
+                self.mark_demoted(shard)
+        return served
+
+    def settle(
+        self,
+        bag_id: str,
+        op: str,
+        args: Tuple[Any, ...],
+        submitted: List[Tuple[int, Future]],
+    ) -> None:
+        """Wait out one fan-out: the write-side rule, written once.
 
         A replica whose process is unreachable is skipped: a dead shard's
         replacement is re-replicated by the master from a surviving copy
@@ -667,40 +720,26 @@ class ShardedBagStore:
         re-replicate from — the one shard's respawn (reopening its
         segment directory, or empty and about to be refilled) *is* the
         bag — so instead of failing the write when that shard is
-        mid-respawn, the pass is retried under the storage policy's
-        backoff. Every op routed here is idempotent (``insert`` is
-        id-keyed; seal/rewind/discard are absorbing), so re-applying a
+        mid-respawn, the same request is re-sent under the storage
+        policy's backoff. Every op routed here is idempotent (``insert``
+        is id-keyed; seal/rewind/discard are absorbing), so re-applying a
         round that half-landed is safe.
         """
-        if self._fanout_pass(bag_id, op, args):
+        if self.gather_round(submitted):
             return
         if self.replication == 1:
             for delay in self.policy.backoffs():
                 time.sleep(delay)
-                if self._fanout_pass(bag_id, op, args):
+                if self.gather_round(self.submit_round(bag_id, op, args)):
                     return
         raise StorageNodeDown(
             f"all {self.replication} replicas of bag {bag_id!r} "
             f"are down for {op!r}"
         )
 
-    def _fanout_pass(self, bag_id: str, op: str, args: Tuple[Any, ...]) -> int:
-        # One submit round, one gather round: the replicas serve the
-        # write concurrently instead of paying r serial round trips.
-        served = 0
-        submitted: List[Tuple[int, Future]] = []
-        for shard in self.router.replicas(bag_id):
-            try:
-                submitted.append((shard, self.stores[shard].submit(op, *args)))
-            except StorageNodeDown:
-                self.mark_demoted(shard)
-        for shard, future in submitted:
-            try:
-                future.result()
-                served += 1
-            except StorageNodeDown:
-                self.mark_demoted(shard)
-        return served
+    def writer(self, depth: int) -> "ChunkWriter":
+        """A pipelined chunk writer keeping ``depth`` fan-outs in flight."""
+        return ChunkWriter(self, depth)
 
     # -- master-side replication control ---------------------------------------
 
@@ -833,6 +872,57 @@ class ShardedBagStore:
             store.close()
         if self._pump is not None:
             self._pump.close()
+
+
+class ChunkWriter:
+    """Eq. 1 for producers: up to ``depth`` insert fan-outs in flight.
+
+    Single-owner and threadless (one per source fill, one per task):
+    :meth:`insert` stamps the chunk id, submits the id-keyed ``insert``
+    to every replica and returns once at most ``depth`` fan-outs remain
+    un-acked, settling the oldest first by the store's one write rule
+    (:meth:`ShardedBagStore.settle`). Errors other than a dead replica
+    (``BagSealedError``, ...) therefore surface at a later ``insert`` or
+    at :meth:`drain`, never after it. The owner must not acknowledge
+    anything upward — seal the bag, report ``done``/``aborted``/
+    ``failed`` — while a write is in flight: :meth:`drain` before the
+    former, :meth:`abandon` before the latter two.
+    """
+
+    def __init__(self, store: ShardedBagStore, depth: int):
+        self._store = store
+        self._depth = depth
+        #: Oldest first: (the insert's args, its submit round).
+        self._inflight: "deque[Tuple[Tuple[Any, ...], List[Tuple[int, Future]]]]" = deque()
+
+    def insert(self, bag_id: str, chunk: Any) -> None:
+        args = (bag_id, self._store.next_chunk_id(), chunk)
+        self._inflight.append(
+            (args, self._store.submit_round(bag_id, "insert", args))
+        )
+        while len(self._inflight) > self._depth:
+            self._settle_oldest()
+
+    def _settle_oldest(self) -> None:
+        # Popped only once settled: a fan-out that raises stays tracked,
+        # so ``abandon`` still waits out its other replicas.
+        args, submitted = self._inflight[0]
+        self._store.settle(args[0], "insert", args, submitted)
+        self._inflight.popleft()
+
+    def drain(self) -> None:
+        """Settle every fan-out: on return each chunk is acked."""
+        while self._inflight:
+            self._settle_oldest()
+
+    def abandon(self) -> None:
+        """Wait every in-flight future to resolution, success or failure,
+        re-sending nothing: the failure path's drain. A retry against the
+        dead ``r = 1`` shard that caused the cancel would sit in the
+        policy backoff and stall the recovery waiting for this ack."""
+        while self._inflight:
+            for _shard, future in self._inflight.popleft()[1]:
+                future.exception()
 
 
 class _FetchAborted(Exception):

@@ -2,13 +2,17 @@
 
 The dist master owns very little authoritative state — the execution
 graph's node transitions (assign / done), clone grants, family resets,
-the demotion-epoch vector, and the kept input manifests — and everything
+the demotion-epoch vector, and the kept input manifest — and everything
 else (bag contents, removal logs) lives in the storage shards. Master
-checkpoint-replay persists exactly that little: every state transition
-is appended to ``wal.bin`` *before* its externally visible effect, and a
-periodic compaction rewrites ``snapshot.bin`` as an equivalent compacted
-record sequence (``ControlState.snapshot_records()``) and truncates the
-log. What a record *means* is defined in one place,
+checkpoint-replay persists exactly that little: the manifest (each
+source bag's chunk list, the one thing here whose size grows with the
+input) is written **once per run** to ``manifest.bin``, before the first
+snapshot, and never touched again; every state transition is appended
+to ``wal.bin`` *before* its externally visible effect, and a periodic
+compaction rewrites ``snapshot.bin`` as an equivalent compacted record
+sequence (``ControlState.snapshot_records()``) — control records only,
+so its cost under the lock a failover's epoch append waits on does not
+depend on the input — and truncates the log. What a record *means* is defined in one place,
 :meth:`repro.dist.control.ControlState.apply`: the live master runs every
 record through it as it commits it, and recovery runs ``snapshot + log
 tail`` through the same function, so a replayed master and a
@@ -28,12 +32,12 @@ corruption, whose later effects did happen — so recovery scans run
 ``strict=True`` and raise :class:`~repro.errors.JournalCorrupt` there
 instead of silently replaying a prefix of history.
 
-The snapshot is written to a temp file and atomically renamed, then the
-WAL is truncated — crash between the two leaves snapshot *plus* a stale
-tail whose records are all already folded into the snapshot; replaying
-them again is prevented by truncating on the next successful load-free
-compaction, and tolerated meanwhile because the snapshot header carries
-the WAL position it folded (records before it are skipped on load).
+The snapshot, like the manifest, is written to a temp file, fsynced and
+atomically renamed; then the WAL is truncated. A crash between the
+rename and the truncation would leave the snapshot *plus* a stale tail
+of records already folded into it. Nothing defends that window: the
+injected master death fires at the event-loop top, never inside a
+compaction, and the next successful compaction truncates the tail.
 
 Appends flush to the OS (the simulated master death is process-level,
 not kernel-level, so page-cache durability is the honest equivalent of
@@ -57,6 +61,7 @@ _FRAME = struct.Struct(">II")
 #: recorded (offset, length) and must skip the header.
 FRAME_HEADER_BYTES = _FRAME.size
 
+MANIFEST_FILE = "manifest.bin"
 SNAPSHOT_FILE = "snapshot.bin"
 WAL_FILE = "wal.bin"
 
@@ -165,6 +170,7 @@ class MasterJournal:
     def __init__(self, dirpath: str):
         self.dirpath = dirpath
         os.makedirs(dirpath, exist_ok=True)
+        self.manifest_path = os.path.join(dirpath, MANIFEST_FILE)
         self.snapshot_path = os.path.join(dirpath, SNAPSHOT_FILE)
         self.wal_path = os.path.join(dirpath, WAL_FILE)
         self._lock = threading.Lock()
@@ -179,25 +185,35 @@ class MasterJournal:
             self.appended += 1
             return self.appended
 
-    def write_snapshot(self, header: Any, records: Iterable[Any]) -> None:
+    @staticmethod
+    def _replace(path: str, records: Iterable[Any]) -> None:
+        """Write ``records`` to a temp file, ``fsync``, rename over ``path``:
+        a crash mid-write never corrupts the file already there."""
+        tmp_path = path + ".tmp"
+        with open(tmp_path, "wb") as tmp:
+            for record in records:
+                _write_record(tmp, record)
+            tmp.flush()
+            os.fsync(tmp.fileno())
+        os.replace(tmp_path, path)
+
+    def write_manifest(self, manifest: Any) -> None:
+        """Write the run's input manifest: once, before the first snapshot.
+
+        One frame, so it loads whole or not at all. Not under the lock:
+        nothing else touches the file, and an O(input) write is exactly
+        what a concurrent epoch append must not wait for.
+        """
+        self._replace(self.manifest_path, [manifest])
+
+    def write_snapshot(self, records: Iterable[Any]) -> None:
         """Atomically replace the snapshot and truncate the WAL.
 
-        ``header`` is the snapshot's first record (the input manifests);
         ``records`` is the compacted sequence recovery will ``apply``.
-        The temp-write + rename
-        keeps a crash mid-snapshot from ever corrupting the previous
-        checkpoint, and the WAL truncation happens only after the rename
-        lands.
+        The WAL truncation happens only after the rename lands.
         """
-        tmp_path = self.snapshot_path + ".tmp"
         with self._lock:
-            with open(tmp_path, "wb") as tmp:
-                _write_record(tmp, header)
-                for record in records:
-                    _write_record(tmp, record)
-                tmp.flush()
-                os.fsync(tmp.fileno())
-            os.replace(tmp_path, self.snapshot_path)
+            self._replace(self.snapshot_path, records)
             self._wal.close()
             self._wal = open(self.wal_path, "wb")
 
@@ -210,16 +226,16 @@ class MasterJournal:
 
     @staticmethod
     def load(dirpath: str) -> Tuple[Optional[Any], List[Any]]:
-        """(snapshot header, snapshot records + WAL tail) for recovery.
+        """(input manifest, snapshot records + WAL tail) for recovery.
 
         Returns ``(None, [])`` when the directory holds no journal yet.
         A torn final WAL record is silently dropped, but a bad frame
-        *inside* either file raises
+        *inside* any of the three files raises
         :class:`~repro.errors.JournalCorrupt` rather than resuming from
         a silently truncated history (see :func:`scan_frames`).
         """
-        snapshot = read_records(os.path.join(dirpath, SNAPSHOT_FILE), strict=True)
-        wal = read_records(os.path.join(dirpath, WAL_FILE), strict=True)
-        if not snapshot:
-            return None, wal
-        return snapshot[0], snapshot[1:] + wal
+        manifest, snapshot, wal = (
+            read_records(os.path.join(dirpath, name), strict=True)
+            for name in (MANIFEST_FILE, SNAPSHOT_FILE, WAL_FILE)
+        )
+        return (manifest[0] if manifest else None), snapshot + wal

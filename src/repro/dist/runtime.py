@@ -79,9 +79,10 @@ from repro.dist.worker import worker_main
 from repro.engine.common import (
     bag_records,
     emit_value,
-    fill_bag,
+    insert_chunks,
     iter_bag_chunks,
     refill_bag,
+    source_chunks,
 )
 from repro.errors import (
     FrameError,
@@ -505,6 +506,7 @@ class DistRuntime:
         #: re-arms, so the requested fault reliably happens once.
         self._kill_armed_node: Optional[str] = None
         self._in_recovery = False
+        #: Source bag -> its chunk list (``source_chunks``), kept for refills.
         self._inputs: Dict[str, List[Any]] = {}
         #: Overload-driven clone governor (None = static thresholds): the
         #: live controller, fed by heartbeats; ``control.governor`` holds
@@ -750,17 +752,24 @@ class DistRuntime:
         if unknown:
             raise SchedulingError(f"inputs given for non-source bags: {unknown}")
         deadline = time.monotonic() + timeout
-        # Materialized and kept: losing the shard that homes a source bag
-        # means replaying the original input from here.
+        # Encoded once and kept as chunks: what is inserted, journaled,
+        # and re-inserted when the shard homing a source bag is lost.
         self._inputs = {
-            bag_id: list(inputs.get(bag_id, ()))
+            bag_id: source_chunks(
+                self.graph,
+                bag_id,
+                inputs.get(bag_id, ()),
+                chunk_size=self.settings.chunk_size,
+                records_per_chunk=self.settings.records_per_chunk,
+            )
             for bag_id in self.graph.source_bags()
         }
         if self.journal_dir is not None:
             self._journal = MasterJournal(self.journal_dir)
-            # The initial checkpoint carries the input manifests: a lost
-            # source bag is refilled from the journal on recovery, exactly
-            # as the live master refills from self._inputs.
+            # Once per run: a recovered master refills a lost source bag
+            # from the manifest exactly as the live one does from
+            # self._inputs. Snapshots carry control records only.
+            self._journal.write_manifest(self._inputs)
             self._write_checkpoint()
         self._socket_dir = tempfile.mkdtemp(prefix="repro-dist-")
         self._shard_paths = [
@@ -779,15 +788,10 @@ class DistRuntime:
                 self.settings.policy,
                 router=self.router,
             )
-            for bag_id in self.graph.source_bags():
-                fill_bag(
-                    self._store,
-                    self.graph,
-                    bag_id,
-                    self._inputs[bag_id],
-                    chunk_size=self.settings.chunk_size,
-                    records_per_chunk=self.settings.records_per_chunk,
-                )
+            # Eq. 1's b, for the producer; drained (empty) between bags.
+            writer = self._store.writer(self.settings.batch_requests)
+            for bag_id, chunks in self._inputs.items():
+                insert_chunks(self._store, bag_id, chunks, writer)
             for _ in range(self.workers):
                 self._spawn_worker()
             return self._run_to_completion(deadline)
@@ -1637,11 +1641,9 @@ class DistRuntime:
             self._retrying(
                 lambda b=bag_id: refill_bag(
                     self._store,
-                    self.graph,
                     b,
                     self._inputs.get(b, ()),
-                    chunk_size=self.settings.chunk_size,
-                    records_per_chunk=self.settings.records_per_chunk,
+                    self._store.writer(self.settings.batch_requests),
                 )
             )
         for task_id in tasks:
@@ -1712,15 +1714,9 @@ class DistRuntime:
 
     def _write_checkpoint(self) -> None:
         """Compact the journal: current state as snapshot, WAL truncated."""
-        header = {
-            "inputs": {
-                bag_id: list(records)
-                for bag_id, records in self._inputs.items()
-            },
-        }
         with self._epoch_lock:  # a monitor thread may be bumping the vector
             records = self.control.snapshot_records()
-        self._journal.write_snapshot(header, records)
+        self._journal.write_snapshot(records)
         self._compact_base = self._journal.appended
 
     def resume(self, fleet: MasterFleet, timeout: float = 120.0) -> DistResult:
@@ -1744,16 +1740,13 @@ class DistRuntime:
         started = time.monotonic()
         if self.journal_dir is None:
             self.journal_dir = fleet.journal_dir
-        header, records = MasterJournal.load(self.journal_dir)
-        if header is None:
+        manifest, records = MasterJournal.load(self.journal_dir)
+        if manifest is None:
             raise SchedulingError(
                 f"no journal checkpoint in {self.journal_dir!r}; a master "
                 "that never checkpointed cannot be resumed"
             )
-        self._inputs = {
-            bag_id: list(header.get("inputs", {}).get(bag_id, ()))
-            for bag_id in self.graph.source_bags()
-        }
+        self._inputs = manifest
         for record in records:
             self.control.apply(record)
         if self._governor is not None and self.control.governor is not None:

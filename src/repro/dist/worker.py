@@ -20,6 +20,12 @@ Cancellation piggybacks on the command pipe: between chunks the context
 polls for a ``cancel`` message (sent when another family member's worker
 died and the master is resetting the family) and unwinds with
 ``_Cancelled``, acknowledged as ``aborted``.
+
+Output goes through the store's pipelined chunk writer, ``b`` insert
+fan-outs in flight, under one rule: nothing is acknowledged upward while
+a write is in flight. ``flush()`` drains before ``done``; ``aborted`` and
+``failed`` are sent only after the writer was abandoned (every in-flight
+insert waited out, none re-sent).
 """
 
 from __future__ import annotations
@@ -69,13 +75,18 @@ class _NodeShim:
 
 
 class _WorkerRuntime:
-    """The runtime surface TaskContext expects (graph, store, chunking)."""
+    """The runtime surface TaskContext expects (graph, store, chunking,
+    and a chunk writer per task — Eq. 1's ``b``, applied to ``emit``)."""
 
     def __init__(self, graph: AppGraph, store: ShardedBagStore, settings: DistSettings):
         self.graph = graph
         self.store = store
         self.chunk_size = settings.chunk_size
         self.records_per_chunk = settings.records_per_chunk
+        self._write_depth = settings.batch_requests
+
+    def writer(self):
+        return self.store.writer(self._write_depth)
 
 
 #: Cap on latency samples shipped back per task. The cap itself predates
@@ -132,6 +143,10 @@ class DistTaskContext(TaskContext):
                 windows[shard] = samples[seen:]
                 self._shard_latencies_seen[shard] = len(samples)
         return flat, windows
+
+    def abandon(self) -> None:
+        """Wait out the writer's in-flight inserts, re-sending none."""
+        self._writer.abandon()
 
     def _poll_cancel(self) -> None:
         while self._cmd_conn.poll(0):
@@ -258,6 +273,14 @@ def _run_task(
     try:
         result = spec.fn(ctx)
         ctx.flush()
+    except BaseException:
+        # Nothing is acknowledged upward while a write is in flight: the
+        # master discards a reset family's output bags over its own
+        # connection the moment ``aborted``/``failed`` arrives, and an
+        # insert landing on this worker's lane after that discard would
+        # be delivered twice.
+        ctx.abandon()
+        raise
     finally:
         fetcher.stop()
     if spec.needs_merge:

@@ -2,9 +2,13 @@
 
 Every function takes the bag *store* as a duck-typed argument: a
 :class:`~repro.storage.local.LocalBagStore` in the local engine, a
-shard-routing ``ShardedBagStore`` proxy in the distributed one. The store only needs ``ensure``/``get`` returning bags
-with ``insert``/``seal``/``read_page`` — notably, nothing here may assume
-two bags live in the same process: each ``ensure``/``get`` resolves
+shard-routing ``ShardedBagStore`` proxy in the distributed one. The
+store only needs ``ensure``/``get`` returning bags with
+``insert``/``seal``/``read_page``; bulk producers write through a *chunk
+writer* (``insert(bag_id, chunk)`` / ``drain()``) — the
+:class:`DirectWriter` here, or the dist store's pipelined one — and
+acknowledge nothing upward before ``drain()`` returns. Notably, nothing
+here may assume two bags live in the same process: each ``ensure``/``get`` resolves
 placement independently, which is what lets the same helpers drive one
 storage server or ``m`` shards.
 
@@ -29,6 +33,61 @@ from repro.serde.chunks import chunk_records, iter_chunks
 from repro.serde.codecs import codec_for
 
 
+def source_chunks(
+    graph,
+    bag_id: str,
+    records: Iterable[Any],
+    *,
+    chunk_size: int,
+    records_per_chunk: int,
+) -> List[Any]:
+    """Cut ``records`` into ``bag_id``'s chunks: the one source encoder.
+
+    The list is what a runtime keeps of its input — inserted, journaled
+    and re-inserted on a refill as is, so a recovered bag is the original
+    byte for byte and nothing is encoded twice.
+    """
+    spec = graph.bags[bag_id].codec_spec
+    if spec is not None:
+        return list(chunk_records(records, codec_for(spec), chunk_size))
+    records = list(records)
+    return [
+        records[start : start + records_per_chunk]
+        for start in range(0, len(records), records_per_chunk)
+    ]
+
+
+class DirectWriter:
+    """The chunk-writer surface (``insert(bag_id, chunk)`` / ``drain()``)
+    over a store whose ``insert`` is acked on return — nothing is ever in
+    flight. ``ShardedBagStore.writer`` is the pipelined one."""
+
+    def __init__(self, store):
+        self._store = store
+
+    def insert(self, bag_id: str, chunk: Any) -> None:
+        self._store.get(bag_id).insert(chunk)
+
+    def drain(self) -> None:
+        pass
+
+
+def insert_chunks(store, bag_id: str, chunks: Iterable[Any], writer=None) -> None:
+    """Insert ``chunks`` into ``bag_id``, then seal it.
+
+    Drain, *then* seal: a bag is sealed only after its last insert is
+    acked — a seal overtaking a pipelined insert on another replica's
+    lane would refuse it.
+    """
+    bag = store.ensure(bag_id)
+    if writer is None:
+        writer = DirectWriter(store)
+    for chunk in chunks:
+        writer.insert(bag_id, chunk)
+    writer.drain()
+    bag.seal()
+
+
 def fill_bag(
     store,
     graph,
@@ -39,50 +98,29 @@ def fill_bag(
     records_per_chunk: int,
 ) -> None:
     """Materialize ``records`` into ``bag_id`` as chunks, then seal it."""
-    bag = store.ensure(bag_id)
-    spec = graph.bags[bag_id].codec_spec
-    if spec is None:
-        batch: List[Any] = []
-        for record in records:
-            batch.append(record)
-            if len(batch) >= records_per_chunk:
-                bag.insert(batch)
-                batch = []
-        if batch:
-            bag.insert(batch)
-    else:
-        for chunk in chunk_records(records, codec_for(spec), chunk_size):
-            bag.insert(chunk)
-    bag.seal()
-
-
-def refill_bag(
-    store,
-    graph,
-    bag_id: str,
-    records: Iterable[Any],
-    *,
-    chunk_size: int,
-    records_per_chunk: int,
-) -> None:
-    """Discard ``bag_id`` and re-materialize it from ``records``.
-
-    The storage-loss recovery path: when the shard homing a source bag
-    dies, its data is gone and the master replays the original input.
-    The discard also clears the sealed flag — ``fill_bag`` alone would
-    raise ``BagSealedError`` against the sealed original (or a stale
-    survivor), and must start from a zeroed read pointer so replaying
-    consumers see every chunk again.
-    """
-    store.ensure(bag_id).discard()
-    fill_bag(
-        store,
+    chunks = source_chunks(
         graph,
         bag_id,
         records,
         chunk_size=chunk_size,
         records_per_chunk=records_per_chunk,
     )
+    insert_chunks(store, bag_id, chunks)
+
+
+def refill_bag(store, bag_id: str, chunks: Iterable[Any], writer=None) -> None:
+    """Discard ``bag_id`` and re-insert its kept source ``chunks``.
+
+    The storage-loss recovery path: when the shard homing a source bag
+    dies, its data is gone and the master re-inserts the chunk list it
+    kept — the same chunks, not a second encoding of the records. The
+    discard also clears the sealed flag — ``insert_chunks`` alone would
+    raise ``BagSealedError`` against the sealed original (or a stale
+    survivor), and must start from a zeroed read pointer so replaying
+    consumers see every chunk again.
+    """
+    store.ensure(bag_id).discard()
+    insert_chunks(store, bag_id, chunks, writer)
 
 
 def resolve_merge(spec: TaskSpec) -> Callable:

@@ -9,7 +9,10 @@ A :class:`TaskContext` gives a task function:
 * ``side_records(i)`` — a non-destructive full read of side input ``i``
   (the state a clone re-loads);
 * ``emit(bag_id, record)`` — buffered, chunked insertion into an output
-  bag (``bag_id=None`` targets the task's first output).
+  bag (``bag_id=None`` targets the task's first output). Completed chunks
+  go to the runtime's chunk writer (``runtime.writer()``: direct in the
+  local engine, ``b`` fan-outs deep in the dist engine), and ``flush()``
+  drains it — when it returns, every chunk the task emitted is acked.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ class TaskContext:
         self._node = node
         self._graph = runtime.graph
         self._builders: Dict[str, object] = {}
+        self._writer = runtime.writer()
         self.records_in = 0
         self.chunks_in = 0
 
@@ -121,11 +125,16 @@ class TaskContext:
             builder = self._open_builder(target)
         chunk = builder.add(record)
         if chunk is not None:
-            self._runtime.store.get(target).insert(chunk)
+            self._insert(target, chunk)
+
+    def _insert(self, bag_id: str, chunk: Any) -> None:
+        self._writer.insert(bag_id, chunk)
 
     def flush(self) -> None:
-        """Push every buffered chunk (called by the runtime at task end)."""
+        """Push every buffered chunk and wait for the acks (called by the
+        runtime at task end, before anything is reported upward)."""
         for bag_id, builder in self._builders.items():
             # A builder that cut a prefix can hold more than one chunk.
             while (chunk := builder.flush()) is not None:
-                self._runtime.store.get(bag_id).insert(chunk)
+                self._insert(bag_id, chunk)
+        self._writer.drain()

@@ -21,6 +21,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.engine.common import (
+    DirectWriter,
     bag_records,
     emit_value,
     fill_bag,
@@ -156,6 +157,10 @@ class LocalRuntime:
             chunk_size=self.chunk_size,
             records_per_chunk=self.records_per_chunk,
         )
+
+    def writer(self) -> DirectWriter:
+        """The chunk writer a ``TaskContext`` emits through."""
+        return DirectWriter(self.store)
 
     # -- scheduling ---------------------------------------------------------------------
 

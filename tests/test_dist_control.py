@@ -471,6 +471,7 @@ class TestLiveShape:
 
         class Store:
             get = staticmethod(Bag)
+            writer = staticmethod(lambda depth: None)
 
         def retrying(fn):
             if not effects:  # the first effect: a shard dies under it
@@ -485,7 +486,7 @@ class TestLiveShape:
         monkeypatch.setattr(rt, "_store", Store())
         monkeypatch.setattr(rt, "_retrying", retrying)
         monkeypatch.setattr(
-            runtime, "refill_bag", lambda store, graph, bag_id, *a, **k: effects.append(
+            runtime, "refill_bag", lambda store, bag_id, chunks, writer: effects.append(
                 ("refill", bag_id)
             )
         )

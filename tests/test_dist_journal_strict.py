@@ -16,7 +16,13 @@ import zlib
 
 import pytest
 
-from repro.dist.journal import MasterJournal, WAL_FILE, pack_frame, read_records
+from repro.dist.journal import (
+    MANIFEST_FILE,
+    MasterJournal,
+    WAL_FILE,
+    pack_frame,
+    read_records,
+)
 from repro.errors import JournalCorrupt
 
 
@@ -117,11 +123,12 @@ class TestInteriorCorruption:
 
 
 class TestMasterJournalLoad:
-    """Recovery loads run strict on both the snapshot and the WAL."""
+    """Recovery loads run strict on the manifest, the snapshot and the WAL."""
 
     def test_load_tolerates_torn_wal_tail(self, tmp_path):
         journal = MasterJournal(str(tmp_path))
-        journal.write_snapshot({"generation": 1}, [("spawn", 0)])
+        journal.write_manifest({"generation": 1})
+        journal.write_snapshot([("spawn", 0)])
         journal.append(("assign", "a", 1))
         journal.append(("done", "a"))
         journal.close()
@@ -148,12 +155,30 @@ class TestMasterJournalLoad:
         # nothing, which strict mode treats as a tail; damage an
         # interior frame to model a bad disk under the checkpoint.
         journal = MasterJournal(str(tmp_path))
-        journal.write_snapshot({"generation": 2}, [("spawn", 0), ("done", "a")])
+        snapshot_records = [("generation", 2), ("spawn", 0), ("done", "a")]
+        journal.write_snapshot(snapshot_records)
         journal.close()
-        snapshot_records = [{"generation": 2}, ("spawn", 0), ("done", "a")]
         corrupt_payload_byte(
             str(tmp_path / "snapshot.bin"), 1, snapshot_records
         )
+        with pytest.raises(JournalCorrupt):
+            MasterJournal.load(str(tmp_path))
+
+    def test_load_raises_on_manifest_corruption(self, tmp_path):
+        # The manifest is one frame, so it loads whole or not at all: a
+        # CRC-valid frame that will not unpickle is corruption even at
+        # the tail, and a frame with bytes behind it is interior damage.
+        journal = MasterJournal(str(tmp_path))
+        journal.write_manifest({"src": [b"chunk"]})
+        journal.close()
+        path = str(tmp_path / MANIFEST_FILE)
+        with open(path, "ab") as fobj:
+            fobj.write(b"x")
+        corrupt_payload_byte(path, 0, [{"src": [b"chunk"]}])
+        with pytest.raises(JournalCorrupt):
+            MasterJournal.load(str(tmp_path))
+        with open(path, "wb") as fobj:
+            fobj.write(crc_valid_garbage_frame())
         with pytest.raises(JournalCorrupt):
             MasterJournal.load(str(tmp_path))
 

@@ -14,13 +14,19 @@ through the ordinary loss-closure machinery — ending with sinks
 byte-identical to the no-fault LocalRuntime baseline.
 """
 
+import multiprocessing.connection
 import os
 
 import pytest
 
 from repro.apps import build_clicklog_local, build_hashjoin_local
 from repro.dist import DistRuntime, MasterKilled, ShardRouter
-from repro.dist.journal import MasterJournal, SNAPSHOT_FILE, WAL_FILE
+from repro.dist.journal import (
+    MANIFEST_FILE,
+    MasterJournal,
+    SNAPSHOT_FILE,
+    WAL_FILE,
+)
 from repro.errors import SchedulingError
 from repro.local import LocalRuntime
 
@@ -260,34 +266,120 @@ class TestTornJournalTail:
         assert clicklog_counts(result) == expected
 
 
+class TestManifestFile:
+    """The input manifest is written once per run, beside the journal;
+    snapshots carry control records only."""
+
+    @staticmethod
+    def _checkpoint_sizes(tmp_path, count):
+        # Everything ``run()`` journals before it starts a process: stop it
+        # at the first shard spawn and measure what is on disk.
+        class Stop(Exception):
+            pass
+
+        def stop(index):
+            raise Stop
+
+        journal_dir = tmp_path / str(count)
+        runtime = DistRuntime(
+            build_clicklog_local(regions=REGIONS),
+            chunk_size=2048,
+            journal_dir=str(journal_dir),
+        )
+        runtime._spawn_shard = stop
+        with pytest.raises(Stop):
+            runtime.run({"clicklog": clicklog_records(count)}, timeout=60)
+        return (
+            os.path.getsize(journal_dir / SNAPSHOT_FILE),
+            os.path.getsize(journal_dir / MANIFEST_FILE),
+        )
+
+    def test_snapshot_size_is_independent_of_input_size(self, tmp_path):
+        small_snapshot, small_manifest = self._checkpoint_sizes(tmp_path, 1_000)
+        large_snapshot, large_manifest = self._checkpoint_sizes(tmp_path, 100_000)
+        assert small_snapshot == large_snapshot
+        assert large_manifest > 50 * small_manifest
+
+    def test_compaction_leaves_the_manifest_untouched(self, tmp_path, monkeypatch):
+        manifest_path = tmp_path / MANIFEST_FILE
+        stats = []
+        real_write_snapshot = MasterJournal.write_snapshot
+
+        def write_snapshot(journal, records):
+            stat = os.stat(manifest_path)
+            stats.append((stat.st_ino, stat.st_mtime_ns, stat.st_size))
+            real_write_snapshot(journal, records)
+
+        monkeypatch.setattr(MasterJournal, "write_snapshot", write_snapshot)
+        records = clicklog_records()
+        result = DistRuntime(
+            build_clicklog_local(regions=REGIONS),
+            workers=2,
+            chunk_size=2048,
+            journal_dir=str(tmp_path),
+            journal_compact_every=4,
+        ).run({"clicklog": records}, timeout=180)
+        assert clicklog_counts(result) == clicklog_baseline(records)
+        # The initial checkpoint plus several mid-run compactions, and one
+        # manifest: same inode, same mtime, before each and after the last.
+        assert len(stats) >= 3
+        stat = os.stat(manifest_path)
+        assert set(stats) == {(stat.st_ino, stat.st_mtime_ns, stat.st_size)}
+
+    def test_successor_refills_a_lost_source_bag_from_the_manifest(self, tmp_path):
+        # Master kill, then the r=1 memory shard homing the source bag dies
+        # in the master-absent window: the successor never saw the inputs,
+        # so the refill can only come from the manifest file.
+        records = clicklog_records()
+        app = build_clicklog_local(regions=REGIONS)
+        base = dict(workers=2, shards=2, chunk_size=2048, journal_dir=str(tmp_path))
+        runtime = DistRuntime(app, kill_master_after_records=6, **base)
+        with pytest.raises(MasterKilled) as excinfo:
+            runtime.run({"clicklog": records}, timeout=180)
+        fleet = excinfo.value.fleet
+        victim = fleet.shard_procs[ShardRouter(2).home("clicklog")]
+        victim.kill()
+        # The sentinel, not join(): the dead master's monitor thread is
+        # already blocked reaping this process.
+        assert multiprocessing.connection.wait([victim.sentinel], timeout=10)
+        successor = DistRuntime(app, **base)
+        result = successor.resume(fleet, timeout=180)
+        assert result.shard_deaths == 1
+        assert successor._inputs == runtime._inputs
+        assert clicklog_counts(result) == clicklog_baseline(records)
+
+
 class TestJournalFormat:
     def test_snapshot_then_wal_round_trip(self, tmp_path):
         journal = MasterJournal(str(tmp_path))
         journal.append(("spawn", 0))
         journal.append(("assign", "a", 0))
-        journal.write_snapshot({"generation": 1}, [("spawn", 3)])
+        journal.write_manifest({"src": [b"chunk"]})
+        journal.write_snapshot([("spawn", 3)])
         journal.append(("done", "a"))
         journal.close()
-        header, records = MasterJournal.load(str(tmp_path))
-        assert header == {"generation": 1}
+        manifest, records = MasterJournal.load(str(tmp_path))
+        assert manifest == {"src": [b"chunk"]}
         # Pre-snapshot records are compacted away; the WAL tail follows
         # the snapshot's records in order.
         assert records == [("spawn", 3), ("done", "a")]
 
     def test_missing_dir_loads_empty(self, tmp_path):
-        header, records = MasterJournal.load(str(tmp_path / "nowhere"))
-        assert header is None
+        manifest, records = MasterJournal.load(str(tmp_path / "nowhere"))
+        assert manifest is None
         assert records == []
 
     def test_torn_snapshot_is_atomic(self, tmp_path):
-        # write_snapshot goes through tmp + rename: a temp file lying
-        # around must never shadow the committed snapshot.
+        # Snapshot and manifest both go through tmp + rename: a temp
+        # file lying around must never shadow the committed one.
         journal = MasterJournal(str(tmp_path))
-        journal.write_snapshot({"generation": 0}, [("spawn", 1)])
+        journal.write_manifest({"generation": 0})
+        journal.write_snapshot([("spawn", 1)])
         journal.close()
-        (tmp_path / (SNAPSHOT_FILE + ".tmp")).write_bytes(b"garbage")
-        header, records = MasterJournal.load(str(tmp_path))
-        assert header == {"generation": 0}
+        for name in (SNAPSHOT_FILE, MANIFEST_FILE):
+            (tmp_path / (name + ".tmp")).write_bytes(b"garbage")
+        manifest, records = MasterJournal.load(str(tmp_path))
+        assert manifest == {"generation": 0}
         assert records == [("spawn", 1)]
 
     def test_appended_counts_this_instance_only(self, tmp_path):

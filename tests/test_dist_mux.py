@@ -369,6 +369,36 @@ class TestMuxStore:
             store.close()
 
 
+    def test_a_reply_drains_while_a_sender_is_blocked_in_write(self, shards2):
+        # The shard is mid-way through writing a reply larger than the
+        # socket buffer when this process starts writing a request larger
+        # than it too: the shard reads nothing until its reply is taken,
+        # so the pump must take it while the sender holds the send lock.
+        # With b inserts in flight per lane this is an ordinary moment.
+        store = shards2.store()
+        try:
+            client = store.stores[store.shard_of("big")]
+            blob = bytes(256 * 1024)
+            for i in range(16):
+                client.call("insert", "big", f"seed#{i}", blob)
+            reply = client.submit("remove_batch", "big", 16, "tester", 1)
+            acks = []
+            sender = threading.Thread(
+                target=lambda: acks.append(
+                    client.submit("insert", "other", "tester#0", bytes(2 << 20))
+                ),
+                daemon=True,
+            )
+            sender.start()
+            sender.join(timeout=20.0)
+            assert not sender.is_alive(), "sender and pump deadlocked"
+            chunks, _sealed = reply.result(timeout=20.0)
+            assert len(chunks) == 16
+            assert acks[0].result(timeout=20.0) is None
+        finally:
+            store.close()
+
+
 class TestOpFamily:
     def test_dispatch_serves_exactly_the_documented_ops(self):
         # repro.dist.protocol's docstring is the op contract; the server

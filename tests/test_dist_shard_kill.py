@@ -10,10 +10,13 @@ kept inputs, and replay — ending with sinks byte-identical to the
 no-fault LocalRuntime baseline.
 """
 
+import sys
+
 import pytest
 
 from repro.apps import build_clicklog_local, build_hashjoin_local
 from repro.dist import DistRuntime, ShardRouter
+from repro.engine.common import iter_bag_chunks, source_chunks
 from repro.local import LocalRuntime
 from repro.trace import Tracer
 
@@ -124,6 +127,49 @@ class TestShardKillRecovery:
         assert result.shard_deaths == 1
         assert result.worker_deaths == 1
         assert clicklog_counts(result) == expected
+
+    def test_refill_reinserts_the_kept_chunks_without_encoding(self, monkeypatch):
+        # A refill that re-encodes is a second encoder: the recovered bag
+        # must be the original byte for byte, and ``_apply_recovery`` must
+        # not enter serde at all (a count of calls, not a timing).
+        records = clicklog_records()
+        runtime = DistRuntime(
+            build_clicklog_local(regions=REGIONS),
+            workers=3,
+            shards=2,
+            chunk_size=2048,
+            kill_shard=ShardRouter(2).home("clicklog"),
+            kill_shard_after_ops=3,
+        )
+        serde_calls, refilled = [0], []
+
+        def profile(frame, event, arg):
+            if event == "call" and "repro/serde/" in frame.f_code.co_filename:
+                serde_calls[0] += 1
+
+        real_apply = runtime._apply_recovery
+
+        def apply_recovery():
+            refills = sorted(runtime.control.refills)
+            sys.setprofile(profile)
+            try:
+                real_apply()
+            finally:
+                sys.setprofile(None)
+            refilled.extend(
+                (bag_id, list(iter_bag_chunks(runtime._store, bag_id)))
+                for bag_id in refills
+            )
+
+        monkeypatch.setattr(runtime, "_apply_recovery", apply_recovery)
+        result = runtime.run({"clicklog": records}, timeout=180)
+        assert clicklog_counts(result) == clicklog_baseline(records)
+        expected = source_chunks(
+            runtime.graph, "clicklog", records, chunk_size=2048, records_per_chunk=256
+        )
+        assert len(expected) > 1
+        assert ("clicklog", expected) in refilled
+        assert serde_calls[0] == 0
 
     def test_three_shards_single_kill(self):
         victim = ShardRouter(3).home("clicklog")

@@ -6,10 +6,14 @@ builder cuts a prefix and can hold several chunks' worth by the time a task
 ends. Every flush site has to drain it, and no chunk may pass the bound.
 """
 
+import time
+
 import pytest
 
 from repro.dist import DistRuntime
-from repro.dist.client import ReplicatedRemoteBag
+from repro.dist.bags import Bag
+from repro.dist.client import ChunkWriter, ReplicatedRemoteBag
+from repro.engine.common import decode_bag_chunks, iter_bag_chunks
 from repro.errors import ChunkOverflowError, RemoteTaskError
 from repro.local import LocalRuntime
 from repro.model import Application
@@ -40,15 +44,16 @@ def bounded_inserts(monkeypatch):
     process makes it: the dist fleet forks after the patch is in place."""
 
     def checked(real):
-        def insert(self, chunk):
+        def insert(self, *args):  # (chunk) on a bag, (bag_id, chunk) on a writer
+            chunk = args[-1]
             if isinstance(chunk, bytes) and len(chunk) > CHUNK_SIZE:
                 raise AssertionError(f"{len(chunk)}-byte chunk inserted")
-            return real(self, chunk)
+            return real(self, *args)
 
         return insert
 
-    for bag_class in (LocalBag, ReplicatedRemoteBag):
-        monkeypatch.setattr(bag_class, "insert", checked(bag_class.insert))
+    for inserter in (LocalBag, ReplicatedRemoteBag, ChunkWriter):
+        monkeypatch.setattr(inserter, "insert", checked(inserter.insert))
 
 
 @pytest.mark.parametrize("engine", ["local", "dist"])
@@ -67,6 +72,51 @@ def test_uneven_records_lose_nothing_and_respect_the_bound(engine, bounded_inser
     result = run(engine, app, {"src": BLOBS})
     assert result.records("blobs") == BLOBS
     assert result.records("texts") == [text_of(blob) for blob in BLOBS]
+
+
+@pytest.mark.parametrize("batch_requests", [1, 8])
+def test_done_means_every_emitted_chunk_is_acked(batch_requests, monkeypatch):
+    # The dist writer keeps ``batch_requests`` inserts in flight; ``flush``
+    # drains it, so when the task's ``done`` reaches the master — before
+    # anything is sealed — the output bags already hold every record, once.
+    app = Application("drained")
+    src = app.bag("src", codec="bytes")
+    blobs = app.bag("blobs", codec="bytes")
+    texts = app.bag("texts", codec="str")
+
+    def copy(ctx):
+        for blob in ctx.records():
+            ctx.emit("blobs", blob)
+            ctx.emit("texts", text_of(blob))
+
+    app.task("copy", [src], [blobs, texts], fn=copy)
+    # Shards (forked below) take 5 ms over each output insert: an insert
+    # still in flight at ``done`` would lose the race to the master's read.
+    real_insert_id = Bag.insert_id
+
+    def slow_insert_id(self, chunk_id, chunk):
+        if self.bag_id != "src":
+            time.sleep(0.005)
+        real_insert_id(self, chunk_id, chunk)
+
+    monkeypatch.setattr(Bag, "insert_id", slow_insert_id)
+    runtime = DistRuntime(
+        app, workers=1, shards=2, chunk_size=CHUNK_SIZE, batch_requests=batch_requests
+    )
+    at_done = {}
+    real_on_done = runtime._on_done
+
+    def on_done(wid, msg):
+        for bag_id in ("blobs", "texts"):
+            chunks = list(iter_bag_chunks(runtime._store, bag_id))
+            at_done[bag_id] = (len(chunks), decode_bag_chunks(app.graph, bag_id, chunks))
+        real_on_done(wid, msg)
+
+    monkeypatch.setattr(runtime, "_on_done", on_done)
+    result = runtime.run({"src": BLOBS}, timeout=120)
+    assert at_done["blobs"][1] == BLOBS == result.records("blobs")
+    assert at_done["texts"][1] == [text_of(blob) for blob in BLOBS]
+    assert at_done["blobs"][0] > 8 and at_done["texts"][0] > 8  # deeper than b
 
 
 @pytest.mark.parametrize("engine", ["local", "dist"])
