@@ -5,6 +5,10 @@ task feeds a ``count`` aggregation whose clones reconcile through the
 ``counter`` merge. The runtime decides cloning on its own — note in the
 output that the result is identical whether or not clones were spawned.
 
+The tasks read ``ctx.records()`` and write ``ctx.emit()`` — the paper's
+Figure 3 API, kept here because it is the one the paper teaches; see the
+README for the same tasks a chunk at a time.
+
 Run:  python examples/quickstart.py
 """
 

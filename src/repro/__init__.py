@@ -15,7 +15,9 @@ Two engines share one application model:
   over real chunked records in threads, demonstrating the semantics
   (exactly-once bags, clone-invariant merges) on live data.
 
-Quickstart::
+Quickstart (the paper's Figure 3 API, a record at a time, because that
+is the form the paper teaches; ``ctx.batches()`` / ``ctx.emit_many()`` are
+the same thing a chunk at a time)::
 
     from repro import Application, LocalRuntime
 

@@ -32,7 +32,11 @@ from repro.merges.bitset import Bitset
 from repro.model.application import Application
 from repro.model.costs import TaskCost
 from repro.runtime.config import InputSpec
-from repro.workloads.clicklog_data import REGION_COUNT, geolocate, region_name
+from repro.workloads.clicklog_data import (
+    REGION_COUNT,
+    group_by_region,
+    region_name,
+)
 from repro.workloads.zipf import zipf_weights
 
 
@@ -126,17 +130,30 @@ def build_clicklog_sim(
 # -- real task functions (local engine), pseudo-code of Figure 3 ----------------
 
 
+#: Region index -> region bag id, built once (not an f-string per click).
+_REGION_BAGS = tuple(f"region.{region_name(i)}" for i in range(REGION_COUNT))
+
+#: The low address bits that index a region's bitset.
+_LOW_MASK = 0x03FFFFFF
+
+
 def _phase1(ctx):
-    """Geolocate each click and route it to its region bag."""
-    for ip in ctx.records():
-        ctx.emit(f"region.{geolocate(ip)}", ip)
+    """Geolocate each click and route it to its region bag.
+
+    A chunk of clicks at a time: grouped by region in arrival order, so
+    every region bag receives the record sequence a per-click ``emit``
+    would give it — the same chunks — for one ``emit_many`` per region.
+    """
+    for batch in ctx.batches():
+        for region, ips in group_by_region(batch).items():
+            ctx.emit_many(_REGION_BAGS[region], ips)
 
 
 def _phase2(ctx):
     """List distinct IPs of one region in a bitset (low bits index it)."""
     distinct = Bitset()
-    for ip in ctx.records():
-        distinct.set(ip & 0x03FFFFFF)
+    for batch in ctx.batches():
+        distinct.update({ip & _LOW_MASK for ip in batch})
     return distinct
 
 

@@ -25,23 +25,31 @@ exercised by the cost-annotated flagship app.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 from repro.model.application import Application
 from repro.workloads.clicklog_data import geolocate
 
 
 def _ingest(ctx):
-    """Route each click to its window's bag (the windowed ingest)."""
-    for window, ip in ctx.records():
-        ctx.emit(f"win.{window}", (window, ip))
+    """Route each click to its window's bag (the windowed ingest).
+
+    A chunk at a time, grouped in arrival order: each window bag receives
+    the record sequence a per-click ``emit`` would give it.
+    """
+    for batch in ctx.batches():
+        groups = defaultdict(list)
+        for click in batch:
+            groups[click[0]].append(click)
+        for window, clicks in groups.items():
+            ctx.emit_many(f"win.{window}", clicks)
 
 
 def _distinct(ctx):
     """Collect one window's distinct IPs; clones merge by set union."""
     seen = set()
-    for _window, ip in ctx.records():
-        seen.add(ip)
+    for batch in ctx.batches():
+        seen.update([ip for _window, ip in batch])
     return seen
 
 

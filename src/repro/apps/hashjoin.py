@@ -15,6 +15,7 @@ in the cloning heuristic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Tuple, Union
 
 from repro.apps.calibration import (
@@ -105,10 +106,19 @@ def build_hashjoin_sim(
 
 
 def _make_partitioner(src_prefix: str, partitions: int, key_space: int):
+    bags = [f"{src_prefix}.{part}" for part in range(partitions)]
+    top = partitions - 1
+
     def partition_fn(ctx):
-        for key, payload in ctx.records():
-            part = min(partitions - 1, key * partitions // key_space)
-            ctx.emit(f"{src_prefix}.{part}", (key, payload))
+        # A chunk at a time, grouped in arrival order: each partition bag
+        # receives the record sequence a per-record ``emit`` would give it.
+        for batch in ctx.batches():
+            groups: Dict[int, list] = defaultdict(list)
+            for record in batch:
+                part = record[0] * partitions // key_space
+                groups[part if part < top else top].append(record)
+            for part, records in groups.items():
+                ctx.emit_many(bags[part], records)
 
     return partition_fn
 
@@ -118,9 +128,15 @@ def _join_fn(ctx):
     build: Dict[int, list] = {}
     for key, payload in ctx.side_records(0):
         build.setdefault(key, []).append(payload)
-    for key, payload in ctx.records():
-        for match in build.get(key, ()):
-            ctx.emit(None, (key, match, payload))
+    for batch in ctx.batches():
+        ctx.emit_many(
+            None,
+            [
+                (key, match, payload)
+                for key, payload in batch
+                for match in build.get(key, ())
+            ],
+        )
 
 
 def build_hashjoin_local(partitions: int = 4, key_space: int = 1 << 16) -> Application:

@@ -16,6 +16,7 @@ reads of the simulator model that re-reading faithfully.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Tuple, Union
 
 from repro.apps.calibration import (
@@ -118,15 +119,22 @@ def _make_scatter(iteration: int, partitions: int, vertices: int):
             degrees.update(record)
         span = vertices / partitions
         base = (1.0 - _DAMPING) / vertices
-        for src, dst in ctx.records():
-            # Rank is derived from the mergeable raw sum at *consumption*
-            # time: rank = base + d * sum. (Applying the affine transform
-            # inside gather would break clone merging — two partials would
-            # each add the base term.)
-            rank = base + _DAMPING * sums.get(src, 0.0)
-            share = rank / degrees[src]
-            part = min(partitions - 1, int(dst / span))
-            ctx.emit(f_msg(iteration, part), (dst, share))
+        bags = [f_msg(iteration, part) for part in range(partitions)]
+        for batch in ctx.batches():
+            # A chunk of edges at a time, grouped by destination partition
+            # in arrival order: the message sequence per bag is unchanged.
+            groups: Dict[int, list] = defaultdict(list)
+            for src, dst in batch:
+                # Rank is derived from the mergeable raw sum at
+                # *consumption* time: rank = base + d * sum. (Applying the
+                # affine transform inside gather would break clone merging
+                # — two partials would each add the base term.)
+                rank = base + _DAMPING * sums.get(src, 0.0)
+                share = rank / degrees[src]
+                part = min(partitions - 1, int(dst / span))
+                groups[part].append((dst, share))
+            for part, messages in groups.items():
+                ctx.emit_many(bags[part], messages)
 
     return scatter_fn
 
@@ -144,9 +152,10 @@ def _make_gather(vertices: int, lo: int, hi: int):
         clones. The damping transform happens where ranks are consumed.
         """
         sums: Dict[int, float] = {}
-        for dst, share in ctx.records():
-            if lo <= dst < hi:
-                sums[dst] = sums.get(dst, 0.0) + share
+        for batch in ctx.batches():
+            for dst, share in batch:
+                if lo <= dst < hi:
+                    sums[dst] = sums.get(dst, 0.0) + share
         return sums
 
     return gather_fn

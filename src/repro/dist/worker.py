@@ -6,10 +6,24 @@ the task function against a :class:`DistTaskContext` — the shared
 for the batch-sampling :class:`~repro.dist.client.MuxBatchFetcher`,
 streaming from whichever storage shard serves the input bag — then writes
 its partial (aggregations) into the family's per-member partial bag on
-the shard homing *that* bag. For a MERGE node it reads every member's
-partial bag in member order, folds with the merge procedure, and emits
-the reconciled value into the real output bag — the same reconciliation
-:mod:`repro.local` performs in-memory.
+the shard homing *that* bag.
+
+The task-side surface is the base class's, unchanged: ``batches()`` /
+``emit_many()`` a chunk at a time, ``records()`` / ``emit()`` a record at
+a time, one input cursor however the two are interleaved, and a batch is
+the task's to mutate (a fetched chunk is decoded or unpickled into a list
+nothing else holds). The only thing this module overrides is the input
+loop, :meth:`DistTaskContext._input` — one step per fetched chunk — and
+everything the engine does per chunk lives in that one loop: the cancel
+poll, the progress message, the adaptive controller's observation, the
+service-time sample, ``kill_after_chunks``. ``records()`` is the base
+class's flatten over it, so no second copy of the loop exists for the
+per-record form to drift from.
+
+For a MERGE node the worker reads every member's partial bag in member
+order, folds with the merge procedure, and emits the reconciled value
+into the real output bag — the same reconciliation :mod:`repro.local`
+performs in-memory.
 
 Late binding is literal here: a clone started mid-task simply opens the
 same input bag and starts removing chunks; the storage server's
@@ -19,7 +33,8 @@ the original without any coordination.
 Cancellation piggybacks on the command pipe: between chunks the context
 polls for a ``cancel`` message (sent when another family member's worker
 died and the master is resetting the family) and unwinds with
-``_Cancelled``, acknowledged as ``aborted``.
+``_Cancelled``, acknowledged as ``aborted`` — under either form of the
+surface a cancelled task sees at most the batch it already holds.
 
 Output goes through the store's pipelined chunk writer, ``b`` insert
 fan-outs in flight, under one rule: nothing is acknowledged upward while
@@ -193,7 +208,8 @@ class DistTaskContext(TaskContext):
             except FetchTimeout:
                 self._poll_cancel()
 
-    def records(self):
+    def _input(self):
+        """The dist input loop: one fetched chunk's records per step."""
         kill_after = self._desc.kill_after_chunks
         pending_windows: Dict[int, List[float]] = {}
         while True:
@@ -227,7 +243,7 @@ class DistTaskContext(TaskContext):
             serving_started = time.perf_counter()
             records = self._decode(self._node.stream_input, chunk)
             self.records_in += len(records)
-            yield from records
+            yield records
             # Wall time from delivery to the consumer asking for the next
             # chunk — the controller's per-chunk service signal (applied
             # with a one-chunk lag; the EMA does not care).

@@ -1,24 +1,49 @@
 """Task-side API for the local engine (the paper's worker library).
 
-A :class:`TaskContext` gives a task function:
+The chunk is the unit of data in a bag, of serde and of write pipelining;
+this module makes it the unit of task work too. A :class:`TaskContext`
+gives a task function two forms of the same surface:
 
-* ``records()`` — late-binding iteration over the stream input bag: each
-  call to the underlying ``remove`` grabs the next unprocessed chunk, so
-  concurrent clones share the bag safely and each record is seen exactly
-  once across the family;
+* ``batches()`` — late-binding iteration over the stream input bag, a
+  chunk at a time: each step removes the next unprocessed chunk and
+  yields its decoded records as one list, so concurrent clones share the
+  bag safely and each record is seen exactly once across the family.
+  ``emit_many(bag_id, records)`` is its output twin: the records go to
+  the output bag's chunk builder in one call. A task written on these
+  two costs the library a few Python frames per *chunk*.
+* ``records()`` / ``emit(bag_id, record)`` — the paper's Figure 3 API,
+  one record at a time. ``records()`` is nothing but the flatten over
+  ``batches()`` (one input loop per engine, and nothing an engine does
+  per chunk — progress, cancellation, timing — can differ between the
+  forms); ``emit`` feeds the same builders. Both forms produce the same
+  chunks, byte for byte: chunk boundaries depend on each bag's record
+  sequence alone. They cost a few frames per *record*, which is noise
+  for a task that computes (the calibration burn) and most of the job
+  for one that only routes (the click log's phase 1).
 * ``side_records(i)`` — a non-destructive full read of side input ``i``
-  (the state a clone re-loads);
-* ``emit(bag_id, record)`` — buffered, chunked insertion into an output
-  bag (``bag_id=None`` targets the task's first output). Completed chunks
-  go to the runtime's chunk writer (``runtime.writer()``: direct in the
-  local engine, ``b`` fan-outs deep in the dist engine), and ``flush()``
-  drains it — when it returns, every chunk the task emitted is acked.
+  (the state a clone re-loads).
+
+**One cursor.** The context owns a single input cursor. ``batches()`` and
+``records()`` may be called any number of times and interleaved: a later
+call resumes where the earlier one stopped, the unread tail of a
+part-read batch first, so every fetched record is delivered exactly once.
+
+**Batch ownership.** A batch is the task's to keep or mutate (sort it in
+place, hand it to ``emit_many``): no bag, and no later ``side_records``
+read, sees the change. ``emit_many`` copies out of the sequence it is
+given and keeps no reference to it.
+
+Completed chunks go to the runtime's chunk writer (``runtime.writer()``:
+direct in the local engine, ``b`` fan-outs deep in the dist engine), and
+``flush()`` drains it — when it returns, every chunk the task emitted is
+acked. ``bag_id=None`` targets the task's first output.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.engine.common import iter_bag_chunks
 from repro.errors import BagError
@@ -28,7 +53,11 @@ from repro.serde.codecs import codec_for
 
 
 class _ObjectBatcher:
-    """Chunk builder for codec-less bags: chunks are record lists."""
+    """Chunk builder for codec-less bags: chunks are record lists.
+
+    A full chunk is cut when the *next* record arrives, so chunk boundaries
+    depend on the record sequence alone, however it is handed over.
+    """
 
     def __init__(self, batch: int):
         self.batch = batch
@@ -40,6 +69,18 @@ class _ObjectBatcher:
             completed, self._records = self._records, []
         self._records.append(record)
         return completed
+
+    def extend(self, records: Iterable[Any]) -> Iterator[list]:
+        """``add`` every record, yielding the chunks they complete."""
+        source = iter(records)
+        while True:
+            pending = self._records
+            pending.extend(islice(source, self.batch - len(pending)))
+            head = list(islice(source, 1))
+            if not head:
+                return  # source exhausted
+            self._records = head
+            yield pending
 
     def flush(self) -> Optional[list]:
         if not self._records:
@@ -57,6 +98,10 @@ class TaskContext:
         self._writer = runtime.writer()
         self.records_in = 0
         self.chunks_in = 0
+        #: The one input cursor: the engine's chunk loop, started once, and
+        #: the unread tail of the batch ``records()`` is part-way through.
+        self._chunks = self._input()
+        self._unread: Iterator[Any] = iter(())
 
     # -- input ----------------------------------------------------------------
 
@@ -70,8 +115,8 @@ class TaskContext:
             return chunk  # object chunk: a list of records
         return decode_chunk(chunk, codec)
 
-    def records(self) -> Iterator[Any]:
-        """Late-binding iteration over the stream input (exactly-once)."""
+    def _input(self) -> Iterator[List[Any]]:
+        """The engine's input loop: remove a chunk, yield its records."""
         bag = self._runtime.store.get(self._node.stream_input)
         # Optional overload signal: a runtime exposing note_chunk_seconds
         # (LocalRuntime in adaptive mode) gets each chunk's processing
@@ -84,10 +129,31 @@ class TaskContext:
             self.chunks_in += 1
             served = time.perf_counter() if note is not None else 0.0
             records = self._decode(self._node.stream_input, chunk)
+            if records is chunk:
+                # An object chunk is the bag's own list, which rewinds and
+                # side reads hand out again; the batch is the task's.
+                records = list(records)
             self.records_in += len(records)
-            yield from records
+            yield records
             if note is not None:
                 note(self._node.task_id, time.perf_counter() - served)
+
+    def batches(self) -> Iterator[List[Any]]:
+        """Late-binding iteration over the stream input (exactly-once),
+        one removed chunk's records at a time; each list is the caller's."""
+        while True:
+            batch = list(self._unread) or next(self._chunks, None)
+            if batch is None:
+                return
+            yield batch
+
+    def records(self) -> Iterator[Any]:
+        """``batches()``, flattened: the per-record form of the same cursor."""
+        for batch in self.batches():
+            # Read through the context's iterator, not a private one: if
+            # this generator is dropped mid-batch the tail stays deliverable.
+            self._unread = iter(batch)
+            yield from self._unread
 
     def side_records(self, index: int) -> Iterator[Any]:
         """Non-destructive full read of side input ``index`` (task state)."""
@@ -102,7 +168,7 @@ class TaskContext:
 
     # -- output ------------------------------------------------------------------
 
-    def _open_builder(self, target: str):
+    def _open_builder(self, target: Optional[str]):
         """Validate ``target`` and create its builder: once per output bag."""
         if target not in self._node.spec.outputs and target not in self._node.outputs:
             raise BagError(
@@ -117,14 +183,29 @@ class TaskContext:
         self._builders[target] = builder
         return builder
 
+    def _default_target(self) -> Optional[str]:
+        """The task's first output — or None, which ``_open_builder``
+        refuses like any other bad target."""
+        outputs = self._node.outputs
+        return outputs[0] if outputs else None
+
     def emit(self, bag_id: Optional[str], record: Any) -> None:
         """Append a record to an output bag (buffered into chunks)."""
-        target = bag_id if bag_id is not None else self._node.outputs[0]
+        target = bag_id if bag_id is not None else self._default_target()
         builder = self._builders.get(target)
         if builder is None:
             builder = self._open_builder(target)
         chunk = builder.add(record)
         if chunk is not None:
+            self._insert(target, chunk)
+
+    def emit_many(self, bag_id: Optional[str], records: Iterable[Any]) -> None:
+        """``emit`` every record of ``records``, in order, in one call."""
+        target = bag_id if bag_id is not None else self._default_target()
+        builder = self._builders.get(target)
+        if builder is None:
+            builder = self._open_builder(target)
+        for chunk in builder.extend(records):
             self._insert(target, chunk)
 
     def _insert(self, bag_id: str, chunk: Any) -> None:

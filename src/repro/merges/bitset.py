@@ -32,6 +32,15 @@ class Bitset:
             raise ValueError(f"bitset keys must be non-negative, got {key}")
         self._bits |= 1 << key
 
+    def update(self, keys: Iterable[int]) -> None:
+        """``set`` every key; none is set if any is negative."""
+        bits = self._bits
+        for key in keys:
+            if key < 0:
+                raise ValueError(f"bitset keys must be non-negative, got {key}")
+            bits |= 1 << key
+        self._bits = bits
+
     def test(self, key: int) -> bool:
         return bool((self._bits >> key) & 1)
 

@@ -58,11 +58,16 @@ class ChunkBuilder:
         return self._cut(final=False)
 
     def extend(self, records: Iterable[Any]) -> Iterator[bytes]:
-        """``add`` every record, yielding the chunks they complete."""
+        """``add`` every record, yielding the chunks they complete.
+
+        Exactly an ``add`` loop, however a record sequence is cut into
+        calls: the buffer is packed only when a record arrives.
+        """
         source, pending = iter(records), self._records
         while True:
-            pending.extend(islice(source, max(1, self._target - len(pending))))
-            if len(pending) < self._target:
+            held = len(pending)
+            pending.extend(islice(source, max(1, self._target - held)))
+            if len(pending) == held or len(pending) < self._target:
                 return  # source exhausted
             chunk = self._cut(final=False)
             if chunk is not None:

@@ -9,7 +9,8 @@ generator can impose any Zipf skew by picking regions before low bits.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from collections import defaultdict
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.sim.rand import rng_from
 from repro.workloads.zipf import zipf_weights
@@ -39,6 +40,19 @@ def region_name(index: int) -> str:
 def region_of_ip(ip: int) -> int:
     """The region index encoded in an IPv4 address (top 6 bits)."""
     return (ip >> _LOW_BITS) & (REGION_COUNT - 1)
+
+
+def group_by_region(ips: Iterable[int]) -> Dict[int, List[int]]:
+    """``ips`` grouped by :func:`region_of_ip`, in arrival order per region.
+
+    The batch form of the geolocation function: one call per chunk of
+    clicks where ``geolocate`` is one per click.
+    """
+    groups: Dict[int, List[int]] = defaultdict(list)
+    shift, mask = _LOW_BITS, REGION_COUNT - 1
+    for ip in ips:
+        groups[(ip >> shift) & mask].append(ip)
+    return groups
 
 
 def geolocate(ip: int) -> str:

@@ -13,7 +13,10 @@ from repro.apps import (
     build_pagerank_local,
     build_pagerank_sim,
 )
+from repro.apps import clicklog
+from repro.engine.common import decode_bag_chunks
 from repro.local import LocalRuntime
+from repro.serde import chunk_records, codec_for, decode_chunk
 from repro.units import GB, MB
 from repro.workloads import (
     REGION_COUNT,
@@ -23,9 +26,11 @@ from repro.workloads import (
     generate_relation,
     region_name,
 )
-from repro.workloads.clicklog_data import exact_distinct_counts
+from repro.workloads.clicklog_data import exact_distinct_counts, geolocate
 from repro.workloads.relations import join_reference
 from repro.workloads.zipf import zipf_weights
+from tests.test_property_batches import context
+from tests.test_serde import TestNoPerRecordPython as serde_budget
 
 
 class TestClickLogLocal:
@@ -52,6 +57,55 @@ class TestClickLogLocal:
         ).run({"clicklog": records}, timeout=120)
         for region in ("usa", "china"):
             assert cloned.value(f"count.{region}") == plain.value(f"count.{region}")
+
+
+class TestPhase1CostsFramesPerChunk:
+    """A count, not a timing (the style of test_serde's
+    ``TestNoPerRecordPython``): routing 50 000 clicks enters the worker
+    library and serde a number of times set by the *chunks* moved. Phase 1
+    written on ``records()`` / ``emit`` enters them 3 times per record."""
+
+    #: Library frames per chunk in or out. A chunk in costs an ``emit_many``
+    #: and its builder's ``extend`` for each region present in it (2 x 64 at
+    #: most, plus the input loop and the decode); a chunk out ~25 to pack
+    #: and insert. Measured: 51-54.
+    K = 80
+
+    LIBRARY = (
+        "repro/local/context.py",
+        "repro/dist/worker.py",
+        "repro/serde/chunks.py",
+        "repro/serde/codecs.py",
+        "repro/serde/varint.py",
+    )
+
+    @pytest.mark.parametrize("skew", [0.0, 1.0])
+    def test_phase1_library_frames(self, skew):
+        clicks = list(generate_clicklog(50_000, skew=skew, seed=3))
+        region_bags = [f"region.{region_name(i)}" for i in range(REGION_COUNT)]
+        codec = codec_for("u64")
+        pieces = [
+            decode_chunk(chunk, codec) for chunk in chunk_records(clicks, codec, 8192)
+        ]
+        runtime, ctx = context("u64", "u64", pieces, 8192, outputs=region_bags)
+
+        def phase1():
+            clicklog._phase1(ctx)
+            ctx.flush()
+
+        calls, _ = serde_budget.calls_during(phase1, self.LIBRARY)
+        routed = {
+            bag_id: decode_bag_chunks(
+                runtime.graph, bag_id, runtime.store.get(bag_id).read_all()
+            )
+            for bag_id in region_bags
+        }
+        expected = {bag_id: [] for bag_id in region_bags}
+        for ip in clicks:
+            expected[f"region.{geolocate(ip)}"].append(ip)
+        assert routed == expected
+        chunks_out = sum(runtime.store.get(bag_id).size() for bag_id in region_bags)
+        assert calls <= self.K * (len(pieces) + chunks_out) < len(clicks)
 
 
 class TestClickLogSimBuilder:

@@ -6,6 +6,8 @@ order is interleaving-dependent (multi-record streaming sinks), direct
 equality for merged single values.
 """
 
+import threading
+
 import pytest
 
 from repro.apps import build_clicklog_local, build_hashjoin_local
@@ -14,8 +16,9 @@ from repro.dist import DistRuntime
 from repro.errors import RemoteTaskError
 from repro.local import LocalRuntime
 from repro.model.application import Application
-from repro.workloads.clicklog_data import generate_clicklog
-from repro.workloads.relations import generate_relation
+from repro.workloads.clicklog_data import exact_distinct_counts, generate_clicklog
+from repro.workloads.relations import generate_relation, join_reference
+from tests.test_dist_writer import held_worker  # noqa: F401  (a fixture)
 
 REGIONS = ["usa", "china"]
 
@@ -203,3 +206,90 @@ class TestDistBatchSampling:
         ).run({"seeds": seeds}, timeout=60)
         assert result.chunks_processed > 5
         assert result.records_processed == 200
+
+
+class TestBatchForm:
+    """The in-tree task functions read ``batches()`` and write ``emit_many``."""
+
+    @pytest.mark.parametrize(
+        "workers,schedule",
+        [(1, {}), (2, {"phase1": 1}), (3, {"phase1": 2, "phase2.usa": 1})],
+    )
+    def test_clicklog_against_the_engine_free_reference(self, workers, schedule):
+        # Forced clones start with the original: two or three members drain
+        # one input bag through ``batches()`` from separate processes.
+        records = clicklog_records()
+        result = DistRuntime(
+            build_clicklog_local(regions=REGIONS),
+            workers=workers,
+            chunk_size=512,
+            forced_clones=schedule,
+        ).run({"clicklog": records}, timeout=120)
+        assert clicklog_counts(result) == exact_distinct_counts(records)
+        for task_id, clones in schedule.items():
+            # At least: idle workers may clone further on their own.
+            assert result.clone_counts[task_id] >= 1 + clones
+
+    @pytest.mark.parametrize(
+        "workers,schedule", [(1, {}), (3, {"partition.s": 2, "join.0": 1})]
+    )
+    def test_hashjoin_against_the_engine_free_reference(self, workers, schedule):
+        inputs = hashjoin_inputs()
+        result = DistRuntime(
+            build_hashjoin_local(partitions=2, key_space=1 << 12),
+            workers=workers,
+            chunk_size=512,
+            forced_clones=schedule,
+        ).run(dict(inputs), timeout=120)
+        assert hashjoin_rows(result) == join_reference(
+            inputs["relation.r"], inputs["relation.s"]
+        )
+
+    def test_second_records_call_resumes_the_first(self):
+        """The dist context's half of the one-cursor rule (the rest of the
+        chunk the first reader stopped in used to be dropped)."""
+        app = Application("twice-read")
+        app.bag("in", codec="u64")
+        app.bag("out", codec="u64")
+
+        def task(ctx):
+            ctx.emit(None, next(ctx.records()))
+            for value in ctx.records():
+                ctx.emit(None, value)
+
+        app.task("t", ["in"], ["out"], fn=task)
+        result = DistRuntime(app, workers=1, chunk_size=64).run(
+            {"in": list(range(100))}, timeout=60
+        )
+        assert result.records("out") == list(range(100))
+        assert result.records_processed == 100
+
+
+def test_cancel_mid_task_is_acknowledged_within_one_batch(held_worker):
+    """The cancel poll sits in the chunk loop under both forms: a task on
+    ``batches()`` handed a cancel while it works on one batch is unwound
+    before it sees the next, however much input is waiting."""
+    seen, holding, release = [], threading.Event(), threading.Event()
+
+    def task(ctx):
+        for batch in ctx.batches():
+            seen.append(len(batch))
+            ctx.emit_many(None, batch)
+            holding.set()
+            assert release.wait(10)
+
+    master_end, shard = held_worker(
+        task, records=range(2**40, 2**40 + 200), input_chunk_size=64
+    )
+    try:
+        assert len(shard.chunks) > 10  # plenty still to fetch
+        assert holding.wait(10)
+        master_end.send({"type": "cancel", "node_id": "copy#0"})
+    finally:
+        release.set()
+    while not master_end.poll(0.01):
+        for future in shard.inserts:  # ``aborted`` waits for the inserts' acks
+            if not future.done():
+                future.set_result(None)
+    assert master_end.recv() == {"type": "aborted", "node_id": "copy#0"}
+    assert len(seen) == 1

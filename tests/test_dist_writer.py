@@ -400,10 +400,11 @@ class WithholdingShard:
 @pytest.fixture
 def held_worker(monkeypatch):
     """``held_worker(fn)`` -> (master's pipe end, shard): a worker running
-    ``fn`` over one input chunk, its first message(s) already consumed."""
+    ``fn`` over one input chunk (more with a smaller ``input_chunk_size``),
+    its first message(s) already consumed."""
     threads = []
 
-    def start(fn):
+    def start(fn, records=RECORDS, input_chunk_size=4096):
         app = Application("held")
         src = app.bag("src", codec="u64")
         out = app.bag("out", codec="u64")
@@ -412,9 +413,9 @@ def held_worker(monkeypatch):
         # One input chunk of 8-byte values: two or three 64-byte output
         # chunks, fewer than the writer's depth, so no insert ever blocks.
         chunks = source_chunks(
-            app.graph, "src", RECORDS, chunk_size=4096, records_per_chunk=256
+            app.graph, "src", records, chunk_size=input_chunk_size, records_per_chunk=256
         )
-        assert len(chunks) == 1
+        assert len(chunks) == 1 or input_chunk_size != 4096
         shard = WithholdingShard(chunks)
 
         def scripted_store(*args, **kwargs):

@@ -87,3 +87,74 @@ def test_record_and_chunk_counters():
     result = runtime.run({"src": list(range(200))})
     assert result.records_processed == 200
     assert result.chunks_processed > 1
+
+
+# -- the chunk-granular form ---------------------------------------------------
+
+
+def test_second_records_call_resumes_the_first():
+    """One input cursor: a reader opened after another stopped mid-chunk
+    continues with the rest of that chunk (the rest used to be dropped)."""
+    app = Application("twice-read")
+    src = app.bag("src", codec="u64")
+    out = app.bag("out", codec="u64")
+
+    def task(ctx):
+        ctx.emit(None, next(ctx.records()))
+        for value in ctx.records():
+            ctx.emit(None, value)
+
+    app.task("t", [src], [out], fn=task)
+    result = LocalRuntime(app, workers=1, chunk_size=64).run({"src": list(range(100))})
+    assert result.records("out") == list(range(100))
+    assert result.records_processed == 100
+
+
+def test_batches_and_emit_many_copy_a_bag():
+    app = Application("copied")
+    src = app.bag("src")
+    out = app.bag("out", codec="str")
+
+    def task(ctx):
+        for batch in ctx.batches():
+            assert isinstance(batch, list)
+            ctx.emit_many("out", (word.upper() for word in batch))
+
+    app.task("t", [src], [out], fn=task)
+    words = [f"w{i}" for i in range(700)]
+    result = LocalRuntime(app, workers=1, records_per_chunk=64, chunk_size=256).run(
+        {"src": words}
+    )
+    assert result.records("out") == [word.upper() for word in words]
+    assert result.chunks_processed == 11  # one batch per removed chunk
+
+
+def test_a_batch_is_the_tasks_to_mutate():
+    """Sorting a batch in place reaches neither the bag it came from (an
+    object chunk *is* a list, and the bag keeps it for rewinds and result
+    reads) nor a bag it was emitted into before the sort."""
+    app = Application("owned")
+    src = app.bag("src")
+    kept = app.bag("kept")
+    go = app.bag("go")
+    out = app.bag("out")
+
+    def sorter(ctx):
+        for batch in ctx.batches():
+            ctx.emit_many(None, batch)
+            batch.sort()
+
+    def reader(ctx):
+        for _ in ctx.batches():
+            pass
+        ctx.emit_many(None, ctx.side_records(0))
+
+    app.task("sorter", [src], [kept], fn=sorter)
+    app.task("reader", [go, kept], [out], fn=reader)
+    values = [5, 3, 9, 1, 7, 2, 8, 0]
+    result = LocalRuntime(app, workers=1, records_per_chunk=4).run(
+        {"src": values, "go": [0]}
+    )
+    assert result.records("src") == values
+    assert result.records("kept") == values
+    assert result.records("out") == values

@@ -10,8 +10,12 @@ import pytest
 
 from repro.apps import build_clicklog_local, build_hashjoin_local
 from repro.local import LocalRuntime
-from repro.workloads.clicklog_data import generate_clicklog, region_name
-from repro.workloads.relations import generate_relation
+from repro.workloads.clicklog_data import (
+    exact_distinct_counts,
+    generate_clicklog,
+    region_name,
+)
+from repro.workloads.relations import generate_relation, join_reference
 
 REGIONS = [region_name(0), region_name(1), region_name(2)]
 
@@ -106,3 +110,42 @@ class TestForcedCloneInvariance:
             for _ in range(2)
         ]
         assert counts == [3, 3]
+
+
+class TestBatchFormAgainstTheEngineFreeReference:
+    """The in-tree task functions read ``batches()`` and write ``emit_many``;
+    a LocalRuntime baseline runs the same functions, so these sinks are
+    held to the workload generators' own references instead. Two clones
+    draining one bag through ``batches()`` is the case late binding rests on.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "schedule", [{}, {"phase1": 2}, {"phase1": 1, f"phase2.{REGIONS[0]}": 2}]
+    )
+    def test_clicklog(self, workers, schedule):
+        result = LocalRuntime(
+            build_clicklog_local(regions=REGIONS),
+            workers=workers,
+            chunk_size=512,
+            forced_clones=schedule,
+        ).run({"clicklog": CLICKLOG}, timeout=120)
+        assert clicklog_counts(result) == exact_distinct_counts(CLICKLOG)
+        assert result.records_processed >= len(CLICKLOG)
+        for task_id, clones in schedule.items():
+            assert result.clone_counts[task_id] == 1 + clones
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "schedule", [{}, {"partition.s": 2}, {"partition.r": 1, "join.0": 2}]
+    )
+    def test_hashjoin(self, workers, schedule):
+        result = LocalRuntime(
+            build_hashjoin_local(partitions=2, key_space=1 << 12),
+            workers=workers,
+            chunk_size=512,
+            forced_clones=schedule,
+        ).run(dict(JOIN_INPUTS), timeout=120)
+        assert join_rows(result) == join_reference(
+            JOIN_INPUTS["relation.r"], JOIN_INPUTS["relation.s"]
+        )

@@ -77,6 +77,22 @@ class TestBitset:
         with pytest.raises(ValueError):
             Bitset().set(-1)
 
+    def test_update_is_a_set_loop(self):
+        keys = [9, 1, 5, 1, 1000, 0]
+        one_by_one, at_once = Bitset.from_keys([3]), Bitset.from_keys([3])
+        for key in keys:
+            one_by_one.set(key)
+        at_once.update(iter(keys))
+        assert at_once == one_by_one
+        at_once.update([])
+        assert at_once == one_by_one
+
+    def test_update_rejects_a_negative_key_like_set(self):
+        bits = Bitset.from_keys([2])
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            bits.update([4, -1, 6])
+        assert bits == Bitset.from_keys([2])  # all or nothing
+
 
 class TestSortedMerges:
     def test_sorted_merge(self):

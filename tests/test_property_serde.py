@@ -1,7 +1,7 @@
 """Property-based tests for serde: any records, any chunk size, lossless."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ChunkOverflowError, SerdeError
@@ -235,6 +235,32 @@ def test_builder_bounds_order_and_determinism(case, chunk_size):
     # Byte-identical on a second run, and whichever way the records arrive.
     assert list(chunk_records(iter(records), codec, chunk_size)) == chunks
     assert chunked_by_add(records, codec, chunk_size) == chunks
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.sampled_from([1, 2, 5, 20, 40]).map(bytes), max_size=40),
+    st.lists(st.integers(0, 40), max_size=6),
+)
+@example(
+    [bytes(n) for n in (1, 20, 1, 20, 5, 2, 1, 40, 1, 40, 20, 40, 5, 40, 40, 1, 2, 40, 2, 1)],
+    [16],
+)
+def test_extend_in_pieces_is_an_add_loop(records, cuts):
+    """``emit_many`` hands a bag's records over a batch at a time: wherever
+    the sequence is cut into ``extend`` calls, the chunks are ``add``'s. (A
+    buffer still over its target when a piece ended used to be packed early.)"""
+    codec = codec_for("bytes")
+    bounds = sorted({0, len(records), *(min(cut, len(records)) for cut in cuts)})
+    builder = ChunkBuilder(codec, 64)
+    chunks = [
+        chunk
+        for start, stop in zip(bounds, bounds[1:])
+        for chunk in builder.extend(records[start:stop])
+    ]
+    while (chunk := builder.flush()) is not None:
+        chunks.append(chunk)
+    assert chunks == chunked_by_add(records, codec, 64)
 
 
 @settings(max_examples=200)

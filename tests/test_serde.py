@@ -247,8 +247,7 @@ class TestNoPerRecordPython:
     modules grow with the number of *chunks*, never with the records."""
 
     @staticmethod
-    def calls_during(work):
-        modules = ("repro/serde/codecs.py", "repro/serde/varint.py")
+    def calls_during(work, modules=("repro/serde/codecs.py", "repro/serde/varint.py")):
         calls = 0
 
         def profile(frame, event, arg):
