@@ -309,7 +309,7 @@ class ControlState:
         for task_id, family in self.exec.families.items():
             if not family.original.spec.needs_merge:
                 continue
-            for index in range(family.clone_counter + 1):
+            for index in range(1, family.clone_counter + 1):
                 bag_id = partial_bag_id(task_id, index)
                 if shard in router.replicas(bag_id):
                     partials[bag_id] = task_id
@@ -367,7 +367,7 @@ class ControlState:
             for bag_id in spec.outputs:
                 push(bag_id)
             if spec.needs_merge:
-                for index in range(family.clone_counter + 1):
+                for index in range(1, family.clone_counter + 1):
                     push(partial_bag_id(task_id, index))
             for bag_id in spec.inputs:
                 # A finalized (compacted) input physically dropped its

@@ -246,8 +246,8 @@ class NodeDescriptor:
     side_inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]
     merge_inputs: Tuple[str, ...] = ()
-    #: Index of this worker within the task family (0 = original); names
-    #: the partial-output bag an aggregation member writes.
+    #: Index of this worker within the task family (0 = original): an
+    #: aggregation's clone ``k`` writes partial bag ``k``, member 0 the output.
     member: int = 0
     #: Fault injection: the worker hard-exits (``os._exit``) after fetching
     #: this many stream chunks. Used by tests and the chaos-style smoke.

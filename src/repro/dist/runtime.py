@@ -44,11 +44,12 @@ only through :meth:`DistRuntime._commit` (journal the record, then
   re-producing), and lost source bags are refilled from the master's
   kept copy of the inputs.
 
-Aggregation partials travel through per-member partial bags on whichever
-shard homes them; the merge node is assigned to a worker like any other
-node. A family that finishes with no clones never grows a merge node —
-the master itself promotes the lone partial into the real output bag,
-mirroring ``LocalRuntime._complete``.
+An aggregation's output bag is written by its own family alone: member 0
+emits its partial straight into it, clone ``k`` into partial bag ``k``, and
+a cloned family's merge node — assigned to a worker like any other —
+replaces the bag's content with the fold. A family that never cloned needs
+only its ``done`` and the seal: between the source fill and the result
+snapshot no chunk crosses this process.
 """
 
 from __future__ import annotations
@@ -78,9 +79,7 @@ from repro.dist.sharding import ShardRouter
 from repro.dist.worker import worker_main
 from repro.engine.common import (
     bag_records,
-    emit_value,
     insert_chunks,
-    iter_bag_chunks,
     refill_bag,
     source_chunks,
 )
@@ -480,6 +479,17 @@ class DistRuntime:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Everything the journal records; changed only via ``_commit``.
         self.control = ControlState(self.graph)
+        for task in self.graph.tasks.values():
+            if not task.needs_merge:
+                continue
+            # A cloned family's merge *replaces* its output bag's content.
+            for other in self.graph.producers_of(task.outputs[0]):
+                if other is not task:
+                    raise SchedulingError(
+                        f"aggregation {task.task_id!r} shares its merge output "
+                        f"{task.outputs[0]!r} with task {other.task_id!r}; the "
+                        "dist engine needs that bag to be the family's alone"
+                    )
         self.records_processed = 0
         self.chunks_processed = 0
         self.worker_deaths = 0
@@ -924,7 +934,9 @@ class DistRuntime:
             stream_input=node.stream_input,
             side_inputs=tuple(node.side_inputs),
             outputs=tuple(node.outputs),
-            merge_inputs=tuple(node.merge_inputs),
+            # Member 0's partial is in the output bag: no partial bag 0 here.
+            merge_inputs=node.merge_inputs
+            and (node.outputs[0], *node.merge_inputs[1:]),
             member=node.member,
             kill_after_chunks=kill_after,
             # Clones and post-recovery re-dispatches continue from the
@@ -1162,9 +1174,8 @@ class DistRuntime:
                 self._complete(node, msg)
         finally:
             # The worker is idle whichever way that went. A committed
-            # ``done`` released it; where the completion was ignored, or
-            # the promotion unwound on a dead shard, the node it leaves
-            # RUNNING is the loop-top sweep's to reset.
+            # ``done`` released it; where the completion was ignored, the
+            # node it leaves RUNNING is the loop-top sweep's to reset.
             self._release(wid)
             self._mark_idle(wid)
 
@@ -1181,45 +1192,14 @@ class DistRuntime:
             # Completed before the cancel landed; the family is being reset,
             # so ignore the completion itself.
             return
-        family = self.control.exec.families[node.task_id]
-        if (
-            node.kind != NodeKind.MERGE
-            and node.spec.needs_merge
-            and family.merge is None
-        ):
-            # Lone-member aggregation: promote the single partial into the
-            # real output bag (mirrors LocalRuntime._complete). Unretried
-            # on purpose: if the partial's shard died, the loss closure is
-            # about to reset this family and re-produce everything.
-            values = [
-                record
-                for chunk in iter_bag_chunks(
-                    self._store, partial_bag_id(node.task_id, 0)
-                )
-                for record in chunk
-            ]
-            if len(values) != 1:
-                raise SchedulingError(
-                    f"expected one partial for un-cloned {node.task_id!r}, "
-                    f"found {len(values)}"
-                )
-            emit_value(
-                self._store,
-                self.graph,
-                node.spec.outputs[0],
-                values[0],
-                chunk_size=self.settings.chunk_size,
-            )
-        # Write-ahead placement is load-bearing in both directions: after
-        # the lone-partial promotion above (emit_value is not idempotent —
-        # a replay that re-promoted would double-emit), yet before the
-        # graph transition (a done the journal never saw leaves the family
-        # in doubt, and the recovery reset discards whatever this node
-        # wrote — including that emitted value — before re-running it).
+        # Write-ahead of the graph transition. What the node wrote (an
+        # aggregation's value included) its worker wrote before this message:
+        # a done the journal never saw replays the node as RUNNING-unclaimed,
+        # and the recovery reset discards that output before the re-run.
         self._ready.extend(self._commit(("done", node.node_id)))
+        family = self.control.exec.families[node.task_id]
         if family.finished:
-            for bag_id in family.original.spec.outputs:
-                self._seal_if_complete(bag_id)
+            self._seal_complete(family.original.spec.outputs)
             self._maybe_finalize_inputs(family)
 
     def _maybe_finalize_inputs(self, family) -> None:
@@ -1255,20 +1235,22 @@ class DistRuntime:
                     lambda i=index, b=bag_id: self._store.finalize_bag(i, b)
                 )
 
-    def _seal_if_complete(self, bag_id: str) -> None:
-        """Seal ``bag_id``, tolerating a concurrent shard death.
+    def _seal_complete(self, bag_ids: Iterable[str]) -> None:
+        """Seal the complete ones of ``bag_ids`` in one round trip,
+        tolerating a concurrent shard death.
 
         The completeness re-check runs on every retry attempt: if a shard
-        death reset this bag's producers while we were retrying, sealing
-        the now-empty replacement bag would make the re-run's inserts
-        explode, so the seal is simply skipped — the family seals it again
-        when it re-finishes.
+        death reset a bag's producers while we were retrying, sealing the
+        now-empty replacement bag would make the re-run's inserts explode,
+        so that seal is simply skipped — the family seals it again when it
+        re-finishes.
         """
 
         def attempt() -> None:
-            if not self.control.exec.bag_complete(bag_id):
-                return
-            self._store.get(bag_id).seal()
+            complete = [b for b in bag_ids if self.control.exec.bag_complete(b)]
+            rounds = [self._store.submit_round(b, "seal", (b,)) for b in complete]
+            for bag_id, submitted in zip(complete, rounds):
+                self._store.settle(bag_id, "seal", (bag_id,), submitted)
 
         self._retrying(attempt)
 
@@ -1625,15 +1607,11 @@ class DistRuntime:
         families = self.control.exec.families
         for task_id in tasks:
             family = families[task_id]
-            bags = set()
-            for member in family.workers:
-                bags.update(member.outputs)
-            if family.merge is not None:
-                # A merge that died after emitting but before reporting may
-                # have written the real output bag already.
-                bags.update(family.merge.outputs)
-            if family.original.spec.needs_merge:
-                for index in range(family.clone_counter + 1):
+            spec = family.original.spec
+            # All a member or merge writes: the outputs, a clone's partial.
+            bags = set(spec.outputs)
+            if spec.needs_merge:
+                for index in range(1, family.clone_counter + 1):
                     bags.add(partial_bag_id(task_id, index))
             for bag_id in sorted(bags):
                 self._retrying(lambda b=bag_id: self._store.get(b).discard())
@@ -1874,9 +1852,7 @@ class DistRuntime:
                 self._on_worker_dead(wid)
             # Re-seal: a family whose done landed in the journal may have
             # died before its output bag's seal RPC. Idempotent.
-            for bag_id in sorted(self.graph.bags):
-                if self.control.exec.bag_complete(bag_id):
-                    self._seal_if_complete(bag_id)
+            self._seal_complete(sorted(self.graph.bags))
             self.master_recoveries += 1
             self._write_checkpoint()
             self.master_failover_seconds.append(time.monotonic() - started)

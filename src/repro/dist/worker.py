@@ -5,8 +5,9 @@ the task function against a :class:`DistTaskContext` — the shared
 :class:`~repro.local.context.TaskContext` with the stream input swapped
 for the batch-sampling :class:`~repro.dist.client.MuxBatchFetcher`,
 streaming from whichever storage shard serves the input bag — then writes
-its partial (aggregations) into the family's per-member partial bag on
-the shard homing *that* bag.
+its partial (aggregations) itself: member 0, the original, straight into
+the task's output bag (for a family that never clones that *is* the
+result), clone ``k`` into the family's partial bag ``k``.
 
 The task-side surface is the base class's, unchanged: ``batches()`` /
 ``emit_many()`` a chunk at a time, ``records()`` / ``emit()`` a record at
@@ -20,10 +21,12 @@ service-time sample, ``kill_after_chunks``. ``records()`` is the base
 class's flatten over it, so no second copy of the loop exists for the
 per-record form to drift from.
 
-For a MERGE node the worker reads every member's partial bag in member
-order, folds with the merge procedure, and emits the reconciled value
-into the real output bag — the same reconciliation :mod:`repro.local`
-performs in-memory.
+For a MERGE node the worker reads member 0's partial out of the output
+bag and the clones' out of their partial bags, empties the output bag,
+folds in member order and emits the reconciled value in the partial's
+place. The bag is the family's alone (``DistRuntime`` refuses a graph
+where another task writes it), and dying inside the replace is a worker
+death inside the family: the reset discards the bag and re-runs everyone.
 
 Late binding is literal here: a clone started mid-task simply opens the
 same input bag and starts removing chunks; the storage server's
@@ -55,6 +58,7 @@ from repro.dist.client import MuxBatchFetcher, ShardedBagStore
 from repro.dist.protocol import DistSettings, NodeDescriptor
 from repro.dist.sharding import ShardRouter
 from repro.engine.common import (
+    decode_bag_chunks,
     emit_value,
     fold_partials,
     iter_bag_chunks,
@@ -102,6 +106,9 @@ class _WorkerRuntime:
 
     def writer(self):
         return self.store.writer(self._write_depth)
+
+    def emit_value(self, bag_id: str, value: Any) -> None:
+        emit_value(self.store, self.graph, bag_id, value, chunk_size=self.chunk_size)
 
 
 #: Cap on latency samples shipped back per task. The cap itself predates
@@ -305,7 +312,11 @@ def _run_task(
                 f"aggregation task {desc.task_id!r} returned None; tasks "
                 "with a merge must return their partial output"
             )
-        runtime.store.get(partial_bag_id(desc.task_id, desc.member)).insert([result])
+        if desc.member == 0:
+            runtime.emit_value(spec.outputs[0], result)
+        else:
+            partial = partial_bag_id(desc.task_id, desc.member)
+            runtime.store.get(partial).insert([result])
     elif result is not None:
         raise SchedulingError(
             f"task {desc.task_id!r} returned a value but declares no merge"
@@ -331,26 +342,23 @@ def _run_task(
 
 def _run_merge(runtime: _WorkerRuntime, desc: NodeDescriptor) -> dict:
     spec = runtime.graph.tasks[desc.task_id]
+    store, output = runtime.store, desc.outputs[0]
     partials: List[Any] = []
     for bag_id in desc.merge_inputs:
-        values = [
-            record
-            for chunk in iter_bag_chunks(runtime.store, bag_id)
-            for record in chunk
-        ]
+        chunks = iter_bag_chunks(store, bag_id)
+        if bag_id == output:
+            # Member 0's partial, encoded as the output bag's own records.
+            values = decode_bag_chunks(runtime.graph, bag_id, chunks)
+        else:
+            values = [record for chunk in chunks for record in chunk]
         if len(values) != 1:
             raise SchedulingError(
-                f"partial bag {bag_id!r} holds {len(values)} values, expected 1"
+                f"merge input {bag_id!r} holds {len(values)} values, expected 1"
             )
         partials.append(values[0])
+    store.get(output).discard()
     merged = fold_partials(resolve_merge(spec), desc.task_id, partials)
-    emit_value(
-        runtime.store,
-        runtime.graph,
-        desc.outputs[0],
-        merged,
-        chunk_size=runtime.chunk_size,
-    )
+    runtime.emit_value(output, merged)
     return {"records": 0, "chunks": 0, "latencies_by_shard": {}}
 
 

@@ -170,10 +170,17 @@ class TaskContext:
 
     def _open_builder(self, target: Optional[str]):
         """Validate ``target`` and create its builder: once per output bag."""
-        if target not in self._node.spec.outputs and target not in self._node.outputs:
+        spec = self._node.spec
+        if spec.needs_merge and target in (spec.outputs[0], self._node.outputs[0]):
+            # Records beside the value: the result would depend on cloning.
+            raise BagError(
+                f"task {self._node.task_id!r} cannot emit to its merge output "
+                f"{spec.outputs[0]!r}: that bag holds the returned value only"
+            )
+        if target not in spec.outputs and target not in self._node.outputs:
             raise BagError(
                 f"task {self._node.task_id!r} cannot emit to {target!r}; "
-                f"declared outputs are {self._node.spec.outputs}"
+                f"declared outputs are {spec.outputs}"
             )
         codec = self._codec_of(target)
         if codec is None:

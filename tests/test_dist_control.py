@@ -107,6 +107,17 @@ def started(family):
     return family.merge is not None and family.merge.state != NodeState.PENDING
 
 
+def clone_partials(state):
+    """Every partial bag that can exist (-> owner task): one per clone index
+    ever granted — member 0 writes the task's output bag, not a partial."""
+    return {
+        partial_bag_id(task_id, index): task_id
+        for task_id, family in state.exec.families.items()
+        if family.original.spec.needs_merge
+        for index in range(1, family.clone_counter + 1)
+    }
+
+
 def assert_closed(state, lost_bags, lost_partials, to_reset, refills):
     """Every started co-producer and unfinished started consumer of a
     discarded bag is in ``to_reset``; every lost source is refilled."""
@@ -234,12 +245,7 @@ class FakeScheduler:
     def lose(self):
         """A shard dies: an arbitrary set of bags has no surviving copy."""
         graph_bags = sorted(self.state.graph.bags)
-        partials = {
-            partial_bag_id(task_id, index): task_id
-            for task_id, family in self.state.exec.families.items()
-            if family.original.spec.needs_merge
-            for index in range(family.clone_counter + 1)
-        }
+        partials = clone_partials(self.state)
         mask = next(self.script, 0)
         lost = [b for i, b in enumerate(graph_bags) if mask >> i & 1]
         lost_partials = {
@@ -366,6 +372,33 @@ class TestLiveEqualsReplay:
                     for p in graph.producers_of(bag_id)
                 )
                 assert (bag_id in snapshot["complete"]) == finished, bag_id
+
+
+class _Everywhere:
+    """A router placing every bag on shard 0."""
+
+    @staticmethod
+    def replicas(bag_id):
+        return [0]
+
+
+class _PartialWatcher(FakeScheduler):
+    """Checks the partial-bag set after every record the scheduler commits."""
+
+    def commit(self, *record):
+        super().commit(*record)
+        _graph_bags, partials = self.state.replica_bags(0, _Everywhere)
+        assert partials == clone_partials(self.state)
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@given(script=scripts)
+@settings(max_examples=40, deadline=None)
+def test_partial_bags_are_the_clones_alone(graph_name, script):
+    # Member 0 writes the task's output bag, so there is no partial bag 0:
+    # in every reachable state a family's partials are numbered from 1, and
+    # a family that never cloned has none to re-replicate, lose or discard.
+    _PartialWatcher(GRAPHS[graph_name](), script).run()
 
 
 class TestOneRulePerRecord:
@@ -565,6 +598,34 @@ class TestPins:
                 ):
                     offences.append((node.lineno, ast.unparse(node.func)))
         assert offences == []
+
+    def test_runtime_reads_bag_content_only_for_the_result_snapshot(self):
+        # ROADMAP 2(a): between the source fill and the result snapshot no
+        # chunk crosses the master — an aggregation's value is written by
+        # the worker that computed it, never read back and re-inserted here.
+        readers = {"iter_bag_chunks", "emit_value", "bag_records", "read_page"}
+        tree = ast.parse(inspect.getsource(runtime))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert imported & readers == {"bag_records"}
+
+        def uses(node):
+            if isinstance(node, ast.ClassDef) and node.name == "DistResult":
+                return
+            if isinstance(node, ast.FunctionDef) and node.name == "_snapshot":
+                return
+            if isinstance(node, ast.Name) and node.id in readers:
+                yield node.lineno, node.id
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                yield node.lineno, node.attr
+            for child in ast.iter_child_nodes(node):
+                yield from uses(child)
+
+        assert list(uses(tree)) == []
 
     def test_the_parent_surface_did_not_move(self):
         # No knob came with the refactor: same constructor, and replay is

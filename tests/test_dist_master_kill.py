@@ -16,11 +16,13 @@ byte-identical to the no-fault LocalRuntime baseline.
 
 import multiprocessing.connection
 import os
+import time
 
 import pytest
 
 from repro.apps import build_clicklog_local, build_hashjoin_local
 from repro.dist import DistRuntime, MasterKilled, ShardRouter
+from repro.dist.client import ShardedBagStore
 from repro.dist.journal import (
     MANIFEST_FILE,
     MasterJournal,
@@ -31,7 +33,10 @@ from repro.errors import SchedulingError
 from repro.local import LocalRuntime
 
 from tests.test_dist_runtime import (
+    AGGREGATION_INPUT,
+    AGGREGATION_TOTAL,
     REGIONS,
+    aggregation_app,
     clicklog_baseline,
     clicklog_counts,
     clicklog_records,
@@ -173,6 +178,37 @@ class TestMasterKillRecovery:
             forced_clones={"phase1": 2},
         )
         assert clicklog_counts(result) == expected
+
+    def test_kill_before_an_aggregations_done_is_journaled(self, tmp_path):
+        # The aggregation's worker writes the value into the output bag and
+        # then reports ``done`` — to a master that died after journaling
+        # the assign. The successor can prove nothing about that node: it
+        # replays as RUNNING-unclaimed, and the family reset discards the
+        # written value before the re-run writes it again. Present once.
+        app = aggregation_app()
+        base = dict(
+            workers=1, cloning=False, chunk_size=256, journal_dir=str(tmp_path)
+        )
+        # spawn, assign double, done double, assign agg: the master dies at
+        # the loop top after handling the aggregation's first progress.
+        runtime = DistRuntime(app, kill_master_after_records=4, **base)
+        with pytest.raises(MasterKilled) as excinfo:
+            runtime.run({"in": AGGREGATION_INPUT}, timeout=60)
+        fleet = excinfo.value.fleet
+        _, records = MasterJournal.load(str(tmp_path))
+        assert records[-1][:2] == ("assign", "agg")
+        probe = ShardedBagStore(fleet.shard_addresses, fleet.authkey, "probe")
+        try:
+            deadline = time.monotonic() + 10
+            while probe.get("total").size() != 1:
+                assert time.monotonic() < deadline, "the worker never wrote"
+                time.sleep(0.01)
+        finally:
+            probe.close()
+        result = DistRuntime(app, **base).resume(fleet, timeout=60)
+        assert result.master_recoveries == 1
+        assert result.family_resets == 1
+        assert result.records("total") == [AGGREGATION_TOTAL]
 
     def test_high_threshold_never_fires(self, tmp_path):
         # Journaling on, kill threshold beyond the run's record count:

@@ -6,14 +6,16 @@ order is interleaving-dependent (multi-record streaming sinks), direct
 equality for merged single values.
 """
 
+import os
 import threading
 
 import pytest
 
 from repro.apps import build_clicklog_local, build_hashjoin_local
 from repro.apps.calibration import build_calibration_local, calibration_seeds
-from repro.dist import DistRuntime
-from repro.errors import RemoteTaskError
+from repro.dist import DistRuntime, ShardRouter
+from repro.engine.common import source_chunks
+from repro.errors import BagError, RemoteTaskError, SchedulingError
 from repro.local import LocalRuntime
 from repro.model.application import Application
 from repro.workloads.clicklog_data import exact_distinct_counts, generate_clicklog
@@ -263,6 +265,186 @@ class TestBatchForm:
         )
         assert result.records("out") == list(range(100))
         assert result.records_processed == 100
+
+
+def aggregation_app(merge="sum"):
+    """in -> double (a map) -> doubled -> agg (an aggregation) -> total."""
+    app = Application("aggregate")
+    for bag_id in ("in", "doubled", "total"):
+        app.bag(bag_id, codec="u64")
+
+    def double(ctx):
+        for batch in ctx.batches():
+            ctx.emit_many(None, [2 * value for value in batch])
+
+    def agg(ctx):
+        return sum(sum(batch) for batch in ctx.batches())
+
+    app.task("double", ["in"], ["doubled"], fn=double)
+    app.task("agg", ["doubled"], ["total"], fn=agg, merge=merge)
+    return app
+
+
+AGGREGATION_INPUT = list(range(1, 1201))
+AGGREGATION_TOTAL = 2 * sum(AGGREGATION_INPUT)
+STORAGE = {
+    "memory": {},
+    "spill": {"resident_bytes": 2048},
+    "r2": {"shards": 2, "replication": 2},
+}
+
+
+class TestAggregationWritesItsOwnOutput:
+    """An aggregation's value is put into its output bag by the family's own
+    workers — member 0 directly, a cloned family's merge node by replacing
+    member 0's partial — and the master touches that bag only to seal it."""
+
+    @pytest.mark.parametrize("storage", sorted(STORAGE))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("clones", [0, 1, 2])
+    def test_sink_equals_the_engine_free_fold(self, clones, workers, storage):
+        app = aggregation_app()
+        runtime = DistRuntime(
+            app,
+            workers=workers,
+            cloning=False,  # the forced schedule is the only source of clones
+            chunk_size=256,
+            forced_clones={"agg": clones} if clones else None,
+            **STORAGE[storage],
+        )
+        result = runtime.run({"in": AGGREGATION_INPUT}, timeout=120)
+        assert result.records("total") == [AGGREGATION_TOTAL]
+        assert result.clone_counts["agg"] == 1 + clones
+        assert result.family_resets == 0
+        if clones:
+            return
+        # Un-cloned, no chunk crosses the master after the source fill: the
+        # only reads are the snapshot's (a data page and the empty page that
+        # ends the stream), and every insert is a source chunk, a chunk the
+        # map emitted, or the aggregation's one value.
+        chunking = dict(chunk_size=256, records_per_chunk=256)
+        chunks = len(source_chunks(app.graph, "in", AGGREGATION_INPUT, **chunking))
+        chunks += len(
+            source_chunks(
+                app.graph, "doubled", [2 * v for v in AGGREGATION_INPUT], **chunking
+            )
+        )
+        assert result.storage_stats["read_page"] == 2
+        assert result.storage_stats["insert"] == (chunks + 1) * runtime.replication
+
+    @pytest.mark.parametrize("storage", ["memory", "r2"])
+    def test_merge_worker_dying_inside_the_replace(self, tmp_path, storage):
+        # The merge procedure runs after the output bag was emptied and
+        # before the merged value goes in: dying there leaves the bag torn.
+        # It is a worker death inside the family like any other — the reset
+        # discards the bag and the clone's partial, and everyone re-runs.
+        died = tmp_path / "died"
+
+        def dying_sum(a, b):
+            if not died.exists():
+                died.touch()
+                os._exit(23)
+            return a + b
+
+        result = DistRuntime(
+            aggregation_app(merge=dying_sum),
+            workers=2,
+            cloning=False,
+            chunk_size=256,
+            forced_clones={"agg": 1},
+            **STORAGE[storage],
+        ).run({"in": AGGREGATION_INPUT}, timeout=120)
+        assert died.exists()
+        assert result.worker_deaths == 1
+        assert result.family_resets == 1
+        assert result.records("total") == [AGGREGATION_TOTAL]  # once, no partial
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_output_home_shard_dying_under_a_cloned_family(self, replication):
+        # The shard homing the output also homes the family's stream input
+        # (the fault fires on its third ``remove_batch``): at r=1 both bags
+        # go with it, at r=2 both fail over mid-family.
+        router = ShardRouter(2, replication)
+        victim = router.home("total")
+        assert router.home("doubled") == victim
+        result = DistRuntime(
+            aggregation_app(),
+            workers=2,
+            cloning=False,
+            chunk_size=256,
+            forced_clones={"agg": 1},
+            shards=2,
+            replication=replication,
+            kill_shard=victim,
+            kill_shard_after_ops=3,
+        ).run({"in": AGGREGATION_INPUT}, timeout=120)
+        assert result.shard_deaths == 1
+        assert result.records("total") == [AGGREGATION_TOTAL]
+
+    def test_shared_merge_output_is_refused_at_construction(self):
+        app = Application("shared")
+        app.bag("in", codec="u64")
+        app.bag("other", codec="u64")
+        app.bag("out", codec="u64")
+
+        def count(ctx):
+            return len(list(ctx.records()))
+
+        def copy(ctx):
+            for batch in ctx.batches():
+                ctx.emit_many(None, batch)
+
+        app.task("agg", ["in"], ["out"], fn=count, merge="sum")
+        app.task("copy", ["other"], ["out"], fn=copy)
+        with pytest.raises(SchedulingError, match="'agg'.*'out'.*'copy'"):
+            DistRuntime(app, workers=1)
+        # The local engine keeps partials in a dict and only ever appends
+        # to the bag, so the same graph stays legal there.
+        result = LocalRuntime(app, workers=2).run(
+            {"in": [7, 8, 9], "other": [1, 2]}, timeout=60
+        )
+        assert sorted(result.records("out")) == [1, 2, 3]
+
+
+class TestEmitIntoTheMergeOutput:
+    """The merge output holds the returned value only. Emitting into it
+    used to give results that depended on the clone count: the records sat
+    beside the value un-cloned, and hit a partial bag no codec knows once
+    cloned (``KeyError: 'agg.partial.1'``)."""
+
+    @staticmethod
+    def app(named):
+        app = Application("emit-into-merge-output")
+        app.bag("in", codec="u64")
+        app.bag("out", codec="u64")
+
+        def agg(ctx):
+            total = 0
+            for batch in ctx.batches():
+                ctx.emit("out" if named else None, len(batch))
+                total += len(batch)
+            return total
+
+        app.task("agg", ["in"], ["out"], fn=agg, merge="sum")
+        return app
+
+    @pytest.mark.parametrize("named", [False, True])
+    @pytest.mark.parametrize("clones", [0, 1])
+    def test_refused_on_the_local_engine(self, clones, named):
+        runtime = LocalRuntime(
+            self.app(named), workers=2, chunk_size=64, forced_clones={"agg": clones}
+        )
+        with pytest.raises(BagError, match="holds the returned value only"):
+            runtime.run({"in": list(range(200))}, timeout=60)
+
+    @pytest.mark.parametrize("named", [False, True])
+    @pytest.mark.parametrize("clones", [0, 1])
+    def test_refused_on_the_dist_engine(self, clones, named):
+        runtime = DistRuntime(
+            self.app(named), workers=2, chunk_size=64, forced_clones={"agg": clones}
+        )
+        with pytest.raises(RemoteTaskError, match="holds the returned value only"):
+            runtime.run({"in": list(range(200))}, timeout=60)
 
 
 def test_cancel_mid_task_is_acknowledged_within_one_batch(held_worker):
