@@ -53,7 +53,8 @@ def main() -> None:
     local = LocalRuntime(build_app(), workers=1, cloning=False).run(
         {"lines": LINES}, timeout=60
     )
-    dist = DistRuntime(build_app(), workers=4, shards=2, records_per_chunk=16).run(
+    # A small chunk size so this toy input is many chunks to share out.
+    dist = DistRuntime(build_app(), workers=4, shards=2, chunk_size=256).run(
         {"lines": LINES}, timeout=60
     )
     local_counts = local.value("counts")

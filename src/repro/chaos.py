@@ -494,7 +494,7 @@ def _dist_hashjoin():
             generate_relation(700, key_space=1 << 12, skew=0.0, seed=4)
         ),
     }
-    return build_hashjoin_local(partitions=2), inputs, {"records_per_chunk": 64}
+    return build_hashjoin_local(partitions=2), inputs, {}
 
 
 def dist_scenarios() -> List[DistChaosScenario]:

@@ -91,8 +91,7 @@ class MemoryBacking:
         return ref
 
     def nbytes(self, ref: Any) -> int:
-        # Byte-sized chunks bound a page; object chunks count nominally.
-        return len(ref) if isinstance(ref, (bytes, bytearray)) else 1
+        return len(ref)
 
     def evict(self, bag_id: str, chunk_id: str) -> None:
         pass

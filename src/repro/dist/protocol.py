@@ -265,7 +265,6 @@ class DistSettings:
     """Knobs forked into every worker process."""
 
     chunk_size: int = 64 * KB
-    records_per_chunk: int = 256
     #: ``b`` of Eq. 1: chunk requests kept outstanding by the batch-sampling
     #: client (one in-flight batch of ``b`` while up to ``b`` are buffered).
     batch_requests: int = 4

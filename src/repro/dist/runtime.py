@@ -350,7 +350,6 @@ class DistRuntime:
         replication: int = 1,
         cloning: bool = True,
         chunk_size: int = 64 * KB,
-        records_per_chunk: int = 256,
         clone_min_chunks: int = 2,
         max_clones_per_task: Optional[int] = None,
         batch_requests: int = 4,
@@ -432,7 +431,6 @@ class DistRuntime:
         self.adaptive = adaptive
         self.settings = DistSettings(
             chunk_size=chunk_size,
-            records_per_chunk=records_per_chunk,
             batch_requests=batch_requests,
             replication=replication,
             policy=storage_policy,
@@ -770,7 +768,6 @@ class DistRuntime:
                 bag_id,
                 inputs.get(bag_id, ()),
                 chunk_size=self.settings.chunk_size,
-                records_per_chunk=self.settings.records_per_chunk,
             )
             for bag_id in self.graph.source_bags()
         }

@@ -12,9 +12,9 @@ result), clone ``k`` into the family's partial bag ``k``.
 The task-side surface is the base class's, unchanged: ``batches()`` /
 ``emit_many()`` a chunk at a time, ``records()`` / ``emit()`` a record at
 a time, one input cursor however the two are interleaved, and a batch is
-the task's to mutate (a fetched chunk is decoded or unpickled into a list
-nothing else holds). The only thing this module overrides is the input
-loop, :meth:`DistTaskContext._input` — one step per fetched chunk — and
+the task's to mutate (a fetched chunk is decoded into a list nothing else
+holds). The only thing this module overrides is the input loop,
+:meth:`DistTaskContext._input` — one step per fetched chunk — and
 everything the engine does per chunk lives in that one loop: the cancel
 poll, the progress message, the adaptive controller's observation, the
 service-time sample, ``kill_after_chunks``. ``records()`` is the base
@@ -58,10 +58,9 @@ from repro.dist.client import MuxBatchFetcher, ShardedBagStore
 from repro.dist.protocol import DistSettings, NodeDescriptor
 from repro.dist.sharding import ShardRouter
 from repro.engine.common import (
-    decode_bag_chunks,
+    bag_records,
     emit_value,
     fold_partials,
-    iter_bag_chunks,
     resolve_merge,
 )
 from repro.errors import FetchTimeout, SchedulingError
@@ -101,14 +100,13 @@ class _WorkerRuntime:
         self.graph = graph
         self.store = store
         self.chunk_size = settings.chunk_size
-        self.records_per_chunk = settings.records_per_chunk
         self._write_depth = settings.batch_requests
 
     def writer(self):
         return self.store.writer(self._write_depth)
 
     def emit_value(self, bag_id: str, value: Any) -> None:
-        emit_value(self.store, self.graph, bag_id, value, chunk_size=self.chunk_size)
+        emit_value(self.store, self.graph, bag_id, value)
 
 
 #: Cap on latency samples shipped back per task. The cap itself predates
@@ -313,10 +311,10 @@ def _run_task(
                 "with a merge must return their partial output"
             )
         if desc.member == 0:
-            runtime.emit_value(spec.outputs[0], result)
+            target = spec.outputs[0]
         else:
-            partial = partial_bag_id(desc.task_id, desc.member)
-            runtime.store.get(partial).insert([result])
+            target = partial_bag_id(desc.task_id, desc.member)
+        runtime.emit_value(target, result)
     elif result is not None:
         raise SchedulingError(
             f"task {desc.task_id!r} returned a value but declares no merge"
@@ -345,12 +343,9 @@ def _run_merge(runtime: _WorkerRuntime, desc: NodeDescriptor) -> dict:
     store, output = runtime.store, desc.outputs[0]
     partials: List[Any] = []
     for bag_id in desc.merge_inputs:
-        chunks = iter_bag_chunks(store, bag_id)
-        if bag_id == output:
-            # Member 0's partial, encoded as the output bag's own records.
-            values = decode_bag_chunks(runtime.graph, bag_id, chunks)
-        else:
-            values = [record for chunk in chunks for record in chunk]
+        # Member 0's partial is encoded as the output bag's own record,
+        # a clone's by the codec-less rule of a bag outside the graph.
+        values = bag_records(store, runtime.graph, bag_id)
         if len(values) != 1:
             raise SchedulingError(
                 f"merge input {bag_id!r} holds {len(values)} values, expected 1"

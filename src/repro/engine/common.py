@@ -12,14 +12,13 @@ here may assume two bags live in the same process: each ``ensure``/``get`` resol
 placement independently, which is what lets the same helpers drive one
 storage server or ``m`` shards.
 
-Bags come in two representations, decided by the bag's ``codec_spec``:
-
-* **typed bags** hold serialized chunk payloads (``bytes``) built with
-  :mod:`repro.serde.chunks` — ``uvarint(record_count)`` plus the records
-  packed as one column per field, never longer than ``chunk_size``;
-* **object bags** (``codec_spec is None``) hold chunks that are plain
-  Python lists of records — the escape hatch for values with no codec
-  (counters, bitsets, merged aggregates).
+Every chunk is ``bytes`` built with :mod:`repro.serde.chunks` —
+``uvarint(record_count)`` plus the records packed as one column by the
+bag's codec (:func:`bag_codec`), cut at ``chunk_size``. A bag declared
+without a codec gets the pickle codec — the escape hatch for values
+nobody typed or sized (counters, bitsets, merged aggregates), whose
+records must therefore pickle on either engine. A store never looks
+inside a chunk: only the helpers here and the task context decode one.
 """
 
 from __future__ import annotations
@@ -29,32 +28,27 @@ from typing import Any, Callable, Iterable, List
 from repro.errors import SchedulingError
 from repro.merges.registry import get_merge
 from repro.model.graph import TaskSpec
-from repro.serde.chunks import chunk_records, iter_chunks
-from repro.serde.codecs import codec_for
+from repro.serde.chunks import chunk_records, encode_chunk, iter_chunks
+from repro.serde.codecs import Codec, codec_for
+
+
+def bag_codec(graph, bag_id: str) -> Codec:
+    """The codec of ``bag_id``'s chunks. A bag outside the graph — a
+    clone's partial bag — is codec-less, like one declared without."""
+    bag = graph.bags.get(bag_id)
+    return codec_for(bag.codec_spec if bag is not None else None)
 
 
 def source_chunks(
-    graph,
-    bag_id: str,
-    records: Iterable[Any],
-    *,
-    chunk_size: int,
-    records_per_chunk: int,
-) -> List[Any]:
+    graph, bag_id: str, records: Iterable[Any], *, chunk_size: int
+) -> List[bytes]:
     """Cut ``records`` into ``bag_id``'s chunks: the one source encoder.
 
     The list is what a runtime keeps of its input — inserted, journaled
     and re-inserted on a refill as is, so a recovered bag is the original
     byte for byte and nothing is encoded twice.
     """
-    spec = graph.bags[bag_id].codec_spec
-    if spec is not None:
-        return list(chunk_records(records, codec_for(spec), chunk_size))
-    records = list(records)
-    return [
-        records[start : start + records_per_chunk]
-        for start in range(0, len(records), records_per_chunk)
-    ]
+    return list(chunk_records(records, bag_codec(graph, bag_id), chunk_size))
 
 
 class DirectWriter:
@@ -89,22 +83,10 @@ def insert_chunks(store, bag_id: str, chunks: Iterable[Any], writer=None) -> Non
 
 
 def fill_bag(
-    store,
-    graph,
-    bag_id: str,
-    records: Iterable[Any],
-    *,
-    chunk_size: int,
-    records_per_chunk: int,
+    store, graph, bag_id: str, records: Iterable[Any], *, chunk_size: int
 ) -> None:
     """Materialize ``records`` into ``bag_id`` as chunks, then seal it."""
-    chunks = source_chunks(
-        graph,
-        bag_id,
-        records,
-        chunk_size=chunk_size,
-        records_per_chunk=records_per_chunk,
-    )
+    chunks = source_chunks(graph, bag_id, records, chunk_size=chunk_size)
     insert_chunks(store, bag_id, chunks)
 
 
@@ -141,26 +123,16 @@ def fold_partials(merge: Callable, task_id: str, partials: List[Any]) -> Any:
     return merged
 
 
-def emit_value(store, graph, bag_id: str, value: Any, *, chunk_size: int) -> None:
-    """Insert a single record (a merged aggregate) into ``bag_id``."""
-    spec = graph.bags[bag_id].codec_spec
-    bag = store.get(bag_id)
-    if spec is None:
-        bag.insert([value])
-    else:
-        for chunk in chunk_records([value], codec_for(spec), chunk_size):
-            bag.insert(chunk)
+def emit_value(store, graph, bag_id: str, value: Any) -> None:
+    """Insert a single record (an aggregate, partial or merged) into
+    ``bag_id`` as a one-record chunk: nobody sized an aggregate, so it
+    travels whatever ``chunk_size`` is."""
+    store.get(bag_id).insert(encode_chunk([value], bag_codec(graph, bag_id)))
 
 
-def decode_bag_chunks(graph, bag_id: str, chunks: Iterable[Any]) -> List[Any]:
+def decode_bag_chunks(graph, bag_id: str, chunks: Iterable[bytes]) -> List[Any]:
     """Decode a bag's chunk sequence back into its records."""
-    spec = graph.bags[bag_id].codec_spec
-    if spec is None:
-        out: List[Any] = []
-        for chunk in chunks:
-            out.extend(chunk)
-        return out
-    return list(iter_chunks(chunks, codec_for(spec)))
+    return list(iter_chunks(chunks, bag_codec(graph, bag_id)))
 
 
 #: Default page budget for streamed bag reads — comfortably under the

@@ -29,9 +29,11 @@ call resumes where the earlier one stopped, the unread tail of a
 part-read batch first, so every fetched record is delivered exactly once.
 
 **Batch ownership.** A batch is the task's to keep or mutate (sort it in
-place, hand it to ``emit_many``): no bag, and no later ``side_records``
-read, sees the change. ``emit_many`` copies out of the sequence it is
-given and keeps no reference to it.
+place, hand it to ``emit_many``), and so are its records, in every bag —
+typed or codec-less, on either engine: a chunk is bytes, each read decodes
+it afresh, so no bag, no rewind and no later ``side_records`` read sees a
+change, and neither do the lists the caller passed as input. ``emit_many``
+copies out of the sequence it is given and keeps no reference to it.
 
 Completed chunks go to the runtime's chunk writer (``runtime.writer()``:
 direct in the local engine, ``b`` fan-outs deep in the dist engine), and
@@ -42,51 +44,12 @@ acked. ``bag_id=None`` targets the task's first output.
 from __future__ import annotations
 
 import time
-from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from repro.engine.common import iter_bag_chunks
+from repro.engine.common import bag_codec, iter_bag_chunks
 from repro.errors import BagError
 from repro.model.execution_graph import ExecutionNode
 from repro.serde.chunks import ChunkBuilder, decode_chunk
-from repro.serde.codecs import codec_for
-
-
-class _ObjectBatcher:
-    """Chunk builder for codec-less bags: chunks are record lists.
-
-    A full chunk is cut when the *next* record arrives, so chunk boundaries
-    depend on the record sequence alone, however it is handed over.
-    """
-
-    def __init__(self, batch: int):
-        self.batch = batch
-        self._records = []
-
-    def add(self, record: Any) -> Optional[list]:
-        completed = None
-        if len(self._records) >= self.batch:
-            completed, self._records = self._records, []
-        self._records.append(record)
-        return completed
-
-    def extend(self, records: Iterable[Any]) -> Iterator[list]:
-        """``add`` every record, yielding the chunks they complete."""
-        source = iter(records)
-        while True:
-            pending = self._records
-            pending.extend(islice(source, self.batch - len(pending)))
-            head = list(islice(source, 1))
-            if not head:
-                return  # source exhausted
-            self._records = head
-            yield pending
-
-    def flush(self) -> Optional[list]:
-        if not self._records:
-            return None
-        completed, self._records = self._records, []
-        return completed
 
 
 class TaskContext:
@@ -94,7 +57,7 @@ class TaskContext:
         self._runtime = runtime
         self._node = node
         self._graph = runtime.graph
-        self._builders: Dict[str, object] = {}
+        self._builders: Dict[str, ChunkBuilder] = {}
         self._writer = runtime.writer()
         self.records_in = 0
         self.chunks_in = 0
@@ -105,15 +68,8 @@ class TaskContext:
 
     # -- input ----------------------------------------------------------------
 
-    def _codec_of(self, bag_id: str):
-        spec = self._graph.bags[bag_id].codec_spec
-        return codec_for(spec) if spec is not None else None
-
-    def _decode(self, bag_id: str, chunk) -> List[Any]:
-        codec = self._codec_of(bag_id)
-        if codec is None:
-            return chunk  # object chunk: a list of records
-        return decode_chunk(chunk, codec)
+    def _decode(self, bag_id: str, chunk: bytes) -> List[Any]:
+        return decode_chunk(chunk, bag_codec(self._graph, bag_id))
 
     def _input(self) -> Iterator[List[Any]]:
         """The engine's input loop: remove a chunk, yield its records."""
@@ -129,10 +85,6 @@ class TaskContext:
             self.chunks_in += 1
             served = time.perf_counter() if note is not None else 0.0
             records = self._decode(self._node.stream_input, chunk)
-            if records is chunk:
-                # An object chunk is the bag's own list, which rewinds and
-                # side reads hand out again; the batch is the task's.
-                records = list(records)
             self.records_in += len(records)
             yield records
             if note is not None:
@@ -182,11 +134,9 @@ class TaskContext:
                 f"task {self._node.task_id!r} cannot emit to {target!r}; "
                 f"declared outputs are {spec.outputs}"
             )
-        codec = self._codec_of(target)
-        if codec is None:
-            builder = _ObjectBatcher(self._runtime.records_per_chunk)
-        else:
-            builder = ChunkBuilder(codec, self._runtime.chunk_size)
+        builder = ChunkBuilder(
+            bag_codec(self._graph, target), self._runtime.chunk_size
+        )
         self._builders[target] = builder
         return builder
 
@@ -215,7 +165,7 @@ class TaskContext:
         for chunk in builder.extend(records):
             self._insert(target, chunk)
 
-    def _insert(self, bag_id: str, chunk: Any) -> None:
+    def _insert(self, bag_id: str, chunk: bytes) -> None:
         self._writer.insert(bag_id, chunk)
 
     def flush(self) -> None:

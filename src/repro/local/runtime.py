@@ -87,7 +87,6 @@ class LocalRuntime:
         workers: int = 4,
         cloning: bool = True,
         chunk_size: int = 64 * KB,
-        records_per_chunk: int = 256,
         clone_min_chunks: int = 2,
         max_clones_per_task: Optional[int] = None,
         adaptive: Any = None,
@@ -100,7 +99,6 @@ class LocalRuntime:
         self.workers = workers
         self.cloning = cloning
         self.chunk_size = chunk_size
-        self.records_per_chunk = records_per_chunk
         self.clone_min_chunks = clone_min_chunks
         self.max_clones_per_task = max_clones_per_task or workers
         # Same policy module as the dist engine (repro.dist.adaptive):
@@ -149,14 +147,7 @@ class LocalRuntime:
     # -- input materialization ------------------------------------------------
 
     def _fill_bag(self, bag_id: str, records: Iterable[Any]) -> None:
-        fill_bag(
-            self.store,
-            self.graph,
-            bag_id,
-            records,
-            chunk_size=self.chunk_size,
-            records_per_chunk=self.records_per_chunk,
-        )
+        fill_bag(self.store, self.graph, bag_id, records, chunk_size=self.chunk_size)
 
     def writer(self) -> DirectWriter:
         """The chunk writer a ``TaskContext`` emits through."""
@@ -170,11 +161,11 @@ class LocalRuntime:
         timeout: float = 60.0,
     ) -> LocalResult:
         """Execute the application over ``inputs`` (source bag -> records)."""
-        for bag_id in self.graph.source_bags():
-            self._fill_bag(bag_id, inputs.get(bag_id, ()))
         unknown = set(inputs) - set(self.graph.source_bags())
         if unknown:
             raise SchedulingError(f"inputs given for non-source bags: {unknown}")
+        for bag_id in self.graph.source_bags():
+            self._fill_bag(bag_id, inputs.get(bag_id, ()))
         for bag_id in self.graph.bags:
             self.store.ensure(bag_id)
         for node in self.exec.initially_ready():
@@ -314,7 +305,7 @@ class LocalRuntime:
         self._emit_value(node.outputs[0], merged)
 
     def _emit_value(self, bag_id: str, value: Any) -> None:
-        emit_value(self.store, self.graph, bag_id, value, chunk_size=self.chunk_size)
+        emit_value(self.store, self.graph, bag_id, value)
 
     def _complete(self, node: ExecutionNode) -> None:
         with self._lock:

@@ -20,6 +20,7 @@ from repro.serde.chunks import (
     ChunkBuilder,
     chunk_records,
     decode_chunk,
+    encode_chunk,
     iter_chunk,
     iter_chunks,
 )
@@ -30,6 +31,7 @@ from repro.serde.codecs import (
     Float64Codec,
     Int64Codec,
     ListCodec,
+    PickleCodec,
     TupleCodec,
     UInt64Codec,
     Utf8Codec,
@@ -45,6 +47,7 @@ __all__ = [
     "Float64Codec",
     "Int64Codec",
     "ListCodec",
+    "PickleCodec",
     "TupleCodec",
     "UInt64Codec",
     "Utf8Codec",
@@ -52,6 +55,7 @@ __all__ = [
     "codec_for",
     "decode_chunk",
     "decode_uvarint",
+    "encode_chunk",
     "encode_uvarint",
     "iter_chunk",
     "iter_chunks",

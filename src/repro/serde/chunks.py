@@ -4,7 +4,9 @@ A chunk is the indivisible unit of data in a bag (Section 2.2) and the unit
 of serde work: ``uvarint(record_count)`` followed by the records packed as
 one column by their codec (layouts in :mod:`repro.serde.codecs`; no version
 byte, chunks never outlive a run). Every chunk decodes alone — no record
-spans two — and is never longer than the builder's ``chunk_size``.
+spans two — and is never longer than the builder's ``chunk_size``, with one
+exception: under the pickle codec (a bag declared without a codec, holding
+records nobody sized) a record that alone exceeds it is a chunk by itself.
 
 A column's size is known only once it is packed, so :class:`ChunkBuilder`
 **packs and verifies**: it buffers records up to a learned count, packs them
@@ -33,8 +35,10 @@ class ChunkBuilder:
     does not fit in a chunk by itself raises
     :class:`~repro.errors.ChunkOverflowError` — not necessarily from the
     ``add`` that buffered it, but once it heads the buffer, at a later ``add``
-    or ``flush``. After a cut the buffer can hold more than one chunk: call
-    ``flush`` until it returns None.
+    or ``flush`` — unless the codec is ``oversized_alone`` (the pickle codec),
+    where it travels as a one-record chunk longer than ``chunk_size``, the
+    way ``read_page`` already pages an oversized chunk. After a cut the
+    buffer can hold more than one chunk: call ``flush`` until it returns None.
     """
 
     def __init__(self, codec: Codec, chunk_size: int = DEFAULT_CHUNK_SIZE):
@@ -79,13 +83,10 @@ class ChunkBuilder:
             return None
         return self._cut(final=True)
 
-    def _pack(self, records: List[Any]) -> bytes:
-        return encode_uvarint(len(records)) + self.codec.pack(records)
-
     def _cut(self, final: bool) -> Optional[bytes]:
         """Pack the buffer; emit a chunk of its head, or keep filling."""
         records, limit = self._records, self.chunk_size
-        count, chunk = len(records), self._pack(records)
+        count, chunk = len(records), encode_chunk(records, self.codec)
         roomy = not final and len(chunk) * 8 < limit * 7
         if len(chunk) > limit:
             count, chunk = self._longest_prefix(len(chunk))
@@ -109,13 +110,15 @@ class ChunkBuilder:
         guess = over * limit // size
         while over - fits > 1:
             guess = min(max(guess, fits + 1), over - 1)
-            chunk = self._pack(records[:guess])
+            chunk = encode_chunk(records[:guess], self.codec)
             if len(chunk) <= limit:
                 fits, best = guess, chunk
             else:
                 over, size = guess, len(chunk)
             guess = (fits + over) // 2
         if best is None:
+            if self.codec.oversized_alone:
+                return 1, encode_chunk(records[:1], self.codec)
             raise ChunkOverflowError(
                 f"record of {size} bytes exceeds chunk size "
                 f"{limit} (records may not span chunks)"
@@ -131,6 +134,11 @@ def chunk_records(
     yield from builder.extend(records)
     while (chunk := builder.flush()) is not None:
         yield chunk
+
+
+def encode_chunk(records: List[Any], codec: Codec) -> bytes:
+    """``records`` as one chunk payload, whatever its size."""
+    return encode_uvarint(len(records)) + codec.pack(records)
 
 
 def decode_chunk(chunk: bytes, codec: Codec) -> List[Any]:

@@ -18,12 +18,15 @@ per chunk and no Python bytecode per value. The layouts, all little-endian:
 ``list``   a ``u64`` column of lengths, then the element codec's column of
            every list's items, flattened (a list of tuples is the tuple's
            field columns over all items)
+``pickle`` ``uvarint(byte length)``, then the values pickled as one list:
+           the codec of a bag declared without one (spec ``None``)
 
 A value its column cannot represent exactly (a non-integer, a negative or an
-integer past 64 bits in an integer column, a lone surrogate in ``str``)
-raises :class:`~repro.errors.SerdeError` from ``pack``, in the producer; a
-truncated or corrupt column raises it from ``unpack`` before any value is
-returned. ``codec_for`` builds a codec from a compact spec, e.g.::
+integer past 64 bits in an integer column, a lone surrogate in ``str``, an
+object that will not pickle) raises :class:`~repro.errors.SerdeError` from
+``pack``, in the producer; a truncated or corrupt column raises it from
+``unpack`` before any value is returned. ``codec_for`` builds a codec from a
+compact spec, e.g.::
 
     codec_for("u64")
     codec_for(("tuple", "str", "f64"))
@@ -33,6 +36,7 @@ returned. ``codec_for`` builds a codec from a compact spec, e.g.::
 from __future__ import annotations
 
 import io
+import pickle
 import sys
 from array import array
 from itertools import accumulate, chain, pairwise
@@ -76,6 +80,9 @@ class Codec:
 
     #: Spec name used by :func:`codec_for`; subclasses override.
     name = "abstract"
+    #: Whether a record that alone exceeds the chunk size is a chunk by
+    #: itself (see ``ChunkBuilder``) rather than a ``ChunkOverflowError``.
+    oversized_alone = False
 
     def pack(self, values: Sequence[Any]) -> bytes:
         """Serialize a sequence (sized, iterable twice) of values as one column."""
@@ -255,6 +262,38 @@ class ListCodec(Codec):
         return [items[start:stop] for start, stop in bounds], offset
 
 
+class PickleCodec(Codec):
+    """Any picklable values: the codec of a bag declared without one.
+
+    The escape hatch for records nobody sized (a counter, a bitset, a whole
+    rank dict), hence ``oversized_alone``. Unpickling is code execution:
+    only the job's own processes ever unpack a chunk.
+    """
+
+    name = "pickle"
+    oversized_alone = True
+
+    def pack(self, values: Sequence[Any]) -> bytes:
+        try:
+            blob = pickle.dumps(list(values), protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # pickling runs the values' own __reduce__
+            raise SerdeError(f"value will not pickle: {exc}") from exc
+        return encode_uvarint(len(blob)) + blob
+
+    def unpack(self, view, offset, count):
+        size, offset = decode_uvarint(view, offset)
+        raw, end = _take(view, offset, size)
+        try:
+            values = pickle.loads(raw)
+        except Exception as exc:  # ... and loading, their __setstate__
+            raise SerdeError(f"pickle column will not load: {exc}") from exc
+        if not isinstance(values, list) or len(values) != count:
+            raise SerdeError(f"pickle column does not hold {count} values")
+        return values, end
+
+
+_PICKLE = PickleCodec()
+
 _PRIMITIVES = {
     codec.name: codec
     for codec in (
@@ -262,11 +301,14 @@ _PRIMITIVES = {
     )
 }
 
-Spec = Union[str, Sequence]
+Spec = Union[str, Sequence, None]
 
 
 def codec_for(spec: Spec) -> Codec:
-    """Build a codec from a compact spec (see module docstring)."""
+    """Build a codec from a compact spec (see module docstring); the spec of
+    a bag declared without a codec, ``None``, is the pickle codec."""
+    if spec is None:
+        return _PICKLE
     if isinstance(spec, Codec):
         return spec
     if isinstance(spec, str):

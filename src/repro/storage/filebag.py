@@ -58,9 +58,9 @@ from typing import Dict, List, Optional, Union
 from repro.errors import BagError, BagSealedError, SerdeError
 from repro.serde.varint import decode_uvarint, encode_uvarint
 
-#: Appended to the data file when the bag is sealed (a zero-length frame
-#: cannot otherwise occur because inserts of b"" still carry a length byte).
-_SEAL_MARK = b"\x00\x00"
+#: Appended to the data file when the bag is sealed: a non-canonical uvarint
+#: zero, which no frame starts with (``encode_uvarint(0)`` is ``b"\x00"``).
+_SEAL_MARK = b"\x80\x00"
 
 
 class FileBag:
@@ -109,27 +109,15 @@ class FileBag:
 
     # -- write side --------------------------------------------------------
 
-    def insert(self, chunk) -> None:
-        """Append one chunk (atomic under the bag lock, as ext4 append is).
-
-        ``bytes`` chunks are stored verbatim; any other Python object (the
-        local engine's codec-less object chunks and aggregation partials)
-        is pickled. Only open bag files you trust — unpickling is code
-        execution.
-        """
+    def insert(self, chunk: bytes) -> None:
+        """Append one chunk (atomic under the bag lock, as ext4 append is);
+        the frame's payload *is* the chunk, stored verbatim."""
         with self._lock:
             if self._sealed:
                 raise BagSealedError(f"insert into sealed bag {self.bag_id!r}")
-            if isinstance(chunk, bytes):
-                marker, payload = b"\x01", chunk
-            else:
-                import pickle
-
-                marker, payload = b"\x02", pickle.dumps(chunk)
             self._file.seek(0, os.SEEK_END)
             offset = self._file.tell()
-            frame = encode_uvarint(len(payload) + 1)  # +1: marker byte
-            self._file.write(frame + marker + payload)
+            self._file.write(encode_uvarint(len(chunk)) + chunk)
             self._file.flush()
             self._offsets.append(offset)
             self._available.notify()
@@ -151,20 +139,16 @@ class FileBag:
 
     # -- read side -------------------------------------------------------------
 
-    def _read_frame(self, index: int):
+    def _read_frame(self, index: int) -> bytes:
         offset = self._offsets[index]
         self._file.seek(offset)
         header = self._file.read(10)
         length, data_start = decode_uvarint(header, 0)
         self._file.seek(offset + data_start)
         payload = self._file.read(length)
-        if len(payload) != length or payload[:1] not in (b"\x01", b"\x02"):
+        if len(payload) != length:
             raise BagError(f"corrupt frame {index} in bag {self.bag_id!r}")
-        if payload[:1] == b"\x02":
-            import pickle
-
-            return pickle.loads(payload[1:])
-        return payload[1:]
+        return payload
 
     def remove(self) -> Optional[bytes]:
         """Exactly-once removal: advance the shared file pointer one frame."""
@@ -198,8 +182,7 @@ class FileBag:
         Same contract as ``repro.dist.bags.Bag.read_page``: ``cursor``
         indexes the append order, an empty page means done, a page
         always carries at least one chunk, and a cursor past the end is
-        answered with an empty page rather than rejected. Byte chunks
-        count their length; pickled object chunks count a nominal size.
+        answered with an empty page rather than rejected.
         """
         with self._lock:
             cursor = max(0, int(cursor))
@@ -207,11 +190,10 @@ class FileBag:
             used = 0
             while cursor < len(self._offsets):
                 chunk = self._read_frame(cursor)
-                size = len(chunk) if isinstance(chunk, (bytes, bytearray)) else 1
-                if chunks and used + size > max_bytes:
+                if chunks and used + len(chunk) > max_bytes:
                     break
                 chunks.append(chunk)
-                used += size
+                used += len(chunk)
                 cursor += 1
             return chunks, cursor
 

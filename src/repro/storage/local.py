@@ -94,8 +94,6 @@ class LocalBag:
         always carries at least one chunk (an oversized chunk travels
         alone), and a cursor past the end is answered with an empty page
         rather than rejected.
-        Object-bag chunks (plain record lists) have no byte length; they
-        count a nominal size so pagination still terminates.
         """
         with self._lock:
             cursor = max(0, int(cursor))
@@ -103,11 +101,10 @@ class LocalBag:
             used = 0
             while cursor < len(self._chunks):
                 chunk = self._chunks[cursor]
-                size = len(chunk) if isinstance(chunk, (bytes, bytearray)) else 1
-                if chunks and used + size > max_bytes:
+                if chunks and used + len(chunk) > max_bytes:
                     break
                 chunks.append(chunk)
-                used += size
+                used += len(chunk)
                 cursor += 1
             return chunks, cursor
 

@@ -48,7 +48,7 @@ class TestAdaptiveParity:
             workers=2,
             shards=2,
             adaptive=True,
-            records_per_chunk=64,
+            chunk_size=640,  # ~64 (window, ip) records a chunk
         ).run({"clicks": records}, timeout=180)
         assert windowed_counts(result) == exact_windowed_counts(records)
         assert result.adaptive_enabled
@@ -66,7 +66,7 @@ class TestAdaptiveParity:
             build_clicklog_stream(windows=WINDOWS),
             workers=4,
             adaptive=True,
-            records_per_chunk=64,
+            chunk_size=640,  # ~64 (window, ip) records a chunk
         ).run({"clicks": records}, timeout=120)
         assert windowed_counts(result) == exact_windowed_counts(records)
         assert result.adaptive_enabled
@@ -186,7 +186,7 @@ class TestAdaptiveMasterKill:
             workers=2,
             shards=2,
             adaptive=True,
-            records_per_chunk=64,
+            chunk_size=640,  # ~64 (window, ip) records a chunk
             journal_dir=str(tmp_path),
         )
         app = build_clicklog_stream(windows=WINDOWS)
@@ -233,7 +233,7 @@ class TestPromotionRetry:
             workers=2,
             shards=2,
             replication=2,
-            records_per_chunk=64,
+            chunk_size=640,  # ~64 (window, ip) records a chunk
             kill_shard=0,
             kill_shard_after_ops=1,
             tracer=Tracer(),
@@ -259,8 +259,7 @@ class TestWorkerLatencyReservoir:
             build_clicklog_stream(windows=WINDOWS),
             workers=2,
             shards=2,
-            records_per_chunk=8,
-            chunk_size=512,
+            chunk_size=100,  # ~8 (window, ip) records a chunk
         ).run({"clicks": records}, timeout=180)
         pooled = result.chunk_latency_percentiles()
         assert pooled["count"] <= 2 * 512
@@ -277,7 +276,7 @@ class TestAdaptiveCloneGate:
             workers=3,
             shards=2,
             adaptive=True,
-            records_per_chunk=16,
+            chunk_size=160,  # ~16 (window, ip) records a chunk
         ).run({"clicks": records}, timeout=180)
         assert windowed_counts(result) == exact_windowed_counts(records)
         allows = [d for d in result.clone_decisions if d["allow"]]

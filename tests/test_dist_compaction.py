@@ -35,11 +35,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dist import DistRuntime, ShardRouter
+from repro.dist.bags import BagStore, MemoryBacking
 from repro.dist.journal import pack_frame
 from repro.dist.segments import SegmentBagStore
-from repro.engine.common import iter_bag_chunks
+from repro.engine.common import (
+    decode_bag_chunks,
+    fill_bag,
+    iter_bag_chunks,
+    source_chunks,
+)
 from repro.apps import build_clicklog_local
-from repro.storage.local import LocalBag
+from repro.model import Application
+from repro.storage.filebag import FileBagStore
+from repro.storage.local import LocalBag, LocalBagStore
 
 from tests.test_dist_bag_contract import chunks_of, payload
 from tests.test_dist_runtime import (
@@ -115,15 +123,6 @@ class TestLocalBagPagination:
         bag.insert(b"x")
         assert bag.read_page(7, 100) == ([], 7)
 
-    def test_object_chunks_count_nominal_size(self):
-        # Record-list chunks have no byte length; pagination must still
-        # terminate (nominal size 1 per chunk).
-        bag = LocalBag("b")
-        for i in range(5):
-            bag.insert([("row", i)])
-        chunks, cursor = bag.read_page(0, 2)
-        assert chunks == [[("row", 0)], [("row", 1)]] and cursor == 2
-
     def test_oversized_chunk_travels_alone(self):
         bag = LocalBag("b")
         bag.insert(b"y" * 500)
@@ -136,8 +135,6 @@ class TestFileBagPagination:
     def test_same_contract_as_local_bag(self, tmp_path):
         # The local engine can run over file-backed bags; bag_records'
         # paged reads must work there too.
-        from repro.storage.filebag import FileBagStore
-
         store = FileBagStore(tmp_path)
         bag = store.ensure("b")
         for i in range(5):
@@ -152,6 +149,36 @@ class TestFileBagPagination:
             got.extend(page)
         assert got == bag.read_all()
         assert bag.read_page(99, 200) == ([], 99)
+
+
+@pytest.mark.parametrize("kind", ["local", "memory", "file"])
+def test_a_codec_less_bag_is_paged_by_bytes(kind, tmp_path):
+    """A chunk of a bag declared without a codec is bytes like any other, so
+    ``max_bytes`` bounds its pages too (a record-list chunk counted as one
+    byte, and the whole bag came back in one page)."""
+    app = Application("paged")
+    app.bag("b")
+    app.bag("sink")
+    app.task("t", ["b"], ["sink"], fn=lambda ctx: None)
+    records = [bytes([i]) * 1024 for i in range(40)]
+    if kind == "memory":
+        bag = BagStore(MemoryBacking()).ensure("b")
+        chunks = source_chunks(app.graph, "b", records, chunk_size=2048)
+        for index, chunk in enumerate(chunks):
+            bag.insert_id(f"c#{index}", chunk)
+    else:
+        store = LocalBagStore() if kind == "local" else FileBagStore(tmp_path)
+        fill_bag(store, app.graph, "b", records, chunk_size=2048)
+        bag = store.get("b")
+    pages, cursor = [], 0
+    while True:
+        page, cursor = bag.read_page(cursor, 4096)
+        if not page:
+            break
+        pages.append(page)
+    assert len(pages) >= 10
+    assert all(sum(map(len, page)) <= 4096 or len(page) == 1 for page in pages)
+    assert decode_bag_chunks(app.graph, "b", sum(pages, [])) == records
 
 
 class _PageSpy:

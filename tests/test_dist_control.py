@@ -25,6 +25,7 @@ control state and ``control.py`` free of sockets, threads and clocks.
 import ast
 import inspect
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -633,9 +634,26 @@ class TestPins:
         parameters = list(inspect.signature(DistRuntime.__init__).parameters)
         assert parameters[:4] == ["self", "app", "workers", "shards"]
         assert parameters[-2:] == ["snapshot_bags", "tracer"]
-        assert len(parameters) == 29
+        assert len(parameters) == 28
         assert not hasattr(DistRuntime, "_replay")
         assert "self.control.apply(record)" in inspect.getsource(DistRuntime.resume)
+
+    def test_a_chunk_is_bytes_everywhere_outside_serde(self):
+        # One chunk representation: a codec-less bag's codec is
+        # ``codec_for(None)``, so nothing above serde forks on "has this bag
+        # a codec" or "is this chunk bytes", and no knob sizes a record list.
+        fork = re.compile(
+            r"codec_spec is None|isinstance\((chunk|ref), \(?bytes|records_per_chunk"
+        )
+        package = Path(inspect.getsourcefile(control)).parents[1]
+        offences = [
+            f"{path.relative_to(package)}:{number}"
+            for path in sorted(package.rglob("*.py"))
+            if "serde" not in path.relative_to(package).parts
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if fork.search(line)
+        ]
+        assert offences == []
 
 
 def test_merge_nodes_and_originals_are_member_zero():

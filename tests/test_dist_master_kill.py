@@ -107,7 +107,6 @@ class TestMasterKillRecovery:
             8,
             inputs=inputs,
             app=build_hashjoin_local(partitions=2),
-            records_per_chunk=64,
         )
         assert recovered
         assert hashjoin_rows(result) == expected

@@ -85,7 +85,6 @@ class TestDistParity:
         result = DistRuntime(
             build_hashjoin_local(partitions=2),
             workers=workers,
-            records_per_chunk=64,
         ).run(dict(inputs), timeout=120)
         assert hashjoin_rows(result) == expected
         assert expected  # the workload actually joined something
@@ -104,7 +103,7 @@ class TestDistParity:
             .value("checksum")
         )
         result = DistRuntime(
-            build_calibration_local(rounds=20), workers=2, records_per_chunk=16
+            build_calibration_local(rounds=20), workers=2
         ).run({"seeds": seeds}, timeout=60)
         assert result.value("checksum") == expected
 
@@ -161,7 +160,6 @@ class TestDistRecovery:
         runtime = DistRuntime(
             build_hashjoin_local(partitions=2),
             workers=2,
-            records_per_chunk=64,
             kill_task="partition.s",
             kill_after_chunks=1,
         )
@@ -201,8 +199,7 @@ class TestDistBatchSampling:
 
     def test_chunks_processed_counted(self):
         seeds = calibration_seeds(200)
-        # "seeds" is a typed (u64) bag, so chunk_size — not records_per_chunk
-        # — controls chunking; 128 bytes holds only a handful of seeds.
+        # chunk_size controls chunking; 128 bytes holds only a handful of seeds.
         result = DistRuntime(
             build_calibration_local(rounds=5), workers=1, chunk_size=128
         ).run({"seeds": seeds}, timeout=60)
@@ -322,7 +319,7 @@ class TestAggregationWritesItsOwnOutput:
         # only reads are the snapshot's (a data page and the empty page that
         # ends the stream), and every insert is a source chunk, a chunk the
         # map emitted, or the aggregation's one value.
-        chunking = dict(chunk_size=256, records_per_chunk=256)
+        chunking = dict(chunk_size=256)
         chunks = len(source_chunks(app.graph, "in", AGGREGATION_INPUT, **chunking))
         chunks += len(
             source_chunks(

@@ -91,7 +91,6 @@ class TestShardKillRecovery:
             build_hashjoin_local(partitions=2),
             workers=3,
             shards=2,
-            records_per_chunk=64,
             kill_shard=victim,
             kill_shard_after_ops=2,
         ).run(dict(inputs), timeout=180)
@@ -165,7 +164,7 @@ class TestShardKillRecovery:
         result = runtime.run({"clicklog": records}, timeout=180)
         assert clicklog_counts(result) == clicklog_baseline(records)
         expected = source_chunks(
-            runtime.graph, "clicklog", records, chunk_size=2048, records_per_chunk=256
+            runtime.graph, "clicklog", records, chunk_size=2048
         )
         assert len(expected) > 1
         assert ("clicklog", expected) in refilled
@@ -311,7 +310,6 @@ class TestReplicatedShardKill:
             workers=3,
             shards=2,
             replication=2,
-            records_per_chunk=64,
             kill_shard=0,
             kill_shard_after_ops=2,
         ).run(dict(inputs), timeout=180)

@@ -57,7 +57,6 @@ class TestShardedParity:
             build_hashjoin_local(partitions=2),
             workers=2,
             shards=shards,
-            records_per_chunk=64,
         ).run(dict(inputs), timeout=120)
         assert hashjoin_rows(result) == expected
         assert expected
@@ -74,7 +73,6 @@ class TestShardedParity:
             build_calibration_local(rounds=20),
             workers=2,
             shards=shards,
-            records_per_chunk=16,
         ).run({"seeds": seeds}, timeout=60)
         assert result.value("checksum") == expected
 

@@ -413,7 +413,7 @@ def held_worker(monkeypatch):
         # One input chunk of 8-byte values: two or three 64-byte output
         # chunks, fewer than the writer's depth, so no insert ever blocks.
         chunks = source_chunks(
-            app.graph, "src", records, chunk_size=input_chunk_size, records_per_chunk=256
+            app.graph, "src", records, chunk_size=input_chunk_size
         )
         assert len(chunks) == 1 or input_chunk_size != 4096
         shard = WithholdingShard(chunks)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.common import source_chunks
 from repro.errors import BagError
 from repro.local import LocalRuntime
 from repro.model import Application
@@ -122,17 +123,19 @@ def test_batches_and_emit_many_copy_a_bag():
 
     app.task("t", [src], [out], fn=task)
     words = [f"w{i}" for i in range(700)]
-    result = LocalRuntime(app, workers=1, records_per_chunk=64, chunk_size=256).run(
+    result = LocalRuntime(app, workers=1, chunk_size=256).run(
         {"src": words}
     )
     assert result.records("out") == [word.upper() for word in words]
-    assert result.chunks_processed == 11  # one batch per removed chunk
+    # One batch per removed chunk.
+    chunks = source_chunks(app.graph, "src", words, chunk_size=256)
+    assert result.chunks_processed == len(chunks) > 10
 
 
 def test_a_batch_is_the_tasks_to_mutate():
-    """Sorting a batch in place reaches neither the bag it came from (an
-    object chunk *is* a list, and the bag keeps it for rewinds and result
-    reads) nor a bag it was emitted into before the sort."""
+    """Sorting a batch in place reaches neither the bag it came from (which
+    keeps its chunks for rewinds and result reads) nor a bag it was emitted
+    into before the sort."""
     app = Application("owned")
     src = app.bag("src")
     kept = app.bag("kept")
@@ -152,7 +155,7 @@ def test_a_batch_is_the_tasks_to_mutate():
     app.task("sorter", [src], [kept], fn=sorter)
     app.task("reader", [go, kept], [out], fn=reader)
     values = [5, 3, 9, 1, 7, 2, 8, 0]
-    result = LocalRuntime(app, workers=1, records_per_chunk=4).run(
+    result = LocalRuntime(app, workers=1).run(
         {"src": values, "go": [0]}
     )
     assert result.records("src") == values

@@ -18,7 +18,7 @@ from repro.errors import BagError, ChunkOverflowError, SerdeError
 from repro.local.context import TaskContext
 from repro.model import Application
 from repro.model.execution_graph import ExecutionGraph
-from repro.serde import codec_for, encode_uvarint
+from repro.serde import codec_for, decode_chunk, encode_chunk
 from repro.storage.local import LocalBagStore
 from tests.test_property_serde import specs, values_of
 
@@ -28,11 +28,10 @@ OUTPUTS = ["out.0", "out.1", "out.2"]
 class StubRuntime:
     """The surface a ``TaskContext`` expects of its runtime."""
 
-    def __init__(self, graph, chunk_size, records_per_chunk):
+    def __init__(self, graph, chunk_size):
         self.graph = graph
         self.store = LocalBagStore()
         self.chunk_size = chunk_size
-        self.records_per_chunk = records_per_chunk
         for bag_id in graph.bags:
             self.store.ensure(bag_id)
 
@@ -40,20 +39,17 @@ class StubRuntime:
         return DirectWriter(self.store)
 
 
-def context(in_spec, out_spec, pieces, chunk_size=64, records_per_chunk=4, outputs=OUTPUTS):
+def context(in_spec, out_spec, pieces, chunk_size=64, outputs=OUTPUTS):
     """A context whose input bag holds one chunk per piece of ``pieces``."""
     app = Application("routed")
     app.bag("src", codec=in_spec)
     for bag_id in outputs:
         app.bag(bag_id, codec=out_spec)
     app.task("route", ["src"], list(outputs), fn=None)
-    runtime = StubRuntime(app.graph, chunk_size, records_per_chunk)
+    runtime = StubRuntime(app.graph, chunk_size)
     src = runtime.store.get("src")
     for piece in pieces:
-        if in_spec is None:
-            src.insert(list(piece))
-        else:
-            src.insert(encode_uvarint(len(piece)) + codec_for(in_spec).pack(piece))
+        src.insert(encode_chunk(piece, codec_for(in_spec)))
     src.seal()
     node = ExecutionGraph(app.graph).families["route"].original
     return runtime, TaskContext(runtime, node)
@@ -97,11 +93,8 @@ def cut(records, points):
     return [records[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-cases = (specs | st.none()).flatmap(
-    lambda spec: st.tuples(
-        st.just(spec),
-        st.lists(values_of(spec if spec is not None else "i64"), max_size=60),
-    )
+cases = specs.flatmap(
+    lambda spec: st.tuples(st.just(spec), st.lists(values_of(spec), max_size=60))
 )
 cut_points = st.lists(st.floats(0, 1), max_size=8)
 
@@ -112,15 +105,12 @@ cut_points = st.lists(st.floats(0, 1), max_size=8)
     cut_points,
     st.integers(0, 3),
     st.integers(16, 256),
-    st.integers(1, 9),
     st.booleans(),
 )
-def test_batch_form_leaves_the_same_chunks(
-    case, points, salt, chunk_size, records_per_chunk, typed_input
-):
+def test_batch_form_leaves_the_same_chunks(case, points, salt, chunk_size, typed_input):
     spec, records = case
     in_spec = spec if typed_input else None
-    args = (in_spec, spec, cut(records, points), chunk_size, records_per_chunk)
+    args = (in_spec, spec, cut(records, points), chunk_size)
     raised, reference = outcome(per_record, router(salt), *args)
     got, chunks = outcome(batched, router(salt), *args)
     assert got is raised  # a record over the chunk bound fails both forms
@@ -147,7 +137,7 @@ def test_batch_form_leaves_the_same_chunks(
 )
 def test_errors_surface_from_emit_many_exactly_when_from_emit(case, points, salt):
     """Out-of-domain values (``SerdeError``) and records over the chunk
-    bound (``ChunkOverflowError``), fed through an object input bag."""
+    bound (``ChunkOverflowError``), fed through a codec-less input bag."""
     spec, records = case
     args = (None, spec, cut(records, points))
     raised, reference = outcome(per_record, router(salt), *args)
@@ -198,17 +188,15 @@ def test_two_live_readers_share_the_cursor():
 
 @pytest.mark.parametrize("spec", [None, "u64"])
 def test_emit_many_keeps_no_reference_to_its_argument(spec):
-    runtime, ctx = context(spec, spec, [[5, 3, 9, 1, 7]], records_per_chunk=2)
+    runtime, ctx = context(spec, spec, [[5, 3, 9, 1, 7]])
     for batch in ctx.batches():
         ctx.emit_many(None, batch)
         batch.sort()
         batch.clear()
     ctx.flush()
     held = runtime.store.get("out.0").read_all()
-    if spec is None:
-        assert held == [[5, 3], [9, 1], [7]]
-    else:
-        assert [r for chunk in held for r in ctx._decode("out.0", chunk)] == [5, 3, 9, 1, 7]
+    codec = codec_for(spec)
+    assert [r for chunk in held for r in decode_chunk(chunk, codec)] == [5, 3, 9, 1, 7]
 
 
 @pytest.mark.parametrize("emit", ["emit", "emit_many"])

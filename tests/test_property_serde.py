@@ -1,5 +1,7 @@
 """Property-based tests for serde: any records, any chunk size, lossless."""
 
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from repro.serde import (
     chunk_records,
     codec_for,
     decode_chunk,
+    encode_chunk,
     encode_uvarint,
     iter_chunk,
     iter_chunks,
@@ -80,7 +83,7 @@ PRIMITIVES = {
     "str": st.text(max_size=12) | st.text(alphabet="aé€𝄞", max_size=12),
 }
 
-specs = st.recursive(
+typed_specs = st.recursive(
     st.sampled_from(sorted(PRIMITIVES)),
     lambda inner: st.one_of(
         st.lists(inner, min_size=1, max_size=3).map(lambda fs: ("tuple", *fs)),
@@ -88,10 +91,26 @@ specs = st.recursive(
     ),
     max_leaves=4,
 )
+#: ``None`` is the spec of a bag declared without a codec: the pickle codec.
+specs = typed_specs | st.none()
+
+#: Values nobody typed: what a codec-less bag holds.
+objects = st.recursive(
+    st.none() | st.booleans() | i64s | floats | strings | blobs,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner),
+        st.frozensets(st.integers(0, 99), max_size=4),
+        st.dictionaries(strings, inner, max_size=3),
+    ),
+    max_leaves=6,
+)
 
 
 def values_of(spec):
     """A strategy for one value of ``spec``."""
+    if spec is None:
+        return objects
     if isinstance(spec, str):
         return PRIMITIVES[spec]
     head, *rest = spec
@@ -158,7 +177,7 @@ def test_integer_width_boundaries(spec, value, width):
 
 
 @pytest.mark.parametrize(
-    "spec", [*sorted(PRIMITIVES), ("tuple", "u64", "str"), ("list", "f64")]
+    "spec", [*sorted(PRIMITIVES), ("tuple", "u64", "str"), ("list", "f64"), None]
 )
 def test_empty_column_roundtrips(spec):
     codec = codec_for(spec)
@@ -208,6 +227,39 @@ def test_every_other_width_byte_is_rejected(spec, column):
             iter_chunk(bytes(chunk), codec)  # eager: raises without a next()
 
 
+@given(columns().filter(lambda case: case[1]))
+def test_trailing_bytes_after_a_chunk_are_rejected(case):
+    spec, column = case
+    codec = codec_for(spec)
+    with pytest.raises(SerdeError, match="trailing"):
+        decode_chunk(encode_chunk(column, codec) + b"\x00", codec)
+
+
+class Unpicklable:
+    def __reduce__(self):
+        raise RuntimeError("not this one")
+
+
+@pytest.mark.parametrize("value", [lambda: 0, Unpicklable(), (1, [Unpicklable()])])
+def test_a_record_that_will_not_pickle_fails_in_the_producer(value):
+    """Like every other column: ``SerdeError`` from ``pack``, not a
+    ``PicklingError`` out of some later flush."""
+    with pytest.raises(SerdeError, match="will not pickle"):
+        codec_for(None).pack([1, value])
+    builder = ChunkBuilder(codec_for(None), 64)
+    with pytest.raises(SerdeError):
+        builder.add(value)
+
+
+def test_a_pickle_column_of_the_wrong_shape_is_rejected():
+    for payload in ([1, 2, 3], (1, 2), "ab"):  # wrong count, not a list
+        blob = pickle.dumps(payload)
+        with pytest.raises(SerdeError, match="does not hold 2"):
+            decode_chunk(chunk_of(2, encode_uvarint(len(blob)) + blob), codec_for(None))
+    with pytest.raises(SerdeError, match="will not load"):
+        decode_chunk(chunk_of(1, encode_uvarint(4) + b"junk"), codec_for(None))
+
+
 # -- the builder -------------------------------------------------------------------
 
 
@@ -225,16 +277,34 @@ def test_builder_bounds_order_and_determinism(case, chunk_size):
     spec, records = case
     codec = codec_for(spec)
     largest = max((len(chunk_of(1, codec.pack([r]))) for r in records), default=0)
-    if largest > chunk_size:
+    if largest > chunk_size and spec is not None:
         with pytest.raises(ChunkOverflowError):
             list(chunk_records(records, codec, chunk_size))
         return
     chunks = list(chunk_records(records, codec, chunk_size))
-    assert all(len(chunk) <= chunk_size for chunk in chunks)
+    # The one chunk over the bound: a lone oversized record, pickle codec only.
+    assert all(
+        len(chunk) <= chunk_size or len(decode_chunk(chunk, codec)) == 1
+        for chunk in chunks
+    )
     assert list(iter_chunks(chunks, codec)) == records
     # Byte-identical on a second run, and whichever way the records arrive.
     assert list(chunk_records(iter(records), codec, chunk_size)) == chunks
     assert chunked_by_add(records, codec, chunk_size) == chunks
+
+
+def test_a_lone_oversized_record_is_its_own_chunk_for_the_pickle_codec_only():
+    """Nobody sized what a codec-less bag holds (a rank dict is one record);
+    a typed record over the bound is still the producer's error."""
+    big, codec = "x" * 500, codec_for(None)
+    records = ["a", "b", big, "c", big, big, "d"]
+    chunks = list(chunk_records(records, codec, 64))
+    assert list(iter_chunks(chunks, codec)) == records
+    assert chunked_by_add(records, codec, 64) == chunks
+    over = [decode_chunk(chunk, codec) for chunk in chunks if len(chunk) > 64]
+    assert over == [[big], [big], [big]]
+    with pytest.raises(ChunkOverflowError):
+        list(chunk_records(records, codec_for("str"), 64))
 
 
 @settings(max_examples=200)
@@ -269,14 +339,14 @@ def test_extend_in_pieces_is_an_add_loop(records, cuts):
     st.integers(min_value=50, max_value=3000),
     st.integers(min_value=16, max_value=200),
 )
-def test_homogeneous_stream_fills_its_chunks(case, count, records_per_chunk):
+def test_homogeneous_stream_fills_its_chunks(case, count, per_chunk):
     """What keeps ``serde.chunks`` and ``dist.server.ops`` from creeping up:
     on a stream of equal records every chunk but the last is >= 85 % full."""
     spec, record = case
     codec = codec_for(spec)
     # Room for at least 16 records a chunk, or one record is most of a
     # chunk and no packing could fill it.
-    chunk_size = max(24, records_per_chunk * len(chunk_of(1, codec.pack([record]))))
+    chunk_size = max(24, per_chunk * len(chunk_of(1, codec.pack([record]))))
     chunks = list(chunk_records([record] * count, codec, chunk_size))
     assert list(iter_chunks(chunks, codec)) == [record] * count
     assert all(len(chunk) <= chunk_size for chunk in chunks)

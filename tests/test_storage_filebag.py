@@ -29,11 +29,24 @@ class TestFileBag:
         with pytest.raises(BagSealedError):
             bag.insert(b"late")
 
-    def test_object_chunks_roundtrip(self, bag):
-        bag.insert([1, "two", (3.0, None)])
-        bag.insert({"key": 7})
-        assert bag.remove() == [1, "two", (3.0, None)]
-        assert bag.remove() == {"key": 7}
+    def test_a_frame_is_the_chunk(self, tmp_path):
+        """No marker byte, no pickle arm: the payload is stored verbatim, and
+        a run of empty chunks is not mistaken for the seal mark on reopen."""
+        path = tmp_path / "opaque.bag"
+        bag = FileBag("opaque", path)
+        chunks = [b"", b"", b"\x00\x00", b"\x80\x00", b""]
+        for chunk in chunks:
+            bag.insert(chunk)
+        bag.close()
+        assert path.read_bytes() == b"\x00\x00\x02\x00\x00\x02\x80\x00\x00"
+        reopened = FileBag.open("opaque", path)
+        assert not reopened.sealed
+        assert reopened.read_all() == chunks
+        reopened.seal()
+        reopened.close()
+        sealed = FileBag.open("opaque", path)
+        assert sealed.sealed and sealed.read_all() == chunks
+        sealed.close()
 
     def test_rewind_and_read_all(self, bag):
         for i in range(5):
