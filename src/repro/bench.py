@@ -385,7 +385,9 @@ def _run_master_failover_probe(
                 result = runtime.run(dict(workload.inputs), timeout=RUN_TIMEOUT)
             except MasterKilled as exc:
                 successor = DistRuntime(workload.build(), **plan)
-                result = successor.resume(exc.fleet, timeout=RUN_TIMEOUT)
+                result = successor.resume(
+                    exc.fleet, dict(workload.inputs), timeout=RUN_TIMEOUT
+                )
             return result, time.perf_counter() - started
         finally:
             shutil.rmtree(journal_dir, ignore_errors=True)

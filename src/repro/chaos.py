@@ -676,7 +676,7 @@ def fuzz_one_dist(
             successor = DistRuntime(
                 app, kill_master_after_records=None, **plan_kwargs
             )
-            result = successor.resume(exc.fleet, timeout=180.0)
+            result = successor.resume(exc.fleet, dict(inputs), timeout=180.0)
             recoveries = result.master_recoveries
     except ReproError as exc:
         kept = settle_journal(failed=True)

@@ -319,9 +319,10 @@ class Bag:
         backing with nothing to reclaim), which makes master-side
         retries after a shard death idempotent. The consumed chunks are
         *gone* afterwards, so the caller must guarantee no consumer will
-        rewind this bag again without a refill; the dist master only
-        finalizes bags whose every consumer family finished, and
-        escalates to a refill if one of those families is later reset.
+        rewind this bag again before it is re-produced; the dist master
+        only finalizes bags whose every consumer family finished, and
+        resets the bag's producers if one of those families is later
+        reset.
         """
         with self._lock:
             if not self.sealed or not self.consumed:

@@ -48,7 +48,7 @@ thread, no new op — settled by the rule the synchronous
 path, abandoned) before anything is acknowledged upward.
 
 Bulk reads page through ``read_page`` (see :mod:`repro.dist.protocol`)
-so a refill of a disk-backed bag never materializes the whole bag in
+so a bulk read of a disk-backed bag never materializes the whole bag in
 any process; ``finalize_bag`` triggers server-side segment compaction
 of a finished bag, one replica at a time.
 """
@@ -718,7 +718,7 @@ class ShardedBagStore:
 
         At ``replication == 1`` there is no surviving copy to
         re-replicate from — the one shard's respawn (reopening its
-        segment directory, or empty and about to be refilled) *is* the
+        segment directory, or empty and about to be re-produced) *is* the
         bag — so instead of failing the write when that shard is
         mid-respawn, the same request is re-sent under the storage
         policy's backoff. Every op routed here is idempotent (``insert``
@@ -1093,7 +1093,7 @@ class MuxBatchFetcher:
         # served-but-never-acked instead of serving it twice. At
         # replication 1 the sweep simply waits for the one shard's
         # respawn (reopened from disk, or empty until the master's
-        # recovery refills the bag and cancels this stream's task).
+        # recovery cancels this stream's task and re-produces the bag).
         thread = threading.Thread(
             target=self._sweep_fallback,
             args=(seq,),

@@ -3,9 +3,9 @@
 Everything the dist master's journal records — and nothing else — lives
 in one :class:`ControlState`: the execution graph, which worker holds
 which node, the finalized (compacted) bags, the demotion-epoch vector,
-the outstanding condemnation and source refills, the wid and generation
-high-water marks, the spent fault injections and forced-clone schedules,
-and the journaled adaptive/governor snapshots.
+the outstanding condemnation, the wid and generation high-water marks,
+the spent fault injections and forced-clone schedules, and the
+journaled adaptive/governor snapshots.
 :meth:`ControlState.apply` is the only code that changes any of it. The
 live master calls it on each record it has just journaled
 (``DistRuntime._commit``) and a recovering master calls it on each
@@ -86,15 +86,13 @@ class ControlState:
         #: Master-authoritative demotion-epoch vector (replicated mode):
         #: bumped for a shard on each of its deaths, max-merged.
         self.epochs: Dict[int, int] = {}
-        #: Families condemned by a loss closure, and source bags to refill,
-        #: whose ``reset`` has not been recorded yet. Nothing is dispatched
-        #: while either is non-empty.
+        #: Families condemned by a loss closure whose ``reset`` has not
+        #: been recorded yet. Nothing is dispatched while it is non-empty.
         self.condemned: Set[str] = set()
-        self.refills: Set[str] = set()
         #: Bags whose segments were compacted (spill mode): every consumer
         #: family finished, so their dead consumed frames were rewritten
         #: away. A compacted bag can no longer serve a rewind, so the loss
-        #: closure escalates its loss to a refill.
+        #: closure escalates its loss to its producers.
         self.finalized: Set[str] = set()
         #: Fault injections already spent; a recovered master must not
         #: re-arm them and kill the same victim twice.
@@ -165,24 +163,19 @@ class ControlState:
         # same task leaves the explicit schedule pending.
         self.forced_spent.add(task_id)
 
-    def _apply_condemn(self, tasks: Iterable[str], refills: Iterable[str]) -> None:
+    def _apply_condemn(self, tasks: Iterable[str]) -> None:
         self.condemned.update(tasks)
-        self.refills.update(refills)
 
-    def _apply_reset(
-        self, tasks: Iterable[str], refills: Iterable[str]
-    ) -> List[ExecutionNode]:
+    def _apply_reset(self, tasks: Iterable[str]) -> List[ExecutionNode]:
         # A reset closes only what it names: a condemnation that arrived
         # while its effects were being applied stays outstanding.
         tasks = sorted(tasks)
         self.exec.reset_families(tasks)
         self.condemned.difference_update(tasks)
-        self.refills.difference_update(refills)
-        # The discarded outputs and refilled sources are fresh, never
-        # compacted incarnations; rewinds against them are legal again.
+        # The discarded outputs are fresh, never compacted incarnations;
+        # rewinds against them are legal again.
         for task_id in tasks:
             self.finalized.difference_update(self.graph.tasks[task_id].outputs)
-        self.finalized.difference_update(refills)
         # PENDING originals wait for their (also-reset) producers to
         # finish again; a later ``done`` re-readies them.
         originals = [self.exec.families[task_id].original for task_id in tasks]
@@ -239,8 +232,8 @@ class ControlState:
             records.append(("epochs", dict(self.epochs)))
         for bag_id in sorted(self.finalized):
             records.append(("finalize", bag_id))
-        if self.condemned or self.refills:
-            records.append(("condemn", sorted(self.condemned), sorted(self.refills)))
+        if self.condemned:
+            records.append(("condemn", sorted(self.condemned)))
         for task_id in sorted(self.forced_spent):
             records.append(("forced", task_id))
         if self.shard_kill_spent:
@@ -320,8 +313,8 @@ class ControlState:
         lost_bags: Set[str],
         lost_partials: Dict[str, str],
         seed_tasks: Iterable[str] = (),
-    ) -> Tuple[Set[str], Set[str]]:
-        """Families to reset (and source bags to refill) after data loss.
+    ) -> Set[str]:
+        """Families to reset after data loss.
 
         Fixpoint over bags: a lost or discarded bag pulls in every
         *started* producer family (finished ones included — their output
@@ -330,15 +323,14 @@ class ControlState:
         it from a rewound input is the only consistent option). Resetting
         a family discards its outputs and partials, which feed back into
         the frontier; intact inputs of a reset family do NOT cascade
-        upstream — replay just re-reads them. Lost *source* bags have no
-        producer to re-run and are refilled from the master's kept inputs.
+        upstream — replay just re-reads them. A source bag is no exception:
+        its producers are the input tasks the dist engine derives, so a
+        lost source bag resets every started input task of it.
         Worker death is the degenerate case: no lost bags, seeded with the
         dead worker's family (this subsumes the old shared-output-bag
         cascade, and unlike it can recover a finished co-producer).
         """
-        sources = set(self.graph.source_bags())
         to_reset: Set[str] = set()
-        refills: Set[str] = set()
         frontier: deque = deque()
         seen: Set[str] = set()
 
@@ -373,7 +365,7 @@ class ControlState:
                 # A finalized (compacted) input physically dropped its
                 # consumed frames and cannot serve the replay's rewind:
                 # its loss escalates upstream exactly like a lost bag,
-                # re-producing (or refilling) it from scratch.
+                # re-producing it from scratch.
                 if bag_id in self.finalized:
                     push(bag_id)
 
@@ -387,12 +379,9 @@ class ControlState:
         while frontier:
             bag_id = frontier.popleft()
             if bag_id in self.graph.bags:
-                if bag_id in sources:
-                    refills.add(bag_id)
-                else:
-                    for producer in self.graph.producers_of(bag_id):
-                        if started(self.exec.families[producer.task_id]):
-                            add_family(producer.task_id)
+                for producer in self.graph.producers_of(bag_id):
+                    if started(self.exec.families[producer.task_id]):
+                        add_family(producer.task_id)
                 for task_id, spec in self.graph.tasks.items():
                     if bag_id not in spec.inputs:
                         continue
@@ -409,4 +398,4 @@ class ControlState:
                 family = self.exec.families[owner]
                 if started(family) and not family.finished:
                     add_family(owner)
-        return to_reset, refills
+        return to_reset

@@ -2,17 +2,16 @@
 
 The dist master owns very little authoritative state — the execution
 graph's node transitions (assign / done), clone grants, family resets,
-the demotion-epoch vector, and the kept input manifest — and everything
-else (bag contents, removal logs) lives in the storage shards. Master
-checkpoint-replay persists exactly that little: the manifest (each
-source bag's chunk list, the one thing here whose size grows with the
-input) is written **once per run** to ``manifest.bin``, before the first
-snapshot, and never touched again; every state transition is appended
-to ``wal.bin`` *before* its externally visible effect, and a periodic
-compaction rewrites ``snapshot.bin`` as an equivalent compacted record
-sequence (``ControlState.snapshot_records()``) — control records only,
-so its cost under the lock a failover's epoch append waits on does not
-depend on the input — and truncates the log. What a record *means* is defined in one place,
+the demotion-epoch vector — and everything else (bag contents, removal
+logs) lives in the storage shards; the job's inputs are the caller's,
+handed to a recovering master again exactly as to ``run``. Master
+checkpoint-replay persists exactly that little, in two files: every
+state transition is appended to ``wal.bin`` *before* its externally
+visible effect, and a compaction — once at the start of a run, then
+periodically — rewrites ``snapshot.bin`` as an equivalent compacted
+record sequence (``ControlState.snapshot_records()``) and truncates the
+log. Every record is a control record, so nothing here grows with the
+input. What a record *means* is defined in one place,
 :meth:`repro.dist.control.ControlState.apply`: the live master runs every
 record through it as it commits it, and recovery runs ``snapshot + log
 tail`` through the same function, so a replayed master and a
@@ -32,9 +31,9 @@ corruption, whose later effects did happen — so recovery scans run
 ``strict=True`` and raise :class:`~repro.errors.JournalCorrupt` there
 instead of silently replaying a prefix of history.
 
-The snapshot, like the manifest, is written to a temp file, fsynced and
-atomically renamed; then the WAL is truncated. A crash between the
-rename and the truncation would leave the snapshot *plus* a stale tail
+The snapshot is written to a temp file, fsynced and atomically
+renamed; then the WAL is truncated. A crash between the rename and the
+truncation would leave the snapshot *plus* a stale tail
 of records already folded into it. Nothing defends that window: the
 injected master death fires at the event-loop top, never inside a
 compaction, and the next successful compaction truncates the tail.
@@ -61,7 +60,6 @@ _FRAME = struct.Struct(">II")
 #: recorded (offset, length) and must skip the header.
 FRAME_HEADER_BYTES = _FRAME.size
 
-MANIFEST_FILE = "manifest.bin"
 SNAPSHOT_FILE = "snapshot.bin"
 WAL_FILE = "wal.bin"
 
@@ -134,10 +132,6 @@ def scan_frames(fobj, strict: bool = False) -> "Iterable[Tuple[int, int, Any]]":
         offset = end
 
 
-def _write_record(fobj, record: Any) -> None:
-    fobj.write(pack_frame(record))
-
-
 def read_records(path: str, strict: bool = False) -> List[Any]:
     """Every intact record in ``path``; a torn *tail* ends the list.
 
@@ -170,7 +164,6 @@ class MasterJournal:
     def __init__(self, dirpath: str):
         self.dirpath = dirpath
         os.makedirs(dirpath, exist_ok=True)
-        self.manifest_path = os.path.join(dirpath, MANIFEST_FILE)
         self.snapshot_path = os.path.join(dirpath, SNAPSHOT_FILE)
         self.wal_path = os.path.join(dirpath, WAL_FILE)
         self._lock = threading.Lock()
@@ -180,40 +173,27 @@ class MasterJournal:
     def append(self, record: Any) -> int:
         """Durably append one record; returns this instance's append count."""
         with self._lock:
-            _write_record(self._wal, record)
+            self._wal.write(pack_frame(record))
             self._wal.flush()
             self.appended += 1
             return self.appended
 
-    @staticmethod
-    def _replace(path: str, records: Iterable[Any]) -> None:
-        """Write ``records`` to a temp file, ``fsync``, rename over ``path``:
-        a crash mid-write never corrupts the file already there."""
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "wb") as tmp:
-            for record in records:
-                _write_record(tmp, record)
-            tmp.flush()
-            os.fsync(tmp.fileno())
-        os.replace(tmp_path, path)
-
-    def write_manifest(self, manifest: Any) -> None:
-        """Write the run's input manifest: once, before the first snapshot.
-
-        One frame, so it loads whole or not at all. Not under the lock:
-        nothing else touches the file, and an O(input) write is exactly
-        what a concurrent epoch append must not wait for.
-        """
-        self._replace(self.manifest_path, [manifest])
-
     def write_snapshot(self, records: Iterable[Any]) -> None:
         """Atomically replace the snapshot and truncate the WAL.
 
-        ``records`` is the compacted sequence recovery will ``apply``.
-        The WAL truncation happens only after the rename lands.
+        ``records`` is the compacted sequence recovery will ``apply``,
+        written to a temp file, fsynced and renamed over the snapshot — a
+        crash mid-write never corrupts the one already there. The WAL
+        truncation happens only after the rename lands.
         """
         with self._lock:
-            self._replace(self.snapshot_path, records)
+            tmp_path = self.snapshot_path + ".tmp"
+            with open(tmp_path, "wb") as tmp:
+                for record in records:
+                    tmp.write(pack_frame(record))
+                tmp.flush()
+                os.fsync(tmp.fileno())
+            os.replace(tmp_path, self.snapshot_path)
             self._wal.close()
             self._wal = open(self.wal_path, "wb")
 
@@ -225,17 +205,20 @@ class MasterJournal:
                 pass
 
     @staticmethod
-    def load(dirpath: str) -> Tuple[Optional[Any], List[Any]]:
-        """(input manifest, snapshot records + WAL tail) for recovery.
+    def load(dirpath: str) -> Optional[List[Any]]:
+        """Snapshot records + WAL tail for recovery.
 
-        Returns ``(None, [])`` when the directory holds no journal yet.
-        A torn final WAL record is silently dropped, but a bad frame
-        *inside* any of the three files raises
+        Returns None when no snapshot was ever written: a run checkpoints
+        before it starts a process, so a master without one cannot be
+        resumed. A torn final WAL record is silently dropped, but a bad
+        frame *inside* either file raises
         :class:`~repro.errors.JournalCorrupt` rather than resuming from
         a silently truncated history (see :func:`scan_frames`).
         """
-        manifest, snapshot, wal = (
+        if not os.path.exists(os.path.join(dirpath, SNAPSHOT_FILE)):
+            return None
+        snapshot, wal = (
             read_records(os.path.join(dirpath, name), strict=True)
-            for name in (MANIFEST_FILE, SNAPSHOT_FILE, WAL_FILE)
+            for name in (SNAPSHOT_FILE, WAL_FILE)
         )
-        return (manifest[0] if manifest else None), snapshot + wal
+        return snapshot + wal

@@ -242,7 +242,7 @@ class NodeDescriptor:
     node_id: str
     task_id: str
     kind: str  # "task" | "clone" | "merge"
-    stream_input: str
+    stream_input: Optional[str]  # None for an input task
     side_inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]
     merge_inputs: Tuple[str, ...] = ()

@@ -2,11 +2,12 @@
 
 ``DistRuntime.run`` forks ``m`` storage-shard processes (each a
 :mod:`repro.dist.server` instance listening on a stable per-shard socket
-path), fills the source bags through a shard-routing
-:class:`~repro.dist.client.ShardedBagStore`, forks N worker processes
-(each holding a copy-on-write snapshot of the application graph), then
-drives the shared :class:`~repro.model.execution_graph.ExecutionGraph`
-from a single event loop fed by per-worker reader threads. Everything
+path) and N worker processes (each holding a copy-on-write snapshot of
+the graph and the run's inputs), then drives the shared
+:class:`~repro.model.execution_graph.ExecutionGraph` from a single event
+loop fed by per-worker reader threads. The graph is the application's
+plus *input tasks* that fill its source bags (:func:`with_input_tasks`),
+so the master fills no bag itself. Everything
 the master must remember — the graph, who holds which node, what is
 condemned — is one :class:`~repro.dist.control.ControlState`, changed
 only through :meth:`DistRuntime._commit` (journal the record, then
@@ -41,15 +42,14 @@ only through :meth:`DistRuntime._commit` (journal the record, then
   in-memory shard; deaths beyond the replication factor) feed the *loss
   closure*: every started family that produced or consumed one of them
   resets (finished families included, since their outputs may need
-  re-producing), and lost source bags are refilled from the master's
-  kept copy of the inputs.
+  re-producing) — a lost source bag's input tasks among them.
 
 An aggregation's output bag is written by its own family alone: member 0
 emits its partial straight into it, clone ``k`` into partial bag ``k``, and
 a cloned family's merge node — assigned to a worker like any other —
 replaces the bag's content with the fold. A family that never cloned needs
-only its ``done`` and the seal: between the source fill and the result
-snapshot no chunk crosses this process.
+only its ``done`` and the seal: until the result snapshot no chunk
+crosses this process.
 """
 
 from __future__ import annotations
@@ -77,12 +77,7 @@ from repro.dist.protocol import (
 from repro.dist.server import storage_server_main
 from repro.dist.sharding import ShardRouter
 from repro.dist.worker import worker_main
-from repro.engine.common import (
-    bag_records,
-    insert_chunks,
-    refill_bag,
-    source_chunks,
-)
+from repro.engine.common import bag_records, require_tasks
 from repro.errors import (
     FrameError,
     RemoteTaskError,
@@ -97,7 +92,7 @@ from repro.model.execution_graph import (
     NodeState,
     partial_bag_id,
 )
-from repro.model.graph import AppGraph
+from repro.model.graph import AppGraph, TaskSpec
 from repro.storage.policy import StorageConfig, call_with_retry
 from repro.trace import NULL_TRACER
 from repro.units import KB
@@ -339,6 +334,42 @@ class DistResult:
         }
 
 
+def input_task_id(bag_id: str, part: int) -> str:
+    return f"{bag_id}.input{part}"
+
+
+def with_input_tasks(
+    graph: AppGraph, parts: int, sources: Dict[str, List[Any]]
+) -> AppGraph:
+    """A copy of ``graph`` plus ``parts`` input tasks per source bag ``b``:
+    task ``i`` emits the ``i``-th of ``parts`` slices of ``sources[b]``,
+    read when it runs — fill ``sources`` before forking the workers."""
+
+    def fill(bag_id: str, part: int):
+        def emit_slice(ctx) -> None:
+            records = sources[bag_id]
+            n = len(records)
+            ctx.emit_many(
+                bag_id, records[part * n // parts:(part + 1) * n // parts]
+            )
+
+        return emit_slice
+
+    derived = AppGraph(graph.name)
+    for bag in graph.bags.values():
+        derived.add_bag(bag)
+    for task in graph.tasks.values():
+        derived.add_task(task)
+    for bag_id in graph.source_bags():
+        for part in range(parts):
+            derived.add_task(
+                TaskSpec(
+                    input_task_id(bag_id, part), (), (bag_id,), fn=fill(bag_id, part)
+                )
+            )
+    return derived
+
+
 class DistRuntime:
     """Multiprocess engine: master + N workers + ``m`` storage shards."""
 
@@ -408,7 +439,14 @@ class DistRuntime:
                 "segment_dir without resident_bytes: the layered segment "
                 "store only runs when a resident-bytes budget is set"
             )
-        self.graph: AppGraph = app.graph if isinstance(app, Application) else app
+        app_graph: AppGraph = app.graph if isinstance(app, Application) else app
+        require_tasks(app_graph, "kill_task", [] if kill_task is None else [kill_task])
+        require_tasks(app_graph, "forced_clones", forced_clones or {})
+        #: Source bag -> its records: filled by ``run``/``resume`` before
+        #: any worker forks, read by the input tasks in the workers.
+        self._sources: Dict[str, List[Any]] = {}
+        self._source_bags = app_graph.source_bags()
+        self.graph = with_input_tasks(app_graph, workers, self._sources)
         self.workers = workers
         self.shards = shards
         self.replication = replication
@@ -514,8 +552,6 @@ class DistRuntime:
         #: re-arms, so the requested fault reliably happens once.
         self._kill_armed_node: Optional[str] = None
         self._in_recovery = False
-        #: Source bag -> its chunk list (``source_chunks``), kept for refills.
-        self._inputs: Dict[str, List[Any]] = {}
         #: Overload-driven clone governor (None = static thresholds): the
         #: live controller, fed by heartbeats; ``control.governor`` holds
         #: its last journaled snapshot.
@@ -754,29 +790,28 @@ class DistRuntime:
 
     # -- run -------------------------------------------------------------------
 
-    def run(self, inputs: Dict[str, Iterable[Any]], timeout: float = 120.0) -> DistResult:
-        """Execute the application over ``inputs`` (source bag -> records)."""
-        unknown = set(inputs) - set(self.graph.source_bags())
+    def _take_inputs(self, inputs: Dict[str, Iterable[Any]]) -> None:
+        """Hand ``inputs`` (source bag -> records) to the input tasks: a
+        list as is, any other iterable materialised once."""
+        if self._sources:  # every graph has a source bag: this one ran
+            raise SchedulingError(
+                "a DistRuntime runs once; build a new one for another run"
+            )
+        unknown = set(inputs) - set(self._source_bags)
         if unknown:
             raise SchedulingError(f"inputs given for non-source bags: {unknown}")
+        for bag_id in self._source_bags:
+            records = inputs.get(bag_id, ())
+            if not isinstance(records, list):
+                records = list(records)
+            self._sources[bag_id] = records
+
+    def run(self, inputs: Dict[str, Iterable[Any]], timeout: float = 120.0) -> DistResult:
+        """Execute the application over ``inputs`` (source bag -> records)."""
+        self._take_inputs(inputs)
         deadline = time.monotonic() + timeout
-        # Encoded once and kept as chunks: what is inserted, journaled,
-        # and re-inserted when the shard homing a source bag is lost.
-        self._inputs = {
-            bag_id: source_chunks(
-                self.graph,
-                bag_id,
-                inputs.get(bag_id, ()),
-                chunk_size=self.settings.chunk_size,
-            )
-            for bag_id in self.graph.source_bags()
-        }
         if self.journal_dir is not None:
             self._journal = MasterJournal(self.journal_dir)
-            # Once per run: a recovered master refills a lost source bag
-            # from the manifest exactly as the live one does from
-            # self._inputs. Snapshots carry control records only.
-            self._journal.write_manifest(self._inputs)
             self._write_checkpoint()
         self._socket_dir = tempfile.mkdtemp(prefix="repro-dist-")
         self._shard_paths = [
@@ -795,10 +830,6 @@ class DistRuntime:
                 self.settings.policy,
                 router=self.router,
             )
-            # Eq. 1's b, for the producer; drained (empty) between bags.
-            writer = self._store.writer(self.settings.batch_requests)
-            for bag_id, chunks in self._inputs.items():
-                insert_chunks(self._store, bag_id, chunks, writer)
             for _ in range(self.workers):
                 self._spawn_worker()
             return self._run_to_completion(deadline)
@@ -867,7 +898,7 @@ class DistRuntime:
         )
 
     def _assign_ready(self) -> None:
-        if self.control.condemned or self.control.refills:
+        if self.control.condemned:
             # Nothing starts between a condemnation and its reset (which
             # applies only once every cancel is acknowledged). A member
             # of a condemned family would be discarded unfenced — a
@@ -1120,6 +1151,8 @@ class DistRuntime:
             (task_id, family)
             for task_id, family in self.control.exec.families.items()
             if not family.finished
+            # An input task reads no bag: there is nothing to share.
+            and family.original.stream_input is not None
             and task_id not in self.control.condemned
             and any(w.state == NodeState.RUNNING for w in family.workers)
             and self.control.exec.clone_count(task_id) < self.max_clones_per_task
@@ -1208,8 +1241,8 @@ class DistRuntime:
         shards' disks — unless the result snapshot still wants to read a
         bag back, in which case it is left alone. Journaled write-ahead
         per bag: a compacted bag can no longer serve a rewind, so a
-        recovered master must know to escalate its loss to a refill (see
-        ``ControlState.loss_closure``) even when the compaction RPCs
+        recovered master must know to escalate its loss to its producers
+        (see ``ControlState.loss_closure``) even when the compaction RPCs
         themselves never landed.
         """
         if self.settings.resident_bytes is None:
@@ -1505,16 +1538,14 @@ class DistRuntime:
         a storage blip or an orphan seeds its family; a dead shard names
         the bags with no surviving copy.
         """
-        to_reset, refills = self.control.loss_closure(
-            lost_bags, lost_partials, seeds
-        )
-        if to_reset or refills:
+        to_reset = self.control.loss_closure(lost_bags, lost_partials, seeds)
+        if to_reset:
             # Write-ahead condemnation: the decision to reset these
             # families must survive a master death that lands between the
             # cancels below and the eventual reset record — replaying only
             # the assigns would resurrect families whose inputs a
             # shard-loss closure already declared inconsistent.
-            self._commit(("condemn", sorted(to_reset), sorted(refills)))
+            self._commit(("condemn", sorted(to_reset)))
         for wid, node in sorted(self.control.assignment.items()):
             if node.task_id in to_reset:
                 self._cancel(wid, node.node_id)
@@ -1551,9 +1582,7 @@ class DistRuntime:
             return  # a nested shard death condemned more; the loop below sees it
         self._in_recovery = True
         try:
-            while (
-                self.control.condemned or self.control.refills
-            ) and not self.control.cancels_outstanding():
+            while self.control.condemned and not self.control.cancels_outstanding():
                 self._apply_recovery()
         finally:
             self._in_recovery = False
@@ -1599,7 +1628,6 @@ class DistRuntime:
         (idempotent) apply. Dropping it would be a permanent hang.
         """
         tasks = sorted(self.control.condemned)
-        refills = sorted(self.control.refills)
         deaths = self.shard_deaths
         families = self.control.exec.families
         for task_id in tasks:
@@ -1612,21 +1640,13 @@ class DistRuntime:
                     bags.add(partial_bag_id(task_id, index))
             for bag_id in sorted(bags):
                 self._retrying(lambda b=bag_id: self._store.get(b).discard())
-        for bag_id in refills:
-            self._retrying(
-                lambda b=bag_id: refill_bag(
-                    self._store,
-                    b,
-                    self._inputs.get(b, ()),
-                    self._store.writer(self.settings.batch_requests),
-                )
-            )
         for task_id in tasks:
             stream_input = families[task_id].original.spec.stream_input
-            self._retrying(lambda b=stream_input: self._store.get(b).rewind())
+            if stream_input is not None:  # an input task reads no bag
+                self._retrying(lambda b=stream_input: self._store.get(b).rewind())
         if self.shard_deaths != deaths:
             # A shard died under these effects (absorbed inside _retrying):
-            # some of what was just discarded, refilled or rewound may have
+            # some of what was just discarded or rewound may have
             # gone with it, and its loss closure may have condemned more.
             # Close nothing — the caller's loop runs the effects again over
             # the union once the new cancels are acknowledged.
@@ -1636,7 +1656,7 @@ class DistRuntime:
         # only true here. A death before this line replays the condemn
         # record instead, and the recovery re-runs the (idempotent)
         # discards — conservative, never wrong.
-        self._ready.extend(self._commit(("reset", tasks, refills)))
+        self._ready.extend(self._commit(("reset", tasks)))
         for task_id in tasks:
             self.family_resets += 1
             self.tracer.inc("dist.family_resets")
@@ -1694,12 +1714,18 @@ class DistRuntime:
         self._journal.write_snapshot(records)
         self._compact_base = self._journal.appended
 
-    def resume(self, fleet: MasterFleet, timeout: float = 120.0) -> DistResult:
+    def resume(
+        self,
+        fleet: MasterFleet,
+        inputs: Dict[str, Iterable[Any]],
+        timeout: float = 120.0,
+    ) -> DistResult:
         """Reconstruct the master from its journal and drive the run home.
 
-        Call on a **fresh** runtime built with the same constructor
-        arguments (and the same ``journal_dir``) as the one that raised
-        :class:`MasterKilled`. Recovery: load snapshot + WAL tail and
+        Call on a **fresh** runtime built with the same application,
+        constructor arguments (and ``journal_dir``) and ``inputs`` as the
+        one that raised :class:`MasterKilled`: the journal holds control
+        records only. Recovery: load snapshot + WAL tail and
         ``apply`` each record — the very function the dead master ran them
         through; adopt the surviving shard fleet (probing each survivor
         for its epoch vector, respawning the dead); re-adopt the workers
@@ -1711,17 +1737,17 @@ class DistRuntime:
         condemnation the journal left outstanding; re-seal what finished;
         resume the event loop.
         """
+        self._take_inputs(inputs)
         deadline = time.monotonic() + timeout
         started = time.monotonic()
         if self.journal_dir is None:
             self.journal_dir = fleet.journal_dir
-        manifest, records = MasterJournal.load(self.journal_dir)
-        if manifest is None:
+        records = MasterJournal.load(self.journal_dir)
+        if records is None:
             raise SchedulingError(
                 f"no journal checkpoint in {self.journal_dir!r}; a master "
                 "that never checkpointed cannot be resumed"
             )
-        self._inputs = manifest
         for record in records:
             self.control.apply(record)
         if self._governor is not None and self.control.governor is not None:

@@ -67,7 +67,7 @@ membership race) and the half-written copies are inert duplicates;
 after the record, reopen unlinks whatever stale files the crash left
 behind. Reads page through the same layering (``Bag.read_page`` sizes
 pages by frame length and fetches through :meth:`SegmentBacking.get`),
-so a refill of a spilled bag never holds more than one page of payloads
+so a bulk read of a spilled bag never holds more than one page of payloads
 resident.
 """
 

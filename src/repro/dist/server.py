@@ -626,7 +626,7 @@ def storage_server_main(
     the disk backing (:mod:`repro.dist.segments`), bounded in memory by
     ``resident_bytes``. ``reopen=True`` rebuilds state from an
     intact directory — how an r=1 respawn recovers everything it had
-    acknowledged without master refill/replay; ``reopen=False`` wipes it
+    acknowledged without a replay; ``reopen=False`` wipes it
     (an r>1 respawn is repopulated by resync instead, and stale segments
     must not resurrect).
 

@@ -7,7 +7,8 @@ for the batch-sampling :class:`~repro.dist.client.MuxBatchFetcher`,
 streaming from whichever storage shard serves the input bag — then writes
 its partial (aggregations) itself: member 0, the original, straight into
 the task's output bag (for a family that never clones that *is* the
-result), clone ``k`` into the family's partial bag ``k``.
+result), clone ``k`` into the family's partial bag ``k``. An *input
+task* gets no fetcher: it emits its slice of the fork-inherited inputs.
 
 The task-side surface is the base class's, unchanged: ``batches()`` /
 ``emit_many()`` a chunk at a time, ``records()`` / ``emit()`` a record at
@@ -142,7 +143,7 @@ class DistTaskContext(TaskContext):
         self._fetcher = fetcher
         self._cmd_conn = cmd_conn
         self._desc = desc
-        self._progress_every = max(1, fetcher.batch)
+        self._progress_every = max(1, fetcher.batch) if fetcher is not None else 1
         self._controller = controller
         self._latencies_seen = 0
         self._shard_latencies_seen: Dict[int, int] = {}
@@ -204,7 +205,7 @@ class DistTaskContext(TaskContext):
     def _next_chunk(self):
         # Bounded waits, polling for cancellation in between: after a
         # storage-shard death the stream bag may sit empty-and-unsealed on
-        # the respawned shard until recovery refills it — a task already
+        # the respawned shard until recovery re-produces it — a task already
         # condemned by that same recovery must notice its cancel message
         # instead of blocking in fetcher.get() forever.
         while True:
@@ -273,23 +274,25 @@ def _run_task(
         )
     node = _NodeShim(desc, spec)
     controller: Optional[BatchDepthController] = None
-    if settings.adaptive is not None:
-        shards = len(runtime.store.stores)
-        if desc.adaptive_state:
-            # A clone, or a post-recovery re-dispatch: continue from the
-            # journaled controller state instead of re-warming.
-            controller = BatchDepthController.restore(
-                settings.adaptive, shards, desc.adaptive_state
-            )
-        else:
-            controller = BatchDepthController(
-                settings.adaptive, shards, initial_depth=settings.batch_requests
-            )
-    fetcher = MuxBatchFetcher(
-        runtime.store,
-        desc.stream_input,
-        controller.depth if controller is not None else settings.batch_requests,
-    )
+    fetcher: Optional[MuxBatchFetcher] = None
+    if desc.stream_input is not None:  # an input task streams nothing
+        if settings.adaptive is not None:
+            shards = len(runtime.store.stores)
+            if desc.adaptive_state:
+                # A clone, or a post-recovery re-dispatch: continue from the
+                # journaled controller state instead of re-warming.
+                controller = BatchDepthController.restore(
+                    settings.adaptive, shards, desc.adaptive_state
+                )
+            else:
+                controller = BatchDepthController(
+                    settings.adaptive, shards, initial_depth=settings.batch_requests
+                )
+        fetcher = MuxBatchFetcher(
+            runtime.store,
+            desc.stream_input,
+            controller.depth if controller is not None else settings.batch_requests,
+        )
     ctx = DistTaskContext(runtime, node, fetcher, cmd_conn, desc, controller)
     try:
         result = spec.fn(ctx)
@@ -303,7 +306,9 @@ def _run_task(
         ctx.abandon()
         raise
     finally:
-        fetcher.stop()
+        if fetcher is not None:
+            fetcher.stop()
+    latencies = fetcher.latencies_by_shard if fetcher is not None else {}
     if spec.needs_merge:
         if result is None:
             raise SchedulingError(
@@ -330,7 +335,7 @@ def _run_task(
             shard: reservoir_sample(
                 samples, _LATENCY_SAMPLE_CAP, desc.node_id, shard
             )
-            for shard, samples in fetcher.latencies_by_shard.items()
+            for shard, samples in latencies.items()
         },
     }
     if controller is not None:
@@ -367,7 +372,7 @@ def worker_main(
     close_conns=(),
     epochs=None,
 ) -> None:
-    """Process entry point for one worker (forked; graph comes for free).
+    """Process entry point for one worker (forked; graph and inputs free).
 
     ``addresses`` lists the storage shards in index order; the worker
     holds one lazily-connected chunk client per shard behind a

@@ -4,10 +4,10 @@ Every function takes the bag *store* as a duck-typed argument: a
 :class:`~repro.storage.local.LocalBagStore` in the local engine, a
 shard-routing ``ShardedBagStore`` proxy in the distributed one. The
 store only needs ``ensure``/``get`` returning bags with
-``insert``/``seal``/``read_page``; bulk producers write through a *chunk
+``insert``/``seal``/``read_page``; a task writes through a *chunk
 writer* (``insert(bag_id, chunk)`` / ``drain()``) — the
 :class:`DirectWriter` here, or the dist store's pipelined one — and
-acknowledge nothing upward before ``drain()`` returns. Notably, nothing
+acknowledges nothing upward before ``drain()`` returns. Notably, nothing
 here may assume two bags live in the same process: each ``ensure``/``get`` resolves
 placement independently, which is what lets the same helpers drive one
 storage server or ``m`` shards.
@@ -42,12 +42,8 @@ def bag_codec(graph, bag_id: str) -> Codec:
 def source_chunks(
     graph, bag_id: str, records: Iterable[Any], *, chunk_size: int
 ) -> List[bytes]:
-    """Cut ``records`` into ``bag_id``'s chunks: the one source encoder.
-
-    The list is what a runtime keeps of its input — inserted, journaled
-    and re-inserted on a refill as is, so a recovered bag is the original
-    byte for byte and nothing is encoded twice.
-    """
+    """Cut ``records`` into ``bag_id``'s chunks, as a task emitting them
+    in one run would."""
     return list(chunk_records(records, bag_codec(graph, bag_id), chunk_size))
 
 
@@ -66,43 +62,23 @@ class DirectWriter:
         pass
 
 
-def insert_chunks(store, bag_id: str, chunks: Iterable[Any], writer=None) -> None:
-    """Insert ``chunks`` into ``bag_id``, then seal it.
-
-    Drain, *then* seal: a bag is sealed only after its last insert is
-    acked — a seal overtaking a pipelined insert on another replica's
-    lane would refuse it.
-    """
-    bag = store.ensure(bag_id)
-    if writer is None:
-        writer = DirectWriter(store)
-    for chunk in chunks:
-        writer.insert(bag_id, chunk)
-    writer.drain()
-    bag.seal()
-
-
 def fill_bag(
     store, graph, bag_id: str, records: Iterable[Any], *, chunk_size: int
 ) -> None:
-    """Materialize ``records`` into ``bag_id`` as chunks, then seal it."""
-    chunks = source_chunks(graph, bag_id, records, chunk_size=chunk_size)
-    insert_chunks(store, bag_id, chunks)
+    """Materialize ``records`` into ``bag_id`` as chunks, then seal it:
+    the local engine's source fill (the dist engine's is input tasks)."""
+    bag = store.ensure(bag_id)
+    for chunk in source_chunks(graph, bag_id, records, chunk_size=chunk_size):
+        bag.insert(chunk)
+    bag.seal()
 
 
-def refill_bag(store, bag_id: str, chunks: Iterable[Any], writer=None) -> None:
-    """Discard ``bag_id`` and re-insert its kept source ``chunks``.
-
-    The storage-loss recovery path: when the shard homing a source bag
-    dies, its data is gone and the master re-inserts the chunk list it
-    kept — the same chunks, not a second encoding of the records. The
-    discard also clears the sealed flag — ``insert_chunks`` alone would
-    raise ``BagSealedError`` against the sealed original (or a stale
-    survivor), and must start from a zeroed read pointer so replaying
-    consumers see every chunk again.
-    """
-    store.ensure(bag_id).discard()
-    insert_chunks(store, bag_id, chunks, writer)
+def require_tasks(graph, option: str, task_ids: Iterable[str]) -> None:
+    """Refuse a fault-injection ``option`` naming a task ``graph`` lacks:
+    the fault would never fire, and whatever asked for it would pass."""
+    unknown = sorted(set(task_ids) - set(graph.tasks))
+    if unknown:
+        raise ValueError(f"{option} names no task of the application: {unknown}")
 
 
 def resolve_merge(spec: TaskSpec) -> Callable:
@@ -143,7 +119,8 @@ READ_PAGE_BYTES = 4 * 1024 * 1024
 def iter_bag_chunks(store, bag_id: str, *, page_bytes: int = READ_PAGE_BYTES):
     """Stream a bag's chunks non-destructively, one bounded page resident.
 
-    The bulk read of refill, snapshot and side-input paths: each ``read_page(cursor, page_bytes)`` round trip holds at
+    The bulk read of snapshot, merge and side-input paths: each
+    ``read_page(cursor, page_bytes)`` round trip holds at
     most one page of payloads in this process (and, for remote bags, at
     most one page per RPC frame), so reading a spilled bag larger than
     the shard's ``resident_bytes`` never re-materializes it anywhere.

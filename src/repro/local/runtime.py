@@ -26,6 +26,7 @@ from repro.engine.common import (
     emit_value,
     fill_bag,
     fold_partials,
+    require_tasks,
     resolve_merge,
 )
 from repro.errors import ReproError, SchedulingError
@@ -132,9 +133,11 @@ class LocalRuntime:
         #: Deterministic cloning schedule for tests/benchmarks: task id ->
         #: number of clones created the moment the original starts running,
         #: regardless of the remaining-input heuristic.
+        require_tasks(self.graph, "forced_clones", forced_clones or {})
         self.forced_clones = dict(forced_clones or {})
         self._forced_pending = set(self.forced_clones)
         self.exec = ExecutionGraph(self.graph)
+        self._ran = False
         self.records_processed = 0
         self.chunks_processed = 0
         self._lock = threading.Lock()
@@ -161,9 +164,14 @@ class LocalRuntime:
         timeout: float = 60.0,
     ) -> LocalResult:
         """Execute the application over ``inputs`` (source bag -> records)."""
+        if self._ran:
+            raise SchedulingError(
+                "a LocalRuntime runs once; build a new one for another run"
+            )
         unknown = set(inputs) - set(self.graph.source_bags())
         if unknown:
             raise SchedulingError(f"inputs given for non-source bags: {unknown}")
+        self._ran = True
         for bag_id in self.graph.source_bags():
             self._fill_bag(bag_id, inputs.get(bag_id, ()))
         for bag_id in self.graph.bags:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Union
 
+from repro.errors import GraphError
 from repro.model.costs import TaskCost
 from repro.model.graph import AppGraph, BagSpec, MergeRef, TaskSpec
 
@@ -50,9 +51,12 @@ class Application:
 
         ``inputs[0]`` is streamed; the rest are side state (see TaskSpec).
         """
+        inputs = tuple(_bag_id(b) for b in inputs)
+        if not inputs:
+            raise GraphError(f"task {task_id!r} needs at least one input bag")
         spec = TaskSpec(
             task_id=task_id,
-            inputs=tuple(_bag_id(b) for b in inputs),
+            inputs=inputs,
             outputs=tuple(_bag_id(b) for b in outputs),
             fn=fn,
             merge=merge,

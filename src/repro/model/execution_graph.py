@@ -45,7 +45,7 @@ class ExecutionNode:
         node_id: str,
         kind: NodeKind,
         spec: TaskSpec,
-        stream_input: str,
+        stream_input: Optional[str],
         side_inputs: Tuple[str, ...],
         outputs: Tuple[str, ...],
         merge_inputs: Tuple[str, ...] = (),

@@ -41,6 +41,9 @@ class TaskSpec:
     local engine; ``cost`` drives the simulator. ``merge`` is a merge name
     from :mod:`repro.merges.registry`, a callable, or None for the default
     concatenation merge.
+
+    A task with no inputs is an *input task*, READY from the start; only
+    the dist engine derives them, to fill its source bags.
     """
 
     task_id: str
@@ -54,12 +57,11 @@ class TaskSpec:
     def __post_init__(self):
         if not self.task_id:
             raise GraphError("task_id must be non-empty")
-        if not self.inputs:
-            raise GraphError(f"task {self.task_id!r} needs at least one input bag")
 
     @property
-    def stream_input(self) -> str:
-        return self.inputs[0]
+    def stream_input(self) -> Optional[str]:
+        """The streamed input bag; None for an input task."""
+        return self.inputs[0] if self.inputs else None
 
     @property
     def side_inputs(self) -> Tuple[str, ...]:

@@ -100,7 +100,9 @@ class TestAdaptiveJournal:
             build_clicklog_stream(windows=2), adaptive=True, **kwargs
         )
         if tmp_path is not None:
+            # As ``run`` does: a journal starts with a checkpoint.
             runtime._journal = MasterJournal(str(tmp_path))
+            runtime._write_checkpoint()
         return runtime
 
     def snapshot_after(self, chunks):
@@ -137,7 +139,7 @@ class TestAdaptiveJournal:
         runtime._governor.evaluate(20)
         runtime._commit(("governor", runtime._governor.snapshot()))
         runtime._journal.close()
-        _header, records = MasterJournal.load(str(tmp_path))
+        records = MasterJournal.load(str(tmp_path))
         successor = self.build_runtime()
         for record in records:
             successor.control.apply(record)
@@ -196,7 +198,7 @@ class TestAdaptiveMasterKill:
             recovered = False
         except MasterKilled as exc:
             successor = DistRuntime(app, kill_master_after_records=None, **base)
-            result = successor.resume(exc.fleet, timeout=180)
+            result = successor.resume(exc.fleet, {"clicks": records}, timeout=180)
             recovered = True
         assert windowed_counts(result) == expected
         assert result.adaptive_enabled

@@ -15,6 +15,9 @@ scheduler standing in for the fleet (the pattern of
 (c) ``loss_closure``'s result is *closed* in the sense
     ``ExecutionGraph.reset_families`` demands of its caller.
 
+All three run over the graphs the master drives: the application's plus
+the input tasks that fill its source bags (``with_input_tasks``).
+
 Beside them: the two live-vs-replay divergences the one-function design
 removed (a ``reset`` that closed condemnations it never applied; a
 replayed heuristic clone grant spending a forced-clone schedule), the
@@ -34,6 +37,7 @@ from hypothesis import strategies as st
 from repro.apps import build_hashjoin_local
 from repro.dist import DistRuntime, control, runtime
 from repro.dist.control import RECORD_KINDS, ControlState
+from repro.dist.runtime import input_task_id, with_input_tasks
 from repro.errors import JournalCorrupt
 from repro.model import Application
 from repro.model.execution_graph import NodeKind, NodeState, partial_bag_id
@@ -47,11 +51,11 @@ def chain_graph():
         app.task(
             f"t{i}", [bags[i]], [bags[i + 1]], merge="sum" if i % 2 else None
         )
-    return app.graph
+    return with_input_tasks(app.graph, 2, {})
 
 
 def hashjoin_graph():
-    return build_hashjoin_local(partitions=2).graph
+    return with_input_tasks(build_hashjoin_local(partitions=2).graph, 2, {})
 
 
 GRAPHS = {"chain": chain_graph, "hashjoin": hashjoin_graph}
@@ -89,7 +93,6 @@ def view(state):
         "generation": state.generation,
         "epochs": dict(state.epochs),
         "condemned": set(state.condemned),
-        "refills": set(state.refills),
         "finalized": set(state.finalized),
         "shard_kill_spent": state.shard_kill_spent,
         "kill_delivered": state.kill_delivered,
@@ -119,18 +122,20 @@ def clone_partials(state):
     }
 
 
-def assert_closed(state, lost_bags, lost_partials, to_reset, refills):
+def assert_closed(state, lost_bags, lost_partials, to_reset):
     """Every started co-producer and unfinished started consumer of a
-    discarded bag is in ``to_reset``; every lost source is refilled."""
+    discarded bag is in ``to_reset``; a lost source bag resets every
+    started input task of it."""
     graph, families = state.graph, state.exec.families
-    sources = set(graph.source_bags())
     discarded = set(lost_bags)
     for task_id in to_reset:
         spec = graph.tasks[task_id]
         discarded.update(spec.outputs)
         # A compacted input cannot serve the replay's rewind.
         discarded.update(b for b in spec.inputs if b in state.finalized)
-    assert refills == discarded & sources
+    for task_id, spec in graph.tasks.items():
+        if not spec.inputs and spec.outputs[0] in discarded:
+            assert task_id in to_reset or not started(families[task_id]), task_id
     for bag_id in discarded & set(graph.bags):
         for producer in graph.producers_of(bag_id):
             if started(families[producer.task_id]):
@@ -179,12 +184,12 @@ class FakeScheduler:
 
     def condemn(self, lost_bags=(), lost_partials=None, seeds=()):
         lost_bags, lost_partials = set(lost_bags), dict(lost_partials or {})
-        to_reset, refills = self.state.loss_closure(lost_bags, lost_partials, seeds)
+        to_reset = self.state.loss_closure(lost_bags, lost_partials, seeds)
         assert set(seeds) <= to_reset
-        assert_closed(self.state, lost_bags, lost_partials, to_reset, refills)
-        if to_reset or refills:
-            self.commit("condemn", sorted(to_reset), sorted(refills))
-            self.batches.append((sorted(to_reset), sorted(refills)))
+        assert_closed(self.state, lost_bags, lost_partials, to_reset)
+        if to_reset:
+            self.commit("condemn", sorted(to_reset))
+            self.batches.append(sorted(to_reset))
 
     # -- actions: each returns False when it is not enabled -----------------
 
@@ -206,6 +211,8 @@ class FakeScheduler:
             task_id
             for task_id, family in families.items()
             if not family.finished
+            # As the master: an input task reads no bag to share.
+            and family.original.stream_input is not None
             and task_id not in self.state.condemned
             and any(w.state == NodeState.RUNNING for w in family.workers)
             and len(family.clones) < 2
@@ -272,8 +279,7 @@ class FakeScheduler:
     def reset(self):
         if not self.batches or self.state.cancels_outstanding():
             return False
-        tasks, refills = self.batches.pop(0)
-        self.commit("reset", tasks, refills)
+        self.commit("reset", self.batches.pop(0))
 
     def bookkeeping(self):
         kind = self.draw(
@@ -362,13 +368,13 @@ class TestLiveEqualsReplay:
         # computes — over running, finished, cloned, merged and already
         # condemned families, with finalized inputs escalating. What the
         # closedness buys: however resets interleave, a bag is complete
-        # exactly when it is a source or all of its producers finished.
+        # exactly when all of its producers finished — a source bag's being
+        # its input tasks.
         live = FakeScheduler(GRAPHS[graph_name](), script).run()
         graph = live.state.graph
-        sources = set(graph.source_bags())
         for snapshot in live.views:
             for bag_id in graph.bags:
-                finished = bag_id in sources or all(
+                finished = all(
                     snapshot["families"][p.task_id][2]
                     for p in graph.producers_of(bag_id)
                 )
@@ -408,40 +414,44 @@ class TestOneRulePerRecord:
         # condemnation lands before the first one's reset. The reset must
         # leave it outstanding (the parent's replay arm cleared everything
         # accumulated, while its live path swapped out only what it
-        # applied — a recovered master forgot B's reset and the refill).
+        # applied — a recovered master forgot B's reset).
         state = ControlState(hashjoin_graph())
         source = state.graph.tasks["partition.s"].stream_input
+        fill = [input_task_id(source, part) for part in range(2)]
         for record in [
             ("spawn", 0),
             ("spawn", 1),
             ("assign", "partition.r", 0),
             ("assign", "partition.s", 1),
             ("release", 0),
-            ("condemn", ["partition.r"], []),
+            ("condemn", ["partition.r"]),
             ("release", 1),
-            ("condemn", ["partition.s"], [source]),
-            ("reset", ["partition.r"], []),
+            ("condemn", ["partition.s", *fill]),
+            ("reset", ["partition.r"]),
         ]:
             state.apply(record)
-        assert state.condemned == {"partition.s"}
-        assert state.refills == {source}
-        state.apply(("reset", ["partition.s"], [source]))
-        assert state.condemned == set() and state.refills == set()
+        assert state.condemned == {"partition.s", *fill}
+        state.apply(("reset", ["partition.s", *fill]))
+        assert state.condemned == set()
 
     def test_a_reset_unfinalizes_what_it_discards_and_refills(self):
         # A compacted input cannot serve a rewind, so losing t1's output
-        # escalates through its finalized input to t0 and on to a refill
-        # of the finalized source; the fresh incarnations the reset births
-        # were never compacted.
+        # escalates through its finalized input to t0 and on through the
+        # finalized source to the input tasks that refill it; the fresh
+        # incarnations the reset births were never compacted.
         state = ControlState(chain_graph())
+        fill = [input_task_id("b0", part) for part in range(2)]
+        for task_id in fill:
+            state.apply(("assign", task_id, 0))
+            state.apply(("done", task_id))
         for task_id, bag_id in (("t0", "b0"), ("t1", "b1")):
             state.apply(("assign", task_id, 0))
             state.apply(("done", task_id))
             state.apply(("finalize", bag_id))
-        to_reset, refills = state.loss_closure({"b2"}, {})
-        assert (to_reset, refills) == ({"t0", "t1"}, {"b0"})
-        state.apply(("condemn", sorted(to_reset), sorted(refills)))
-        state.apply(("reset", sorted(to_reset), sorted(refills)))
+        to_reset = state.loss_closure({"b2"}, {})
+        assert to_reset == {"t0", "t1", *fill}
+        state.apply(("condemn", sorted(to_reset)))
+        state.apply(("reset", sorted(to_reset)))
         assert state.finalized == set()
 
     def test_only_the_forced_schedule_spends_the_forced_schedule(self):
@@ -488,9 +498,11 @@ class TestLiveShape:
         # A shard dying under the reset's own storage effects condemns
         # more (and may undo effects already applied). That reset must not
         # close the newcomer: it commits nothing, and the effects run
-        # again over the union.
+        # again over the union — here the lost source bag's input tasks,
+        # whose output is discarded and which rewind nothing.
         rt = DistRuntime(build_hashjoin_local(partitions=2), workers=2, shards=2)
         source = rt.graph.tasks["partition.s"].stream_input
+        fill = [input_task_id(source, part) for part in range(2)]
         effects, commits = [], []
 
         class Bag:
@@ -505,7 +517,6 @@ class TestLiveShape:
 
         class Store:
             get = staticmethod(Bag)
-            writer = staticmethod(lambda depth: None)
 
         def retrying(fn):
             if not effects:  # the first effect: a shard dies under it
@@ -519,22 +530,23 @@ class TestLiveShape:
         )
         monkeypatch.setattr(rt, "_store", Store())
         monkeypatch.setattr(rt, "_retrying", retrying)
-        monkeypatch.setattr(
-            runtime, "refill_bag", lambda store, bag_id, chunks, writer: effects.append(
-                ("refill", bag_id)
-            )
-        )
+        for task_id in fill:
+            rt._commit(("assign", task_id, 0))
+            rt._commit(("done", task_id))
         rt._commit(("assign", "partition.r", 0))
         rt._commit(("assign", "partition.s", 1))
         rt._commit(("release", 0))
         rt._commit(("release", 1))
         rt._condemn(set(), {}, ("partition.r",))
-        assert rt.control.condemned == set() and rt.control.refills == set()
+        assert rt.control.condemned == set()
         resets = [record for record in commits if record[0] == "reset"]
-        assert resets == [("reset", ["partition.r", "partition.s"], [source])]
-        assert ("refill", source) in effects
-        assert {("discard", "s.0"), ("discard", "s.1")} <= set(effects)
-        assert rt.family_resets == 2
+        assert resets == [("reset", sorted(["partition.r", "partition.s", *fill]))]
+        assert {("discard", "s.0"), ("discard", "s.1"), ("discard", source)} <= set(
+            effects
+        )
+        rewound = {bag_id for kind, bag_id in effects if kind == "rewind"}
+        assert rewound == {"relation.r", source}
+        assert rt.family_resets == 4
 
 
 def _attribute_chain(node):
@@ -601,9 +613,9 @@ class TestPins:
         assert offences == []
 
     def test_runtime_reads_bag_content_only_for_the_result_snapshot(self):
-        # ROADMAP 2(a): between the source fill and the result snapshot no
-        # chunk crosses the master — an aggregation's value is written by
-        # the worker that computed it, never read back and re-inserted here.
+        # ROADMAP 2(a): until the result snapshot no chunk crosses the
+        # master — an aggregation's value is written by the worker that
+        # computed it, never read back and re-inserted here.
         readers = {"iter_bag_chunks", "emit_value", "bag_records", "read_page"}
         tree = ast.parse(inspect.getsource(runtime))
         imported = {
@@ -627,6 +639,27 @@ class TestPins:
                 yield from uses(child)
 
         assert list(uses(tree)) == []
+
+    def test_runtime_writes_no_bag_content(self):
+        # The other end of the data plane: a source bag is filled by its
+        # input tasks on the workers and re-produced by resetting them, so
+        # the master neither encodes a source chunk nor opens a writer.
+        tree = ast.parse(inspect.getsource(runtime))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not imported & {"source_chunks", "insert_chunks", "refill_bag"}
+        writers = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "writer"
+        ]
+        assert writers == []
 
     def test_the_parent_surface_did_not_move(self):
         # No knob came with the refactor: same constructor, and replay is

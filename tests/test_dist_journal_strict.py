@@ -17,7 +17,6 @@ import zlib
 import pytest
 
 from repro.dist.journal import (
-    MANIFEST_FILE,
     MasterJournal,
     WAL_FILE,
     pack_frame,
@@ -123,11 +122,10 @@ class TestInteriorCorruption:
 
 
 class TestMasterJournalLoad:
-    """Recovery loads run strict on the manifest, the snapshot and the WAL."""
+    """Recovery loads run strict on the snapshot and the WAL."""
 
     def test_load_tolerates_torn_wal_tail(self, tmp_path):
         journal = MasterJournal(str(tmp_path))
-        journal.write_manifest({"generation": 1})
         journal.write_snapshot([("spawn", 0)])
         journal.append(("assign", "a", 1))
         journal.append(("done", "a"))
@@ -135,12 +133,12 @@ class TestMasterJournalLoad:
         wal_path = str(tmp_path / WAL_FILE)
         with open(wal_path, "r+b") as fobj:
             fobj.truncate(os.path.getsize(wal_path) - 3)
-        header, records = MasterJournal.load(str(tmp_path))
-        assert header == {"generation": 1}
+        records = MasterJournal.load(str(tmp_path))
         assert records == [("spawn", 0), ("assign", "a", 1)]
 
     def test_load_raises_on_interior_wal_corruption(self, tmp_path):
         journal = MasterJournal(str(tmp_path))
+        journal.write_snapshot([])
         appended = [("spawn", 0), ("assign", "a", 1), ("done", "a")]
         for record in appended:
             journal.append(record)
@@ -161,24 +159,6 @@ class TestMasterJournalLoad:
         corrupt_payload_byte(
             str(tmp_path / "snapshot.bin"), 1, snapshot_records
         )
-        with pytest.raises(JournalCorrupt):
-            MasterJournal.load(str(tmp_path))
-
-    def test_load_raises_on_manifest_corruption(self, tmp_path):
-        # The manifest is one frame, so it loads whole or not at all: a
-        # CRC-valid frame that will not unpickle is corruption even at
-        # the tail, and a frame with bytes behind it is interior damage.
-        journal = MasterJournal(str(tmp_path))
-        journal.write_manifest({"src": [b"chunk"]})
-        journal.close()
-        path = str(tmp_path / MANIFEST_FILE)
-        with open(path, "ab") as fobj:
-            fobj.write(b"x")
-        corrupt_payload_byte(path, 0, [{"src": [b"chunk"]}])
-        with pytest.raises(JournalCorrupt):
-            MasterJournal.load(str(tmp_path))
-        with open(path, "wb") as fobj:
-            fobj.write(crc_valid_garbage_frame())
         with pytest.raises(JournalCorrupt):
             MasterJournal.load(str(tmp_path))
 

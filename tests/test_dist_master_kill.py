@@ -6,8 +6,9 @@ top once its write-ahead journal holds N records. Workers and shards are
 real processes and genuinely survive; :class:`MasterKilled` hands them to
 the test as a :class:`MasterFleet`. Recovery builds a **fresh**
 ``DistRuntime`` with the same constructor arguments and calls
-``resume(fleet)``: snapshot + WAL replay reconstructs the control state,
-the reattach handshake re-adopts (or fences) the worker fleet, surviving
+``resume(fleet, inputs)`` with the inputs the dead master was given:
+snapshot + WAL replay reconstructs the control state, the reattach
+handshake re-adopts (or fences) the worker fleet, surviving
 shards are probed for their epoch vectors and inventories, dead ones are
 respawned, and everything the journal cannot prove committed replays
 through the ordinary loss-closure machinery — ending with sinks
@@ -23,14 +24,11 @@ import pytest
 from repro.apps import build_clicklog_local, build_hashjoin_local
 from repro.dist import DistRuntime, MasterKilled, ShardRouter
 from repro.dist.client import ShardedBagStore
-from repro.dist.journal import (
-    MANIFEST_FILE,
-    MasterJournal,
-    SNAPSHOT_FILE,
-    WAL_FILE,
-)
+from repro.dist.journal import MasterJournal, SNAPSHOT_FILE, WAL_FILE
+from repro.dist.runtime import input_task_id
 from repro.errors import SchedulingError
 from repro.local import LocalRuntime
+from repro.trace import Tracer
 
 from tests.test_dist_runtime import (
     AGGREGATION_INPUT,
@@ -61,7 +59,7 @@ def kill_and_resume(tmp_path, kill_after, inputs=None, app=None, **kwargs):
         return runtime.run(dict(inputs), timeout=180), False
     except MasterKilled as exc:
         successor = DistRuntime(app, kill_master_after_records=None, **base)
-        return successor.resume(exc.fleet, timeout=180), True
+        return successor.resume(exc.fleet, dict(inputs), timeout=180), True
 
 
 class TestMasterKillRecovery:
@@ -188,13 +186,14 @@ class TestMasterKillRecovery:
         base = dict(
             workers=1, cloning=False, chunk_size=256, journal_dir=str(tmp_path)
         )
-        # spawn, assign double, done double, assign agg: the master dies at
-        # the loop top after handling the aggregation's first progress.
-        runtime = DistRuntime(app, kill_master_after_records=4, **base)
+        # spawn, assign and done of the input task and of double, assign
+        # agg: the master dies at the loop top after handling the
+        # aggregation's first progress.
+        runtime = DistRuntime(app, kill_master_after_records=6, **base)
         with pytest.raises(MasterKilled) as excinfo:
             runtime.run({"in": AGGREGATION_INPUT}, timeout=60)
         fleet = excinfo.value.fleet
-        _, records = MasterJournal.load(str(tmp_path))
+        records = MasterJournal.load(str(tmp_path))
         assert records[-1][:2] == ("assign", "agg")
         probe = ShardedBagStore(fleet.shard_addresses, fleet.authkey, "probe")
         try:
@@ -204,7 +203,9 @@ class TestMasterKillRecovery:
                 time.sleep(0.01)
         finally:
             probe.close()
-        result = DistRuntime(app, **base).resume(fleet, timeout=60)
+        result = DistRuntime(app, **base).resume(
+            fleet, {"in": AGGREGATION_INPUT}, timeout=60
+        )
         assert result.master_recoveries == 1
         assert result.family_resets == 1
         assert result.records("total") == [AGGREGATION_TOTAL]
@@ -238,7 +239,7 @@ class TestMasterKillRecovery:
             "F", (), {"journal_dir": str(tmp_path), "workers": {}}
         )()
         with pytest.raises(SchedulingError):
-            runtime.resume(fleet, timeout=5)
+            runtime.resume(fleet, {}, timeout=5)
 
 
 class TestTornJournalTail:
@@ -277,7 +278,7 @@ class TestTornJournalTail:
             chunk_size=2048,
             journal_dir=str(tmp_path),
         )
-        result = successor.resume(fleet, timeout=180)
+        result = successor.resume(fleet, {"clicklog": records}, timeout=180)
         assert clicklog_counts(result) == expected
 
     def test_corrupt_wal_tail_still_recovers(self, tmp_path):
@@ -297,18 +298,19 @@ class TestTornJournalTail:
             chunk_size=2048,
             journal_dir=str(tmp_path),
         )
-        result = successor.resume(fleet, timeout=180)
+        result = successor.resume(fleet, {"clicklog": records}, timeout=180)
         assert clicklog_counts(result) == expected
 
 
 class TestManifestFile:
-    """The input manifest is written once per run, beside the journal;
-    snapshots carry control records only."""
+    """There is no input manifest: the journal is two files of control
+    records, and the inputs stay the caller's, handed to ``run`` and
+    again to ``resume``."""
 
     @staticmethod
-    def _checkpoint_sizes(tmp_path, count):
+    def _checkpoint(tmp_path, count):
         # Everything ``run()`` journals before it starts a process: stop it
-        # at the first shard spawn and measure what is on disk.
+        # at the first shard spawn and look at what is on disk.
         class Stop(Exception):
             pass
 
@@ -324,47 +326,20 @@ class TestManifestFile:
         runtime._spawn_shard = stop
         with pytest.raises(Stop):
             runtime.run({"clicklog": clicklog_records(count)}, timeout=60)
-        return (
-            os.path.getsize(journal_dir / SNAPSHOT_FILE),
-            os.path.getsize(journal_dir / MANIFEST_FILE),
-        )
+        assert sorted(os.listdir(journal_dir)) == [SNAPSHOT_FILE, WAL_FILE]
+        return os.path.getsize(journal_dir / SNAPSHOT_FILE)
 
     def test_snapshot_size_is_independent_of_input_size(self, tmp_path):
-        small_snapshot, small_manifest = self._checkpoint_sizes(tmp_path, 1_000)
-        large_snapshot, large_manifest = self._checkpoint_sizes(tmp_path, 100_000)
-        assert small_snapshot == large_snapshot
-        assert large_manifest > 50 * small_manifest
+        assert self._checkpoint(tmp_path, 1_000) == self._checkpoint(
+            tmp_path, 100_000
+        )
 
-    def test_compaction_leaves_the_manifest_untouched(self, tmp_path, monkeypatch):
-        manifest_path = tmp_path / MANIFEST_FILE
-        stats = []
-        real_write_snapshot = MasterJournal.write_snapshot
-
-        def write_snapshot(journal, records):
-            stat = os.stat(manifest_path)
-            stats.append((stat.st_ino, stat.st_mtime_ns, stat.st_size))
-            real_write_snapshot(journal, records)
-
-        monkeypatch.setattr(MasterJournal, "write_snapshot", write_snapshot)
-        records = clicklog_records()
-        result = DistRuntime(
-            build_clicklog_local(regions=REGIONS),
-            workers=2,
-            chunk_size=2048,
-            journal_dir=str(tmp_path),
-            journal_compact_every=4,
-        ).run({"clicklog": records}, timeout=180)
-        assert clicklog_counts(result) == clicklog_baseline(records)
-        # The initial checkpoint plus several mid-run compactions, and one
-        # manifest: same inode, same mtime, before each and after the last.
-        assert len(stats) >= 3
-        stat = os.stat(manifest_path)
-        assert set(stats) == {(stat.st_ino, stat.st_mtime_ns, stat.st_size)}
-
-    def test_successor_refills_a_lost_source_bag_from_the_manifest(self, tmp_path):
+    def test_successor_reruns_the_input_family_from_the_resubmitted_inputs(
+        self, tmp_path
+    ):
         # Master kill, then the r=1 memory shard homing the source bag dies
-        # in the master-absent window: the successor never saw the inputs,
-        # so the refill can only come from the manifest file.
+        # in the master-absent window: the bag is re-produced by its input
+        # tasks, which the successor runs from the inputs handed to it.
         records = clicklog_records()
         app = build_clicklog_local(regions=REGIONS)
         base = dict(workers=2, shards=2, chunk_size=2048, journal_dir=str(tmp_path))
@@ -377,10 +352,12 @@ class TestManifestFile:
         # The sentinel, not join(): the dead master's monitor thread is
         # already blocked reaping this process.
         assert multiprocessing.connection.wait([victim.sentinel], timeout=10)
-        successor = DistRuntime(app, **base)
-        result = successor.resume(fleet, timeout=180)
+        tracer = Tracer()
+        successor = DistRuntime(app, tracer=tracer, **base)
+        result = successor.resume(fleet, {"clicklog": iter(records)}, timeout=180)
         assert result.shard_deaths == 1
-        assert successor._inputs == runtime._inputs
+        reset = {e["args"]["task"] for e in tracer.events(name="family_reset")}
+        assert {input_task_id("clicklog", part) for part in range(2)} <= reset
         assert clicklog_counts(result) == clicklog_baseline(records)
 
 
@@ -389,36 +366,30 @@ class TestJournalFormat:
         journal = MasterJournal(str(tmp_path))
         journal.append(("spawn", 0))
         journal.append(("assign", "a", 0))
-        journal.write_manifest({"src": [b"chunk"]})
         journal.write_snapshot([("spawn", 3)])
         journal.append(("done", "a"))
         journal.close()
-        manifest, records = MasterJournal.load(str(tmp_path))
-        assert manifest == {"src": [b"chunk"]}
+        records = MasterJournal.load(str(tmp_path))
         # Pre-snapshot records are compacted away; the WAL tail follows
         # the snapshot's records in order.
         assert records == [("spawn", 3), ("done", "a")]
 
     def test_missing_dir_loads_empty(self, tmp_path):
-        manifest, records = MasterJournal.load(str(tmp_path / "nowhere"))
-        assert manifest is None
-        assert records == []
+        # No snapshot, no checkpoint: nothing a master could resume from.
+        assert MasterJournal.load(str(tmp_path / "nowhere")) is None
 
     def test_torn_snapshot_is_atomic(self, tmp_path):
-        # Snapshot and manifest both go through tmp + rename: a temp
-        # file lying around must never shadow the committed one.
+        # The snapshot goes through tmp + rename: a temp file lying
+        # around must never shadow the committed one.
         journal = MasterJournal(str(tmp_path))
-        journal.write_manifest({"generation": 0})
         journal.write_snapshot([("spawn", 1)])
         journal.close()
-        for name in (SNAPSHOT_FILE, MANIFEST_FILE):
-            (tmp_path / (name + ".tmp")).write_bytes(b"garbage")
-        manifest, records = MasterJournal.load(str(tmp_path))
-        assert manifest == {"generation": 0}
-        assert records == [("spawn", 1)]
+        (tmp_path / (SNAPSHOT_FILE + ".tmp")).write_bytes(b"garbage")
+        assert MasterJournal.load(str(tmp_path)) == [("spawn", 1)]
 
     def test_appended_counts_this_instance_only(self, tmp_path):
         journal = MasterJournal(str(tmp_path))
+        journal.write_snapshot([])
         journal.append(("spawn", 0))
         journal.append(("spawn", 1))
         assert journal.appended == 2
@@ -430,5 +401,5 @@ class TestJournalFormat:
         successor.append(("spawn", 2))
         assert successor.appended == 1
         successor.close()
-        _, records = MasterJournal.load(str(tmp_path))
+        records = MasterJournal.load(str(tmp_path))
         assert records == [("spawn", 0), ("spawn", 1), ("spawn", 2)]

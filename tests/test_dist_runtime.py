@@ -95,6 +95,19 @@ class TestDistParity:
         )
         assert result.value("checksum") == 0
 
+    def test_a_second_run_is_refused_before_it_forks(self):
+        # Every family is already done in the control state: a second run
+        # used to fork a whole fleet, schedule nothing, and return no rows.
+        runtime = DistRuntime(build_hashjoin_local(partitions=2), workers=2)
+        assert hashjoin_rows(runtime.run(hashjoin_inputs(), timeout=120))
+
+        def spawn(index):
+            raise AssertionError("a second run forked a shard")
+
+        runtime._spawn_shard = spawn
+        with pytest.raises(SchedulingError, match="runs once"):
+            runtime.run(hashjoin_inputs(), timeout=120)
+
     def test_calibration_matches_local(self):
         seeds = calibration_seeds(120)
         expected = (
@@ -315,12 +328,24 @@ class TestAggregationWritesItsOwnOutput:
         assert result.family_resets == 0
         if clones:
             return
-        # Un-cloned, no chunk crosses the master after the source fill: the
-        # only reads are the snapshot's (a data page and the empty page that
-        # ends the stream), and every insert is a source chunk, a chunk the
-        # map emitted, or the aggregation's one value.
+        # Un-cloned, no chunk crosses the master: the only reads are the
+        # snapshot's (a data page and the empty page that ends the stream),
+        # and every insert is a chunk one of the ``workers`` input tasks cut
+        # from its slice of the input, a chunk the map emitted, or the
+        # aggregation's one value.
         chunking = dict(chunk_size=256)
-        chunks = len(source_chunks(app.graph, "in", AGGREGATION_INPUT, **chunking))
+        n = len(AGGREGATION_INPUT)
+        chunks = sum(
+            len(
+                source_chunks(
+                    app.graph,
+                    "in",
+                    AGGREGATION_INPUT[i * n // workers:(i + 1) * n // workers],
+                    **chunking,
+                )
+            )
+            for i in range(workers)
+        )
         chunks += len(
             source_chunks(
                 app.graph, "doubled", [2 * v for v in AGGREGATION_INPUT], **chunking

@@ -5,18 +5,15 @@ victim shard hard-exit upon its N-th ``remove_batch`` — mid-stream, with
 clients connected and chunks in flight. Recovery must fence nothing less
 than the full protocol: detect the exit, respawn the shard on the same
 socket path, rebind live workers, reset every task family whose bags
-were lost (the loss closure), refill lost source bags from the master's
-kept inputs, and replay — ending with sinks byte-identical to the
-no-fault LocalRuntime baseline.
+were lost (the loss closure; a lost source bag's input tasks among
+them), and replay — ending with sinks byte-identical to the no-fault
+LocalRuntime baseline.
 """
-
-import sys
 
 import pytest
 
 from repro.apps import build_clicklog_local, build_hashjoin_local
 from repro.dist import DistRuntime, ShardRouter
-from repro.engine.common import iter_bag_chunks, source_chunks
 from repro.local import LocalRuntime
 from repro.trace import Tracer
 
@@ -50,7 +47,7 @@ class TestShardKillRecovery:
     def test_stream_shard_kill_recovers_to_baseline(self, ops):
         # The victim homes the stream bag, so the kill lands mid-stream
         # (remove_batch traffic is guaranteed) and the loss takes the
-        # source bag with it — recovery must refill it from kept inputs.
+        # source bag with it — recovery must re-run its input tasks.
         victim = ShardRouter(2).home("clicklog")
         result, counts, expected = clicklog_run(2, victim, ops)
         assert result.shard_deaths == 1
@@ -127,49 +124,6 @@ class TestShardKillRecovery:
         assert result.worker_deaths == 1
         assert clicklog_counts(result) == expected
 
-    def test_refill_reinserts_the_kept_chunks_without_encoding(self, monkeypatch):
-        # A refill that re-encodes is a second encoder: the recovered bag
-        # must be the original byte for byte, and ``_apply_recovery`` must
-        # not enter serde at all (a count of calls, not a timing).
-        records = clicklog_records()
-        runtime = DistRuntime(
-            build_clicklog_local(regions=REGIONS),
-            workers=3,
-            shards=2,
-            chunk_size=2048,
-            kill_shard=ShardRouter(2).home("clicklog"),
-            kill_shard_after_ops=3,
-        )
-        serde_calls, refilled = [0], []
-
-        def profile(frame, event, arg):
-            if event == "call" and "repro/serde/" in frame.f_code.co_filename:
-                serde_calls[0] += 1
-
-        real_apply = runtime._apply_recovery
-
-        def apply_recovery():
-            refills = sorted(runtime.control.refills)
-            sys.setprofile(profile)
-            try:
-                real_apply()
-            finally:
-                sys.setprofile(None)
-            refilled.extend(
-                (bag_id, list(iter_bag_chunks(runtime._store, bag_id)))
-                for bag_id in refills
-            )
-
-        monkeypatch.setattr(runtime, "_apply_recovery", apply_recovery)
-        result = runtime.run({"clicklog": records}, timeout=180)
-        assert clicklog_counts(result) == clicklog_baseline(records)
-        expected = source_chunks(
-            runtime.graph, "clicklog", records, chunk_size=2048
-        )
-        assert len(expected) > 1
-        assert ("clicklog", expected) in refilled
-        assert serde_calls[0] == 0
-
     def test_three_shards_single_kill(self):
         victim = ShardRouter(3).home("clicklog")
         result, counts, expected = clicklog_run(3, victim, 3)
@@ -180,7 +134,9 @@ class TestOneRecoveryPath:
     """Every configuration runs the same shard-death sequence (promote,
     respawn, rebind, recover copies, loss closure over what is still
     lost); which of reopen / resync / refill ran is pinned per
-    configuration by what a run already reports."""
+    configuration by what a run already reports — refill being the loss
+    closure re-running the lost bags' producers, a source bag's input
+    tasks among them."""
 
     @pytest.mark.parametrize(
         "replication, resident_bytes, recovered_by",
@@ -435,14 +391,14 @@ class TestShardKillProtocol:
         for record in (
             ("assign", "partition.s", 1),
             ("assign", "partition.r", 2),
-            ("condemn", ["partition.r", "partition.s"], []),
+            ("condemn", ["partition.r", "partition.s"]),
         ):
             runtime._commit(record)
         applied = []
 
         def fake_apply():
             applied.append(sorted(runtime.control.condemned))
-            runtime._commit(("reset", applied[-1], []))
+            runtime._commit(("reset", applied[-1]))
 
         monkeypatch.setattr(runtime, "_apply_recovery", fake_apply)
         monkeypatch.setattr(runtime, "_spawn_worker", lambda: None)
@@ -467,7 +423,12 @@ class TestShardKillProtocol:
         runtime = DistRuntime(
             build_hashjoin_local(partitions=2), workers=2, shards=2
         )
-        # Both producers finish, which readies their consumers.
+        # The source bags are filled, then both producers finish, which
+        # readies their consumers.
+        for task_id in runtime.graph.tasks:
+            if not runtime.graph.tasks[task_id].inputs:
+                runtime._commit(("assign", task_id, 0))
+                runtime._commit(("done", task_id))
         ready = []
         for wid, task_id in enumerate(("partition.r", "partition.s")):
             runtime._commit(("assign", task_id, wid))
@@ -485,12 +446,12 @@ class TestShardKillProtocol:
             runtime, "_dispatch", lambda wid, node: dispatched.append(node.node_id)
         )
         # partition.s's output is lost: condemned, acks pending.
-        runtime._commit(("condemn", ["partition.s"], []))
+        runtime._commit(("condemn", ["partition.s"]))
         runtime._assign_ready()
         assert dispatched == []
         assert runtime._ready == [consumer] and runtime._idle == [0]
         # The reset applied: dispatch resumes — with the re-run producer,
         # the consumer having gone back to waiting for it.
-        runtime._ready += runtime._commit(("reset", ["partition.s"], []))
+        runtime._ready += runtime._commit(("reset", ["partition.s"]))
         runtime._assign_ready()
         assert dispatched == ["partition.s"]

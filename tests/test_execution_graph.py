@@ -5,6 +5,7 @@ import pytest
 from repro.errors import GraphError, SchedulingError
 from repro.model import Application, ExecutionGraph
 from repro.model.execution_graph import NodeKind, NodeState, partial_bag_id
+from repro.model.graph import TaskSpec
 
 
 def _app(merge="sum"):
@@ -22,6 +23,20 @@ def test_initially_ready_is_source_consumers():
     ready = graph.initially_ready()
     assert [n.node_id for n in ready] == ["t1"]
     assert ready[0].state == NodeState.READY
+
+
+def test_an_input_task_is_ready_at_start():
+    # A task with no inputs produces a source bag: nothing to wait for,
+    # while the bag's consumer waits for it like for any producer.
+    graph = _app().graph
+    graph.add_task(TaskSpec("fill", (), ("src",)))
+    execution = ExecutionGraph(graph)
+    ready = execution.initially_ready()
+    assert [n.node_id for n in ready] == ["fill"]
+    assert ready[0].stream_input is None
+    assert not execution.bag_complete("src")
+    assert [n.node_id for n in execution.node_done("fill")] == ["t1"]
+    assert execution.bag_complete("src")
 
 
 def test_downstream_ready_after_family_finishes():

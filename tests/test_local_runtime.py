@@ -166,6 +166,15 @@ def test_unknown_input_bag_rejected():
         runtime.run({"lines": [], "bogus": [1]})
 
 
+def test_a_second_run_is_refused():
+    # The first run sealed the source bag and finished every family: a
+    # second would fill nothing and schedule nothing.
+    runtime = LocalRuntime(_wordcount_app(), workers=2)
+    assert runtime.run({"lines": ["a b", "a"]}).value("counts") == {"a": 2, "b": 1}
+    with pytest.raises(SchedulingError, match="runs once"):
+        runtime.run({"lines": ["c"]})
+
+
 def test_bitset_merge_pipeline():
     app = Application("distinct")
     src = app.bag("src", codec="u64")

@@ -77,8 +77,14 @@ class TestGraph:
         assert len(graph.producers_of("shared")) == 2
 
     def test_task_needs_input(self):
-        with pytest.raises(GraphError):
-            TaskSpec("t", (), ("out",))
+        # An application cannot declare an input task: source bags are
+        # filled from the run's inputs. The spec itself allows one (the
+        # dist engine derives them), and then streams nothing.
+        app = Application("no-input")
+        app.bag("out")
+        with pytest.raises(GraphError, match="needs at least one input"):
+            app.task("t", [], ["out"])
+        assert TaskSpec("t", (), ("out",)).stream_input is None
 
     def test_stream_and_side_inputs(self):
         spec = TaskSpec("t", ("stream", "side1", "side2"), ("out",))
