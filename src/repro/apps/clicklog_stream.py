@@ -1,13 +1,13 @@
 """Streaming ClickLog: windowed distinct-count over a shifting-skew ingest.
 
-The continuous-ingest scenario that actually stresses the adaptive
-control loop (ROADMAP item 4): records are ``(window, ip)`` pairs in
+A shifting-skew parity workload: records are ``(window, ip)`` pairs in
 ingest order from
 :func:`repro.workloads.clicklog_data.generate_stream_clicklog`, whose
 Zipf hot regions rotate every window. A windowed aggregation runs per
 window, so skew *arrives over time* — the hot region of window 0 is cold
-by window 2 — and any knob tuned statically on the first window (fetch
-depth ``b``, clone thresholds) is mis-tuned for the rest of the run.
+by window 2 — and which family the cloning rule picks moves with it,
+while every window's counts must still equal
+:func:`~repro.workloads.clicklog_data.exact_windowed_counts`.
 
 Graph shape (same merge discipline as flagship ClickLog):
 

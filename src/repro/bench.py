@@ -39,13 +39,9 @@ additionally gate on the hot-cache peak staying within the budget
 (``resident_peak_ok``): a "bounded" store that quietly blew through its
 budget fails the report, not just a dashboard.
 
-``--adaptive`` adds a closed-loop arm to the matrix: every dist
-combination reruns with the per-task batch-depth controller and the
-overload clone governor armed (see :mod:`repro.dist.adaptive`), and the
-shifting-skew streaming click-log scenario (``clicklog_stream``) joins
-the workload list. Adaptive runs record each task's ``b`` trajectory
-(``(chunks_seen, depth)`` pairs) and every governor clone decision in
-the report, parity-gated like everything else.
+``--workloads clicklog_stream`` selects the shifting-skew streaming
+click-log (windowed counts whose hot key moves each window), a parity
+workload like the others.
 
 Every dist run's sink output is checked against the local baseline before
 its numbers are reported, so a "fast" engine that drops or duplicates
@@ -203,7 +199,6 @@ def _run_dist(
     batch_requests: Optional[int] = None,
     resident_bytes: Optional[int] = None,
     dataset_scale: float = 1.0,
-    adaptive: bool = False,
 ):
     from repro.dist import DistRuntime
 
@@ -212,8 +207,6 @@ def _run_dist(
         extra["batch_requests"] = batch_requests
     if resident_bytes is not None:
         extra["resident_bytes"] = resident_bytes
-    if adaptive:
-        extra["adaptive"] = True
     runtime = DistRuntime(
         workload.build(),
         workers=workers,
@@ -235,27 +228,7 @@ def _run_dist(
             result.resident_peak_bytes
             <= resident_bytes + 2 * runtime.settings.chunk_size
         )
-    summary: Dict[str, Any] = {}
-    if adaptive:
-        # The closed-loop evidence: each task's journaled b trajectory
-        # (chunks_seen, depth) plus every governor clone evaluation —
-        # the raw material for the trajectory plots and the oracle
-        # comparison in the adaptive tests.
-        summary = {
-            "adaptive": True,
-            "adaptive_b_trajectory": {
-                task_id: [list(point) for point in trajectory]
-                for task_id, trajectory in sorted(
-                    result.adaptive_b_trajectory.items()
-                )
-            },
-            "adaptive_final_depth": dict(
-                sorted(result.adaptive_final_depth.items())
-            ),
-            "clone_decisions": result.clone_decisions,
-        }
     return {
-        **summary,
         "engine": "dist",
         "workers": workers,
         "shards": shards,
@@ -490,15 +463,8 @@ def _parse_args(argv):
         "--workloads",
         default="clicklog,hashjoin,calibration",
         help="comma-separated workload subset; clicklog_stream (the "
-        "shifting-skew windowed scenario) joins automatically under "
-        "--adaptive (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="additionally run every dist combination with the closed-loop "
-        "batch-depth controller and clone governor armed, recording each "
-        "task's b trajectory and every clone decision in the report",
+        "shifting-skew windowed scenario) is also selectable "
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--dataset-scale",
@@ -525,10 +491,6 @@ def _parse_args(argv):
     parser.add_argument("--rounds", type=int, help="calibration mixing rounds")
     args = parser.parse_args(argv)
     args.workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    if args.adaptive and "clicklog_stream" not in args.workloads:
-        # The adaptive axis exists for the continuous-ingest scenario;
-        # arm it even when the caller kept the historical workload list.
-        args.workloads.append("clicklog_stream")
     try:
         args.worker_counts = [int(w) for w in args.workers.split(",") if w.strip()]
     except ValueError:
@@ -596,7 +558,6 @@ def run_bench(argv=None) -> Dict[str, Any]:
             "dataset_scale": args.dataset_scales,
             "resident_bytes": args.resident_bytes,
             "batch_requests": args.batch_requests,
-            "adaptive": args.adaptive,
         },
         "workloads": {},
     }
@@ -642,27 +603,6 @@ def run_bench(argv=None) -> Dict[str, Any]:
                                 dataset_scale=scale,
                             )
                         )
-                        if args.adaptive:
-                            print(
-                                f"[bench] {entry_key}: dist x{workers} "
-                                f"({shards} shard"
-                                f"{'s' if shards != 1 else ''}, "
-                                f"r={replication}) --adaptive ...",
-                                flush=True,
-                            )
-                            runs.append(
-                                _run_dist(
-                                    workload,
-                                    workers,
-                                    shards,
-                                    replication,
-                                    baseline,
-                                    batch_requests=args.batch_requests,
-                                    resident_bytes=args.resident_bytes,
-                                    dataset_scale=scale,
-                                    adaptive=True,
-                                )
-                            )
                     if replication > 1:
                         # Replicated topologies get a failover probe: the
                         # same workload with a shard killed mid-stream,

@@ -42,12 +42,7 @@ resync at r=2, directory reopen at r=1 — and plans with a live copy of
 everything (r=2, or spill at any r) and neither a worker nor a master
 kill must finish with ZERO family resets. Spill plans may also aim the
 shard kill *inside* a segment compaction (one of the two crash windows,
-pre- or post-index-record) instead of at an op count. The closed-loop
-controller (:mod:`repro.dist.adaptive`) is armed in ~half of plans
-(every plan with ``--adaptive``): kills then also have to preserve
-controller state — worker respawns restore batch-depth snapshots from
-their descriptors and master resume replays ``adaptive``/``governor``
-journal records — under the same sink-parity and zero-reset gates.
+pre- or post-index-record) instead of at an op count.
 Failing spill plans preserve their shards' segment directories
 alongside the journal under ``REPRO_CHAOS_KEEP_JOURNALS``. No
 determinism digest there: OS process scheduling is not seeded, only the
@@ -530,7 +525,6 @@ def fuzz_one_dist(
     index: int,
     master_kill: bool = False,
     spill: bool = False,
-    adaptive: bool = False,
 ) -> Tuple[bool, str]:
     """One seeded dist run with injected kills; (ok, summary line)."""
     import os
@@ -550,13 +544,8 @@ def fuzz_one_dist(
     # both without needing an even run count. The old ``index % 2`` rule
     # made ``--runs 1`` structurally unable to ever test replication.
     replication = rng.choice([1, 2])
-    # The closed-loop controller joins the cocktail: ~half of plans arm
-    # the per-task batch-depth controller plus the clone governor
-    # (``--adaptive`` arms every plan, the CI arm), so worker respawns
-    # restore controller snapshots from descriptors, master resume
-    # replays "adaptive"/"governor" journal records, and the sink-parity
-    # and zero-reset gates below apply unchanged to adaptive runs.
-    adaptive_run = adaptive or rng.random() < 0.5
+    # Unused draw, kept so every later draw (and each seed's plans) stays put.
+    rng.random()
     # Spilling plans exercise the disk-backed segment layer under kills:
     # a deliberately tiny budget forces most chunks out of the hot cache,
     # so the killed shard's recovery really reads segments back (reopen
@@ -610,7 +599,6 @@ def fuzz_one_dist(
             else f"kill_shard={kill_shard}@{kill_ops}ops"
         )
         + (f" spill={resident_bytes}B" if resident_bytes is not None else "")
-        + (" adaptive" if adaptive_run else "")
         + (f" kill_task={kill_task}" if kill_task else "")
         + (
             f" kill_master@{kill_master_after}rec"
@@ -630,7 +618,6 @@ def fuzz_one_dist(
         kill_task=kill_task,
         kill_after_chunks=rng.randint(1, 3),
         journal_dir=journal_dir,
-        adaptive=adaptive_run,
         **kwargs,
     )
     runtime = DistRuntime(
@@ -746,7 +733,6 @@ def _main_dist(args) -> int:
             index,
             master_kill=args.master_kill,
             spill=args.spill,
-            adaptive=args.adaptive,
         )
         print(f"[{index + 1:3d}/{args.runs}] {line}")
         if not ok:
@@ -805,13 +791,6 @@ def main(argv=None) -> int:
         help="with --dist: give every plan a tiny per-shard resident-bytes "
         "budget so the disk-backed segment layer is exercised under kills "
         "(otherwise ~1/3 of plans draw spill from the seed)",
-    )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="with --dist: arm the closed-loop batch-depth controller and "
-        "clone governor in every plan, so controller state must survive "
-        "the kills (otherwise ~half of plans draw it from the seed)",
     )
     args = parser.parse_args(argv)
 

@@ -948,8 +948,8 @@ class MuxBatchFetcher:
     (the serving shard died mid-stream), because that path must block
     through reconnect backoffs, which the pump may not.
 
-    Latency samples are pooled in :attr:`latencies` and tagged per
-    serving shard in :attr:`latencies_by_shard`.
+    Latency samples are kept per serving shard in
+    :attr:`latencies_by_shard`.
     """
 
     def __init__(self, store: ShardedBagStore, bag_id: str, batch: int):
@@ -958,7 +958,6 @@ class MuxBatchFetcher:
         self._parent = store
         self.bag_id = bag_id
         self.batch = batch
-        self.latencies: List[float] = []
         self.latencies_by_shard: Dict[int, List[float]] = {}
         self._cond = threading.Condition()
         self._buffer: "deque[Any]" = deque()
@@ -973,24 +972,6 @@ class MuxBatchFetcher:
         self._retry_after: Optional[float] = None
         self._recovery: Optional[threading.Thread] = None
         with self._cond:
-            self._issue_locked()
-
-    def set_batch(self, batch: int) -> None:
-        """Re-arm the pipeline depth: the *next* request asks for ``batch``.
-
-        The adaptive controller's actuator. ``_issue_locked`` reads
-        ``self.batch`` fresh on every issue, so no in-flight request is
-        disturbed — the new depth simply governs every request armed
-        after this call. Deepening may arm a request immediately (the
-        buffer that satisfied the old bound no longer satisfies the new
-        one); shallowing lets the buffer drain to the new bound first.
-        """
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        with self._cond:
-            if batch == self.batch:
-                return
-            self.batch = batch
             self._issue_locked()
 
     # -- request pipeline --------------------------------------------------------
@@ -1066,7 +1047,6 @@ class MuxBatchFetcher:
     def _deliver_locked(
         self, shard: int, chunks: List[Any], sealed: bool, elapsed: float
     ) -> None:
-        self.latencies.append(elapsed)
         self.latencies_by_shard.setdefault(shard, []).append(elapsed)
         if chunks:
             self._buffer.extend(chunks)

@@ -4,8 +4,7 @@ Everything the dist master's journal records — and nothing else — lives
 in one :class:`ControlState`: the execution graph, which worker holds
 which node, the finalized (compacted) bags, the demotion-epoch vector,
 the outstanding condemnation, the wid and generation high-water marks,
-the spent fault injections and forced-clone schedules, and the
-journaled adaptive/governor snapshots.
+and the spent fault injections and forced-clone schedules.
 :meth:`ControlState.apply` is the only code that changes any of it. The
 live master calls it on each record it has just journaled
 (``DistRuntime._commit``) and a recovering master calls it on each
@@ -57,8 +56,6 @@ RECORD_KINDS = (
     "finalize",
     "shard_kill_armed",
     "kill_delivered",
-    "adaptive",
-    "governor",
 )
 
 
@@ -100,11 +97,6 @@ class ControlState:
         self.kill_delivered = False
         #: Tasks whose ``forced_clones`` schedule has fired.
         self.forced_spent: Set[str] = set()
-        #: Last journaled controller snapshot per task family (adaptive
-        #: mode): clones and post-recovery re-dispatches start from it.
-        self.adaptive: Dict[str, dict] = {}
-        #: Last journaled clone-governor snapshot (None = never decided).
-        self.governor: Optional[dict] = None
 
     # -- the transition function -------------------------------------------------
 
@@ -190,12 +182,6 @@ class ControlState:
     def _apply_kill_delivered(self) -> None:
         self.kill_delivered = True
 
-    def _apply_adaptive(self, task_id: str, snapshot: dict) -> None:
-        self.adaptive[task_id] = snapshot
-
-    def _apply_governor(self, snapshot: dict) -> None:
-        self.governor = snapshot
-
     def snapshot_records(self) -> List[Tuple]:
         """This state as a compact record sequence: ``apply``'s inverse.
 
@@ -240,10 +226,6 @@ class ControlState:
             records.append(("shard_kill_armed",))
         if self.kill_delivered:
             records.append(("kill_delivered",))
-        for task_id in sorted(self.adaptive):
-            records.append(("adaptive", task_id, self.adaptive[task_id]))
-        if self.governor is not None:
-            records.append(("governor", self.governor))
         return records
 
     # -- pure reads ----------------------------------------------------------------

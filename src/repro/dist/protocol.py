@@ -135,7 +135,6 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Client, Connection
 from typing import Any, List, Optional, Tuple, Union
 
-from repro.dist.adaptive import AdaptiveConfig
 from repro.errors import FrameError  # also re-exported from here
 from repro.storage.policy import StorageConfig
 from repro.units import KB
@@ -252,12 +251,6 @@ class NodeDescriptor:
     #: Fault injection: the worker hard-exits (``os._exit``) after fetching
     #: this many stream chunks. Used by tests and the chaos-style smoke.
     kill_after_chunks: Optional[int] = None
-    #: Journaled :class:`~repro.dist.adaptive.BatchDepthController`
-    #: snapshot to resume from (``None`` = start from the config
-    #: defaults). Set when a clone joins a family whose controller has
-    #: already adapted, and when a recovered master re-dispatches — so a
-    #: respawned task starts at the learned depth, not the cold default.
-    adaptive_state: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -280,13 +273,6 @@ class DistSettings:
     #: hot tail is evicted down to the budget, so a shard's dataset
     #: ceiling becomes disk, not RAM.
     resident_bytes: Optional[int] = None
-    #: Closed-loop control (:mod:`repro.dist.adaptive`): ``None`` (the
-    #: default) keeps ``batch_requests`` and the clone thresholds
-    #: static, byte-identical to the pre-adaptive engine. Set, each
-    #: task re-derives its fetch depth ``b`` from measured chunk
-    #: latency vs. processing rate and clone grants are gated on live
-    #: overload signals instead of fixed thresholds.
-    adaptive: Optional["AdaptiveConfig"] = None
     policy: StorageConfig = field(default_factory=lambda: DIST_STORAGE_POLICY)
 
 

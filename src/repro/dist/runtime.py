@@ -64,7 +64,6 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.dist.adaptive import AdaptiveConfig, CloneGovernor
 from repro.dist.client import ShardedBagStore
 from repro.dist.control import ControlState
 from repro.dist.journal import MasterJournal
@@ -278,27 +277,6 @@ class DistResult:
             bool(runtime.resync_seconds)
             and runtime.settings.resident_bytes is not None
         )
-        #: Adaptive-control surface (all empty/False with adaptive off).
-        #: Per-family fetch-depth trajectory ``[(chunks_consumed, b),
-        #: ...]`` — the bench records it so a depth that never moved is
-        #: distinguishable from a controller that never ran — plus each
-        #: family's final depth and the governor's full clone-decision
-        #: log (every evaluation with its queue/drift inputs).
-        self.adaptive_enabled = runtime.adaptive is not None
-        self.adaptive_b_trajectory: Dict[str, List[Tuple[int, int]]] = {
-            task_id: [tuple(point) for point in (snap.get("trajectory") or [])]
-            for task_id, snap in runtime.control.adaptive.items()
-        }
-        self.adaptive_final_depth: Dict[str, int] = {
-            task_id: int(snap["depth"])
-            for task_id, snap in runtime.control.adaptive.items()
-            if snap.get("depth") is not None
-        }
-        self.clone_decisions: List[Dict[str, Any]] = (
-            [dict(d) for d in runtime._governor.decisions]
-            if runtime._governor is not None
-            else []
-        )
         self.trace_metrics = dict(runtime.tracer.metrics)
         self._snapshots = snapshots
 
@@ -384,7 +362,6 @@ class DistRuntime:
         clone_min_chunks: int = 2,
         max_clones_per_task: Optional[int] = None,
         batch_requests: int = 4,
-        adaptive: Any = None,
         resident_bytes: Optional[int] = None,
         segment_dir: Optional[str] = None,
         storage_policy: StorageConfig = DIST_STORAGE_POLICY,
@@ -452,28 +429,12 @@ class DistRuntime:
         self.replication = replication
         self.router = ShardRouter(shards, replication)
         self.cloning = cloning
-        # ``adaptive`` accepts an AdaptiveConfig, True (defaults), or
-        # None/False (static knobs, byte-identical to the pre-adaptive
-        # engine). Closed loop: tasks re-derive their fetch depth ``b``
-        # from measured latency vs. processing rate, and clone grants go
-        # through the overload governor instead of clone_min_chunks.
-        if adaptive is True:
-            adaptive = AdaptiveConfig()
-        elif adaptive is False:
-            adaptive = None
-        if adaptive is not None and not isinstance(adaptive, AdaptiveConfig):
-            raise ValueError(
-                f"adaptive must be an AdaptiveConfig, True, or None; "
-                f"got {adaptive!r}"
-            )
-        self.adaptive = adaptive
         self.settings = DistSettings(
             chunk_size=chunk_size,
             batch_requests=batch_requests,
             replication=replication,
             policy=storage_policy,
             resident_bytes=resident_bytes,
-            adaptive=adaptive,
         )
         #: Caller-owned root for the shards' segment directories (chaos
         #: keeps it as a post-mortem artifact); None = a ``segments/``
@@ -552,12 +513,6 @@ class DistRuntime:
         #: re-arms, so the requested fault reliably happens once.
         self._kill_armed_node: Optional[str] = None
         self._in_recovery = False
-        #: Overload-driven clone governor (None = static thresholds): the
-        #: live controller, fed by heartbeats; ``control.governor`` holds
-        #: its last journaled snapshot.
-        self._governor: Optional[CloneGovernor] = (
-            CloneGovernor(self.adaptive) if self.adaptive is not None else None
-        )
         #: Guards ``control.epochs``, the one control field written off
         #: the event-loop thread: the shard-monitor threads promote
         #: backups the instant a corpse is joined, concurrently with the
@@ -967,13 +922,6 @@ class DistRuntime:
             and (node.outputs[0], *node.merge_inputs[1:]),
             member=node.member,
             kill_after_chunks=kill_after,
-            # Clones and post-recovery re-dispatches continue from the
-            # family's learned controller state; merges never stream.
-            adaptive_state=(
-                self.control.adaptive.get(node.task_id)
-                if self.adaptive is not None and node.kind != NodeKind.MERGE
-                else None
-            ),
         )
 
     # -- messages ---------------------------------------------------------------
@@ -1080,40 +1028,6 @@ class DistRuntime:
             wid, node.task_id if node is not None else msg.get("task")
         )
 
-    def _absorb_adaptive(self, task_id: str, msg: dict) -> None:
-        """Fold a worker's controller snapshot and latency windows in.
-
-        A snapshot is committed only when it is the family's first or a
-        decision actually moved the depth (the trajectory grew) —
-        journaling every progress heartbeat would bloat the WAL with
-        identical states. Among concurrent family members the
-        furthest-adapted snapshot (most chunks observed) wins; a clone
-        that just started from the journaled state must not regress it.
-        """
-        if self._governor is not None:
-            for shard, samples in (msg.get("latency_window") or {}).items():
-                self._governor.observe_latencies(shard, samples)
-        snapshot = msg.get("adaptive")
-        if snapshot is None or self.adaptive is None:
-            return
-        current = self.control.adaptive.get(task_id)
-        trajectory = snapshot.get("trajectory") or []
-        if current is not None and (
-            current.get("chunks_seen", 0) > snapshot.get("chunks_seen", 0)
-            or len(trajectory) <= len(current.get("trajectory") or [])
-        ):
-            return
-        self._commit(("adaptive", task_id, snapshot))
-        if len(trajectory) > 1:
-            self.tracer.inc("dist.adaptive_decisions")
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "adaptive_depth",
-                    cat="dist",
-                    task=task_id,
-                    depth=snapshot.get("depth"),
-                )
-
     def _on_progress(self, wid: int, msg: dict) -> None:
         node = self.control.assignment.get(wid)
         if node is None:
@@ -1122,7 +1036,6 @@ class DistRuntime:
             self.tracer.counter(
                 "dist_progress", chunks=float(msg.get("chunks", 0))
             )
-        self._absorb_adaptive(node.task_id, msg)
         task_id = node.task_id
         if (
             node.kind == NodeKind.TASK
@@ -1169,33 +1082,13 @@ class DistRuntime:
         remaining = self._store.remaining_many(
             [family.original.stream_input for _, family in running]
         )
-        # Static mode: the fixed clone_min_chunks floor. Adaptive mode:
-        # any backlog qualifies as a candidate; whether to clone is the
-        # governor's call from live overload signals below.
-        floor = 0 if self._governor is not None else self.clone_min_chunks - 1
-        best, best_remaining = None, floor
+        best, best_remaining = None, self.clone_min_chunks - 1
         for task_id, family in running:
             left = remaining.get(family.original.stream_input, 0)
             if left > best_remaining:
                 best, best_remaining = task_id, left
-        if best is None:
-            return
-        if self._governor is not None:
-            if not self._governor.evaluate(best_remaining):
-                return
-            # Journaled post-decision: a resumed master continues the
-            # governor's onset/baseline state and its decision log
-            # instead of re-warming and double-granting.
-            self._commit(("governor", self._governor.snapshot()))
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "governor_clone",
-                    cat="dist",
-                    task=best,
-                    queue_chunks=best_remaining,
-                    p95_drift=self._governor.drift(),
-                )
-        self._grant_clone(best)
+        if best is not None:
+            self._grant_clone(best)
 
     def _on_done(self, wid: int, msg: dict) -> None:
         node = self.control.assignment.get(wid)
@@ -1212,7 +1105,6 @@ class DistRuntime:
     def _complete(self, node: ExecutionNode, msg: dict) -> None:
         self.records_processed += msg.get("records", 0)
         self.chunks_processed += msg.get("chunks", 0)
-        self._absorb_adaptive(node.task_id, msg)
         # Each sample is tagged with the shard that actually served it (a
         # fetcher can cross shards mid-stream on failover).
         for shard, samples in msg.get("latencies_by_shard", {}).items():
@@ -1750,12 +1642,6 @@ class DistRuntime:
             )
         for record in records:
             self.control.apply(record)
-        if self._governor is not None and self.control.governor is not None:
-            # Continue the governor's onset/baseline state and decision
-            # log instead of re-warming and double-granting.
-            self._governor = CloneGovernor.restore(
-                self.adaptive, self.control.governor
-            )
         # Adopt the surviving fleet.
         self._socket_dir = fleet.socket_dir
         if self.settings.resident_bytes is not None:

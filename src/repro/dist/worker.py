@@ -17,10 +17,9 @@ the task's to mutate (a fetched chunk is decoded into a list nothing else
 holds). The only thing this module overrides is the input loop,
 :meth:`DistTaskContext._input` — one step per fetched chunk — and
 everything the engine does per chunk lives in that one loop: the cancel
-poll, the progress message, the adaptive controller's observation, the
-service-time sample, ``kill_after_chunks``. ``records()`` is the base
-class's flatten over it, so no second copy of the loop exists for the
-per-record form to drift from.
+poll, the progress message, ``kill_after_chunks``. ``records()`` is the
+base class's flatten over it, so no second copy of the loop exists for
+the per-record form to drift from.
 
 For a MERGE node the worker reads member 0's partial out of the output
 bag and the clones' out of their partial bags, empties the output bag,
@@ -50,11 +49,9 @@ insert waited out, none re-sent).
 from __future__ import annotations
 
 import os
-import time
 import traceback
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional, Sequence
 
-from repro.dist.adaptive import BatchDepthController, reservoir_sample
 from repro.dist.client import MuxBatchFetcher, ShardedBagStore
 from repro.dist.protocol import DistSettings, NodeDescriptor
 from repro.dist.sharding import ShardRouter
@@ -68,6 +65,7 @@ from repro.errors import FetchTimeout, SchedulingError
 from repro.local.context import TaskContext
 from repro.model.execution_graph import partial_bag_id
 from repro.model.graph import AppGraph
+from repro.sim.rand import rng_from
 
 
 class _Cancelled(BaseException):
@@ -110,60 +108,41 @@ class _WorkerRuntime:
         emit_value(self.store, self.graph, bag_id, value)
 
 
-#: Cap on latency samples shipped back per task. The cap itself predates
-#: the adaptive loop; what changed is *which* samples survive it — a
-#: seeded reservoir (uniform over the whole run) instead of the first
-#: 512, which froze percentiles at warm-up behavior.
+#: Cap on latency samples shipped back per task and shard, kept by a
+#: seeded reservoir so the percentiles cover the whole run, not its
+#: warm-up.
 _LATENCY_SAMPLE_CAP = 512
 
 
-class DistTaskContext(TaskContext):
-    """TaskContext whose stream input is served by the batch fetcher.
+def reservoir_sample(samples: Sequence[Any], k: int, *seed_parts: object) -> List[Any]:
+    """Uniform ``k``-sample of ``samples`` (Algorithm R), seeded.
 
-    With adaptive control enabled, the context also hosts the task's
-    :class:`~repro.dist.adaptive.BatchDepthController`: it runs on the
-    consumer side of the fetch pipeline (the only place per-chunk
-    processing time is observable), drains fresh batch-RPC latency
-    samples from the fetcher between chunks, and re-arms the fetcher's
-    depth whenever a decision moves it. Controller snapshots and the
-    per-shard latency windows ride the existing progress messages so the
-    master can journal the state and feed its clone governor.
+    Every element has probability ``k/n`` of surviving, so a capped
+    latency population keeps its steady-state shape instead of freezing
+    the first ``k`` warm-up samples.  Deterministic in the seed labels.
     """
+    if k < 1:
+        raise ValueError(f"reservoir size must be >= 1, got {k}")
+    if len(samples) <= k:
+        return list(samples)
+    rng = rng_from("latency-reservoir", *seed_parts)
+    reservoir = list(samples[:k])
+    for index in range(k, len(samples)):
+        slot = rng.randrange(index + 1)
+        if slot < k:
+            reservoir[slot] = samples[index]
+    return reservoir
 
-    def __init__(
-        self,
-        runtime,
-        node,
-        fetcher,
-        cmd_conn,
-        desc: NodeDescriptor,
-        controller: Optional[BatchDepthController] = None,
-    ):
+
+class DistTaskContext(TaskContext):
+    """TaskContext whose stream input is served by the batch fetcher."""
+
+    def __init__(self, runtime, node, fetcher, cmd_conn, desc: NodeDescriptor):
         super().__init__(runtime, node)
         self._fetcher = fetcher
         self._cmd_conn = cmd_conn
         self._desc = desc
         self._progress_every = max(1, fetcher.batch) if fetcher is not None else 1
-        self._controller = controller
-        self._latencies_seen = 0
-        self._shard_latencies_seen: Dict[int, int] = {}
-        self._service_s: Optional[float] = None
-
-    def _drain_latencies(self) -> "tuple[List[float], Dict[int, List[float]]]":
-        """Batch-RPC samples newly recorded since the previous drain.
-
-        The pump thread appends under the GIL; slicing past our cursor
-        is safe and never blocks the data plane.
-        """
-        flat = self._fetcher.latencies[self._latencies_seen:]
-        self._latencies_seen += len(flat)
-        windows: Dict[int, List[float]] = {}
-        for shard, samples in self._fetcher.latencies_by_shard.items():
-            seen = self._shard_latencies_seen.get(shard, 0)
-            if len(samples) > seen:
-                windows[shard] = samples[seen:]
-                self._shard_latencies_seen[shard] = len(samples)
-        return flat, windows
 
     def abandon(self) -> None:
         """Wait out the writer's in-flight inserts, re-sending none."""
@@ -217,43 +196,24 @@ class DistTaskContext(TaskContext):
     def _input(self):
         """The dist input loop: one fetched chunk's records per step."""
         kill_after = self._desc.kill_after_chunks
-        pending_windows: Dict[int, List[float]] = {}
         while True:
             chunk = self._next_chunk()
             if chunk is None:
                 return
             self._poll_cancel()
             self.chunks_in += 1
-            if self._controller is not None:
-                flat, windows = self._drain_latencies()
-                for shard, samples in windows.items():
-                    pending_windows.setdefault(shard, []).extend(samples)
-                depth = self._controller.observe(
-                    latencies=flat, service_s=self._service_s
-                )
-                if depth is not None:
-                    self._fetcher.set_batch(depth)
             if self.chunks_in == 1 or self.chunks_in % self._progress_every == 0:
-                progress = {
-                    "type": "progress",
-                    "node_id": self._desc.node_id,
-                    "chunks": self.chunks_in,
-                    "records": self.records_in,
-                }
-                if self._controller is not None:
-                    progress["adaptive"] = self._controller.snapshot()
-                    if pending_windows:
-                        progress["latency_window"] = pending_windows
-                        pending_windows = {}
-                self._cmd_conn.send(progress)
-            serving_started = time.perf_counter()
+                self._cmd_conn.send(
+                    {
+                        "type": "progress",
+                        "node_id": self._desc.node_id,
+                        "chunks": self.chunks_in,
+                        "records": self.records_in,
+                    }
+                )
             records = self._decode(self._node.stream_input, chunk)
             self.records_in += len(records)
             yield records
-            # Wall time from delivery to the consumer asking for the next
-            # chunk — the controller's per-chunk service signal (applied
-            # with a one-chunk lag; the EMA does not care).
-            self._service_s = time.perf_counter() - serving_started
             if kill_after is not None and self.chunks_in >= kill_after:
                 # Fault injection: die exactly like a SIGKILLed process —
                 # no flushes, no goodbyes; the master sees EOF.
@@ -273,27 +233,12 @@ def _run_task(
             f"task {desc.task_id!r} has no fn; distributed execution needs one"
         )
     node = _NodeShim(desc, spec)
-    controller: Optional[BatchDepthController] = None
     fetcher: Optional[MuxBatchFetcher] = None
     if desc.stream_input is not None:  # an input task streams nothing
-        if settings.adaptive is not None:
-            shards = len(runtime.store.stores)
-            if desc.adaptive_state:
-                # A clone, or a post-recovery re-dispatch: continue from the
-                # journaled controller state instead of re-warming.
-                controller = BatchDepthController.restore(
-                    settings.adaptive, shards, desc.adaptive_state
-                )
-            else:
-                controller = BatchDepthController(
-                    settings.adaptive, shards, initial_depth=settings.batch_requests
-                )
         fetcher = MuxBatchFetcher(
-            runtime.store,
-            desc.stream_input,
-            controller.depth if controller is not None else settings.batch_requests,
+            runtime.store, desc.stream_input, settings.batch_requests
         )
-    ctx = DistTaskContext(runtime, node, fetcher, cmd_conn, desc, controller)
+    ctx = DistTaskContext(runtime, node, fetcher, cmd_conn, desc)
     try:
         result = spec.fn(ctx)
         ctx.flush()
@@ -324,7 +269,7 @@ def _run_task(
         raise SchedulingError(
             f"task {desc.task_id!r} returned a value but declares no merge"
         )
-    stats = {
+    return {
         "records": ctx.records_in,
         "chunks": ctx.chunks_in,
         # Tagged per serving shard (a fetcher can be served by several
@@ -338,9 +283,6 @@ def _run_task(
             for shard, samples in latencies.items()
         },
     }
-    if controller is not None:
-        stats["adaptive"] = controller.snapshot()
-    return stats
 
 
 def _run_merge(runtime: _WorkerRuntime, desc: NodeDescriptor) -> dict:

@@ -14,8 +14,8 @@ gives a task function two forms of the same surface:
 * ``records()`` / ``emit(bag_id, record)`` — the paper's Figure 3 API,
   one record at a time. ``records()`` is nothing but the flatten over
   ``batches()`` (one input loop per engine, and nothing an engine does
-  per chunk — progress, cancellation, timing — can differ between the
-  forms); ``emit`` feeds the same builders. Both forms produce the same
+  per chunk — progress, cancellation — can differ between the forms);
+  ``emit`` feeds the same builders. Both forms produce the same
   chunks, byte for byte: chunk boundaries depend on each bag's record
   sequence alone. They cost a few frames per *record*, which is noise
   for a task that computes (the calibration burn) and most of the job
@@ -43,7 +43,6 @@ acked. ``bag_id=None`` targets the task's first output.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.engine.common import bag_codec, iter_bag_chunks
@@ -74,21 +73,14 @@ class TaskContext:
     def _input(self) -> Iterator[List[Any]]:
         """The engine's input loop: remove a chunk, yield its records."""
         bag = self._runtime.store.get(self._node.stream_input)
-        # Optional overload signal: a runtime exposing note_chunk_seconds
-        # (LocalRuntime in adaptive mode) gets each chunk's processing
-        # wall time, which feeds its clone governor's drift detection.
-        note = getattr(self._runtime, "note_chunk_seconds", None)
         while True:
             chunk = bag.remove()
             if chunk is None:
                 return  # input bags are sealed before the task starts
             self.chunks_in += 1
-            served = time.perf_counter() if note is not None else 0.0
             records = self._decode(self._node.stream_input, chunk)
             self.records_in += len(records)
             yield records
-            if note is not None:
-                note(self._node.task_id, time.perf_counter() - served)
 
     def batches(self) -> Iterator[List[Any]]:
         """Late-binding iteration over the stream input (exactly-once),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.engine.common import (
@@ -31,7 +30,6 @@ from repro.engine.common import (
 )
 from repro.errors import ReproError, SchedulingError
 from repro.local.context import TaskContext
-from repro.dist.adaptive import AdaptiveConfig, CloneGovernor
 from repro.model.application import Application
 from repro.model.execution_graph import (
     ExecutionGraph,
@@ -55,14 +53,6 @@ class LocalResult:
         }
         self.records_processed = runtime.records_processed
         self.chunks_processed = runtime.chunks_processed
-        #: Governor decision log (empty when adaptive is off) — same
-        #: shape as the dist engine's, for the parity tests.
-        self.adaptive_enabled = runtime.adaptive is not None
-        self.clone_decisions: List[Dict[str, Any]] = (
-            [dict(d) for d in runtime._governor.decisions]
-            if runtime._governor is not None
-            else []
-        )
 
     def records(self, bag_id: str) -> List[Any]:
         """All records of a bag, decoded (non-destructive)."""
@@ -90,7 +80,6 @@ class LocalRuntime:
         chunk_size: int = 64 * KB,
         clone_min_chunks: int = 2,
         max_clones_per_task: Optional[int] = None,
-        adaptive: Any = None,
         store=None,
         forced_clones: Optional[Dict[str, int]] = None,
     ):
@@ -102,30 +91,6 @@ class LocalRuntime:
         self.chunk_size = chunk_size
         self.clone_min_chunks = clone_min_chunks
         self.max_clones_per_task = max_clones_per_task or workers
-        # Same policy module as the dist engine (repro.dist.adaptive):
-        # with a config, clone grants go through the overload governor —
-        # queue depth plus per-task chunk-time p95 drift — instead of the
-        # static clone_min_chunks floor. None/False = unchanged engine.
-        if adaptive is True:
-            adaptive = AdaptiveConfig()
-        elif adaptive is False:
-            adaptive = None
-        if adaptive is not None and not isinstance(adaptive, AdaptiveConfig):
-            raise ValueError(
-                f"adaptive must be an AdaptiveConfig, True, or None; "
-                f"got {adaptive!r}"
-            )
-        self.adaptive = adaptive
-        self._governor: Optional[CloneGovernor] = (
-            CloneGovernor(adaptive) if adaptive is not None else None
-        )
-        #: Per-task windows of chunk processing times not yet fed to the
-        #: governor (guarded by _lock; drained at each clone decision).
-        self._chunk_seconds: Dict[str, List[float]] = {}
-        if adaptive is not None:
-            # Defined only in adaptive mode: TaskContext probes for this
-            # attribute, so static runs skip the per-chunk timing wholly.
-            self.note_chunk_seconds = self._note_chunk_seconds
         #: Any LocalBagStore-compatible store works; pass a
         #: :class:`repro.storage.filebag.FileBagStore` for disk-backed bags
         #: (the paper's actual representation, Section 4.3).
@@ -227,22 +192,13 @@ class LocalRuntime:
                 with self._lock:
                     self._active -= 1
 
-    def _note_chunk_seconds(self, task_id: str, seconds: float) -> None:
-        """Collect one chunk's processing wall time (adaptive mode only)."""
-        with self._lock:
-            self._chunk_seconds.setdefault(task_id, []).append(seconds)
-
     def _maybe_clone(self) -> Optional[ExecutionNode]:
         """An idle worker clones the running task with the most input left."""
         if not self.cloning:
             return None
         with self._lock:
             best: Optional[str] = None
-            # Adaptive mode: any backlog makes a candidate; whether to
-            # clone is the governor's call from live overload signals.
-            best_remaining = (
-                0 if self._governor is not None else self.clone_min_chunks - 1
-            )
+            best_remaining = self.clone_min_chunks - 1
             for task_id, family in self.exec.families.items():
                 if family.finished:
                     continue
@@ -261,12 +217,6 @@ class LocalRuntime:
                     best_remaining = remaining
             if best is None:
                 return None
-            if self._governor is not None:
-                for task_id, window in self._chunk_seconds.items():
-                    self._governor.observe_latencies(task_id, window)
-                self._chunk_seconds.clear()
-                if not self._governor.evaluate(best_remaining):
-                    return None
             # The clone is created READY and handed straight to this idle
             # worker, which marks it RUNNING in its own loop.
             return self.exec.add_clone(best)

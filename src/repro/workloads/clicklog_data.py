@@ -98,13 +98,11 @@ def generate_stream_clicklog(
 ) -> Iterator[tuple]:
     """Yield ``(window, ip)`` pairs whose hot regions *shift* mid-stream.
 
-    The continuous-ingest scenario the adaptive control loop needs:
-    records arrive in ingest order, bucketed into ``windows`` equal time
-    windows, and each window draws from the same Zipf(``skew``) region
-    weights under a *fresh seeded permutation* of the region ranking —
-    window 0's hottest region is (almost surely) not window 1's. A
-    static knob tuned on the first window's skew is mis-tuned for every
-    later one, which is exactly what mid-run adaptation exploits.
+    A shifting-skew ingest: records arrive in ingest order, bucketed
+    into ``windows`` equal time windows, and each window draws from the
+    same Zipf(``skew``) region weights under a *fresh seeded permutation*
+    of the region ranking — window 0's hottest region is (almost surely)
+    not window 1's, so the skewed family moves from window to window.
 
     Deterministic in ``(seed, skew, windows)``; window boundaries split
     ``n_records`` as evenly as integer division allows (earlier windows

@@ -97,8 +97,6 @@ def view(state):
         "shard_kill_spent": state.shard_kill_spent,
         "kill_delivered": state.kill_delivered,
         "forced_spent": set(state.forced_spent),
-        "adaptive": dict(state.adaptive),
-        "governor": state.governor,
     }
 
 
@@ -282,22 +280,12 @@ class FakeScheduler:
         self.commit("reset", self.batches.pop(0))
 
     def bookkeeping(self):
-        kind = self.draw(
-            ["epochs", "adaptive", "governor", "generation", "armed", "killed"]
-        )
+        kind = self.draw(["epochs", "generation", "armed", "killed"])
         number = next(self.script, 0)
         if kind == "epochs":
             vector = dict(self.state.epochs)
             vector[number % 3] = max(vector.values(), default=0) + 1
             self.commit("epochs", vector)
-        elif kind == "adaptive":
-            tasks = sorted(self.state.graph.tasks)
-            task_id = tasks[number % len(tasks)]
-            self.commit(
-                "adaptive", task_id, {"depth": number % 7 + 1, "chunks_seen": number}
-            )
-        elif kind == "governor":
-            self.commit("governor", {"onset": number, "decisions": []})
         elif kind == "generation":
             self.commit("generation", self.state.generation + 1)
         elif kind == "armed":
@@ -661,13 +649,35 @@ class TestPins:
         ]
         assert writers == []
 
+    def test_no_module_imports_the_adaptive_loop(self):
+        # One way to choose ``b`` (``batch_requests``) and one clone gate
+        # (``clone_min_chunks``): no module reaches a closed-loop policy,
+        # and the journal carries no controller state.
+        package = Path(inspect.getsourcefile(control)).parents[1]
+        importers = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                    if node.module == "repro.dist":
+                        modules += [f"repro.dist.{a.name}" for a in node.names]
+                else:
+                    continue
+                if "repro.dist.adaptive" in modules:
+                    importers.append(f"{path.relative_to(package)}:{node.lineno}")
+        assert importers == []
+        assert not {"adaptive", "governor"} & set(RECORD_KINDS)
+
     def test_the_parent_surface_did_not_move(self):
         # No knob came with the refactor: same constructor, and replay is
         # a loop over apply, not a second set of per-kind arms.
         parameters = list(inspect.signature(DistRuntime.__init__).parameters)
         assert parameters[:4] == ["self", "app", "workers", "shards"]
         assert parameters[-2:] == ["snapshot_bags", "tracer"]
-        assert len(parameters) == 28
+        assert len(parameters) == 27
+        assert "adaptive" not in parameters
         assert not hasattr(DistRuntime, "_replay")
         assert "self.control.apply(record)" in inspect.getsource(DistRuntime.resume)
 

@@ -3,16 +3,20 @@
 Covers the pieces the end-to-end shard-kill tests exercise only in
 aggregate: the primary gate and removal shipping on real server
 processes, the client sweep's failover behavior, the fence sweep's
-continue-past-dead-shards fix, and the empty-sample latency percentile
-contract. (The bag representation itself — id-keyed sets, removal-log
+continue-past-dead-shards fix, the empty-sample latency percentile
+contract, and the event loop's retry of a monitor-thread promotion that
+raised. (The bag representation itself — id-keyed sets, removal-log
 dedup, monotone ``pull``/``push`` — is ``test_dist_bag_contract.py``.)
 """
 
 import multiprocessing
 import os
+import threading
 
 import pytest
 
+from repro.apps import build_clicklog_stream
+from repro.dist import DistRuntime
 from repro.dist.client import (
     MuxBatchFetcher,
     ShardedBagStore,
@@ -23,6 +27,9 @@ from repro.dist.server import storage_server_main
 from repro.dist.sharding import ShardRouter
 from repro.errors import NotPrimary, StorageNodeDown
 from repro.storage.policy import StorageConfig
+from repro.trace import Tracer
+from repro.workloads.clicklog_data import exact_windowed_counts
+from tests.test_dist_runtime import WINDOWS, stream_records, windowed_counts
 
 CTX = multiprocessing.get_context("fork")
 AUTHKEY = b"test-replication"
@@ -275,3 +282,45 @@ class TestEmptyPercentiles:
         assert summary["p90_ms"] == 90.0
         assert summary["p99_ms"] == 99.0
         assert summary["max_ms"] == 100.0
+
+
+class TestPromotionRetry:
+    def test_failed_monitor_promotion_is_retried(self, monkeypatch):
+        # The shard-monitor thread's promotion used to swallow exceptions
+        # while leaving the corpse claimed in _promoted, so the event-loop
+        # retry was a silent no-op and clients rode out their whole
+        # failover patience. Inject one monitor-thread failure and demand
+        # the event loop's retry actually promotes: the run still ends in
+        # parity with zero family resets (failover, not replay).
+        records = stream_records(2_000)
+        expected = exact_windowed_counts(records)
+        original = DistRuntime._promote_backups
+        failed = []
+
+        def flaky(self, index, proc):
+            monitor = threading.current_thread().name.startswith("dist-shardmon")
+            with self._epoch_lock:
+                claimed = proc in self._promoted
+            if monitor and not claimed and not failed:
+                failed.append(proc)
+                raise RuntimeError("injected promotion failure")
+            return original(self, index, proc)
+
+        monkeypatch.setattr(DistRuntime, "_promote_backups", flaky)
+        runtime = DistRuntime(
+            build_clicklog_stream(windows=WINDOWS),
+            workers=2,
+            shards=2,
+            replication=2,
+            chunk_size=640,  # ~64 (window, ip) records a chunk
+            kill_shard=0,
+            kill_shard_after_ops=1,
+            tracer=Tracer(),
+        )
+        result = runtime.run({"clicks": records}, timeout=180)
+        assert failed, "the injected failure never fired"
+        assert windowed_counts(result) == expected
+        assert result.shard_deaths == 1
+        assert result.family_resets == 0
+        assert runtime.tracer.metrics.get("dist.promotion_failures") == 1
+        assert runtime.tracer.metrics.get("dist.promotion_retries") == 1

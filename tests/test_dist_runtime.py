@@ -11,14 +11,24 @@ import threading
 
 import pytest
 
-from repro.apps import build_clicklog_local, build_hashjoin_local
+from repro.apps import (
+    build_clicklog_local,
+    build_clicklog_stream,
+    build_hashjoin_local,
+)
 from repro.apps.calibration import build_calibration_local, calibration_seeds
 from repro.dist import DistRuntime, ShardRouter
+from repro.dist.worker import reservoir_sample
 from repro.engine.common import source_chunks
 from repro.errors import BagError, RemoteTaskError, SchedulingError
 from repro.local import LocalRuntime
 from repro.model.application import Application
-from repro.workloads.clicklog_data import exact_distinct_counts, generate_clicklog
+from repro.workloads.clicklog_data import (
+    exact_distinct_counts,
+    exact_windowed_counts,
+    generate_clicklog,
+    generate_stream_clicklog,
+)
 from repro.workloads.relations import generate_relation, join_reference
 from tests.test_dist_writer import held_worker  # noqa: F401  (a fixture)
 
@@ -43,6 +53,21 @@ def clicklog_baseline(records):
 
 def clicklog_counts(result):
     return {name: result.value(f"count.{name}") for name in REGIONS}
+
+
+WINDOWS = 3
+
+
+def stream_records(n=4_000):
+    return list(generate_stream_clicklog(n, skew=0.8, seed=7, windows=WINDOWS))
+
+
+def windowed_counts(result):
+    return {
+        (w, region): count
+        for w in range(WINDOWS)
+        for region, count in result.value(f"counts.{w}").items()
+    }
 
 
 def hashjoin_inputs(build_rows=120, probe_rows=900):
@@ -119,6 +144,77 @@ class TestDistParity:
             build_calibration_local(rounds=20), workers=2
         ).run({"seeds": seeds}, timeout=60)
         assert result.value("checksum") == expected
+
+
+class TestStreamParity:
+    """The shifting-skew click-log (its hot region moves every window)
+    against the exact reference, on both real engines."""
+
+    def test_dist_matches_exact_reference(self):
+        records = stream_records()
+        result = DistRuntime(
+            build_clicklog_stream(windows=WINDOWS),
+            workers=2,
+            shards=2,
+            chunk_size=640,  # ~64 (window, ip) records a chunk
+        ).run({"clicks": records}, timeout=180)
+        assert windowed_counts(result) == exact_windowed_counts(records)
+
+    def test_local_matches_exact_reference(self):
+        records = stream_records()
+        result = LocalRuntime(
+            build_clicklog_stream(windows=WINDOWS),
+            workers=4,
+            chunk_size=640,  # ~64 (window, ip) records a chunk
+        ).run({"clicks": records}, timeout=120)
+        assert windowed_counts(result) == exact_windowed_counts(records)
+
+
+class TestWorkerLatencyReservoir:
+    def test_stats_latencies_are_capped_without_truncation(self):
+        # The per-worker latency stats feed the bench percentiles; the
+        # old cap froze the first 512 (warm-up) samples. A run long
+        # enough to overflow the cap must still report exactly 512
+        # samples per worker — reservoir-sampled, which
+        # TestReservoirSample proves is truncation-free.
+        records = stream_records(3_000)
+        result = DistRuntime(
+            build_clicklog_stream(windows=WINDOWS),
+            workers=2,
+            shards=2,
+            chunk_size=100,  # ~8 (window, ip) records a chunk
+        ).run({"clicks": records}, timeout=180)
+        pooled = result.chunk_latency_percentiles()
+        assert pooled["count"] <= 2 * 512
+        assert pooled["count"] > 0
+
+
+class TestReservoirSample:
+    def test_small_population_returned_whole(self):
+        assert reservoir_sample([1, 2, 3], 512, "node") == [1, 2, 3]
+
+    def test_deterministic_in_seed_labels(self):
+        population = list(range(5_000))
+        first = reservoir_sample(population, 512, "node", 3)
+        again = reservoir_sample(population, 512, "node", 3)
+        other = reservoir_sample(population, 512, "node", 4)
+        assert first == again
+        assert first != other
+
+    def test_no_warm_up_bias(self):
+        # The old cap kept samples[:512] — all warm-up.  Algorithm R
+        # keeps each element with probability k/n, so roughly 3/4 of a
+        # 512-sample reservoir over 2048 elements comes from the
+        # post-warm-up region, and truncation would keep exactly none.
+        population = list(range(2_048))
+        kept = reservoir_sample(population, 512, "node", 0)
+        assert len(kept) == 512
+        late = sum(1 for value in kept if value >= 512)
+        assert late > 256
+
+    def test_rejects_empty_reservoir(self):
+        with pytest.raises(ValueError):
+            reservoir_sample([1], 0, "node")
 
 
 class TestDistCloning:
