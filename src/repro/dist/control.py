@@ -18,8 +18,7 @@ this node still live") sit beside them.
 
 Nothing here touches a socket, thread, clock, process, file or store: a
 state is built, driven and compared in a test with none of them. The
-one field written off the event-loop thread, ``epochs``, is guarded by
-its caller (``DistRuntime._epoch_lock``).
+master has one thread, so ``apply`` has one caller thread and no lock.
 
 docs/ARCHITECTURE.md §5.4 tabulates each record kind's fields, effect
 and write-ahead point.

@@ -32,11 +32,13 @@ corruption, whose later effects did happen — so recovery scans run
 instead of silently replaying a prefix of history.
 
 The snapshot is written to a temp file, fsynced and atomically
-renamed; then the WAL is truncated. A crash between the rename and the
-truncation would leave the snapshot *plus* a stale tail
-of records already folded into it. Nothing defends that window: the
-injected master death fires at the event-loop top, never inside a
-compaction, and the next successful compaction truncates the tail.
+renamed; then the WAL is truncated. Each compaction is numbered: the
+snapshot's first frame is ``("checkpoint", n)`` and so is the first
+frame of the WAL begun after it, so a WAL belongs to exactly one
+snapshot. A crash between the rename and the truncation leaves the new
+snapshot beside the old WAL — records already folded into it — and the
+stamps tell them apart: :meth:`MasterJournal.load` replays a WAL only
+under the snapshot it was begun for.
 
 Appends flush to the OS (the simulated master death is process-level,
 not kernel-level, so page-cache durability is the honest equivalent of
@@ -49,7 +51,6 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-import threading
 import zlib
 from typing import Any, Iterable, List, Optional, Tuple
 
@@ -62,6 +63,11 @@ FRAME_HEADER_BYTES = _FRAME.size
 
 SNAPSHOT_FILE = "snapshot.bin"
 WAL_FILE = "wal.bin"
+
+
+def _stamp(checkpoint: int) -> Tuple[str, int]:
+    """The frame that opens checkpoint ``checkpoint``'s snapshot and WAL."""
+    return ("checkpoint", checkpoint)
 
 
 def pack_frame(record: Any) -> bytes:
@@ -154,11 +160,13 @@ def read_records(path: str, strict: bool = False) -> List[Any]:
 class MasterJournal:
     """Append-only WAL plus compacted snapshot for one run's master state.
 
-    Thread-safe: ``append`` may be called from the event loop and from
-    the shard-monitor threads (epoch bumps) concurrently. ``appended``
-    counts records appended *by this instance* — a recovered master's
-    journal starts its own count, which is what the master-kill fault
-    injection keys on (kill after N records of *this* incarnation).
+    One appender: the master's event loop. ``appended`` counts records
+    appended *by this instance* (stamps not included) — a recovered
+    master's journal starts its own count, which is what the master-kill
+    fault injection keys on (kill after N records of *this* incarnation).
+    Opening a directory whose WAL was not begun under its snapshot (the
+    compaction that wrote the snapshot died before truncating) begins a
+    fresh one: :meth:`load` has already ignored the stale records.
     """
 
     def __init__(self, dirpath: str):
@@ -166,17 +174,25 @@ class MasterJournal:
         os.makedirs(dirpath, exist_ok=True)
         self.snapshot_path = os.path.join(dirpath, SNAPSHOT_FILE)
         self.wal_path = os.path.join(dirpath, WAL_FILE)
-        self._lock = threading.Lock()
-        self._wal = open(self.wal_path, "ab")
+        stamp = read_records(self.snapshot_path)[:1] or [_stamp(0)]
+        self._checkpoint = stamp[0][1]
+        if read_records(self.wal_path)[:1] == stamp:
+            self._wal = open(self.wal_path, "ab")
+        else:
+            self._begin_wal()
         self.appended = 0
+
+    def _begin_wal(self) -> None:
+        self._wal = open(self.wal_path, "wb")
+        self._wal.write(pack_frame(_stamp(self._checkpoint)))
+        self._wal.flush()
 
     def append(self, record: Any) -> int:
         """Durably append one record; returns this instance's append count."""
-        with self._lock:
-            self._wal.write(pack_frame(record))
-            self._wal.flush()
-            self.appended += 1
-            return self.appended
+        self._wal.write(pack_frame(record))
+        self._wal.flush()
+        self.appended += 1
+        return self.appended
 
     def write_snapshot(self, records: Iterable[Any]) -> None:
         """Atomically replace the snapshot and truncate the WAL.
@@ -184,33 +200,36 @@ class MasterJournal:
         ``records`` is the compacted sequence recovery will ``apply``,
         written to a temp file, fsynced and renamed over the snapshot — a
         crash mid-write never corrupts the one already there. The WAL
-        truncation happens only after the rename lands.
+        truncation happens only after the rename lands, and the fresh WAL
+        opens with the new snapshot's stamp.
         """
-        with self._lock:
-            tmp_path = self.snapshot_path + ".tmp"
-            with open(tmp_path, "wb") as tmp:
-                for record in records:
-                    tmp.write(pack_frame(record))
-                tmp.flush()
-                os.fsync(tmp.fileno())
-            os.replace(tmp_path, self.snapshot_path)
-            self._wal.close()
-            self._wal = open(self.wal_path, "wb")
+        self._checkpoint += 1
+        tmp_path = self.snapshot_path + ".tmp"
+        with open(tmp_path, "wb") as tmp:
+            tmp.write(pack_frame(_stamp(self._checkpoint)))
+            for record in records:
+                tmp.write(pack_frame(record))
+            tmp.flush()
+            os.fsync(tmp.fileno())
+        os.replace(tmp_path, self.snapshot_path)
+        self._wal.close()
+        self._begin_wal()
 
     def close(self) -> None:
-        with self._lock:
-            try:
-                self._wal.close()
-            except OSError:
-                pass
+        try:
+            self._wal.close()
+        except OSError:
+            pass
 
     @staticmethod
     def load(dirpath: str) -> Optional[List[Any]]:
-        """Snapshot records + WAL tail for recovery.
+        """Snapshot records + WAL tail for recovery, stamps stripped.
 
         Returns None when no snapshot was ever written: a run checkpoints
         before it starts a process, so a master without one cannot be
-        resumed. A torn final WAL record is silently dropped, but a bad
+        resumed. The WAL tail is replayed only when it opens with the
+        snapshot's stamp; otherwise its records are already in the
+        snapshot. A torn final WAL record is silently dropped, but a bad
         frame *inside* either file raises
         :class:`~repro.errors.JournalCorrupt` rather than resuming from
         a silently truncated history (see :func:`scan_frames`).
@@ -221,4 +240,7 @@ class MasterJournal:
             read_records(os.path.join(dirpath, name), strict=True)
             for name in (SNAPSHOT_FILE, WAL_FILE)
         )
-        return snapshot + wal
+        records = snapshot[1:]
+        if wal[:1] == snapshot[:1]:
+            records += wal[1:]
+        return records

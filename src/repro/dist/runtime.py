@@ -4,12 +4,12 @@
 :mod:`repro.dist.server` instance listening on a stable per-shard socket
 path) and N worker processes (each holding a copy-on-write snapshot of
 the graph and the run's inputs), then drives the shared
-:class:`~repro.model.execution_graph.ExecutionGraph` from a single event
-loop fed by per-worker reader threads. The graph is the application's
-plus *input tasks* that fill its source bags (:func:`with_input_tasks`),
-so the master fills no bag itself. Everything
-the master must remember — the graph, who holds which node, what is
-condemned — is one :class:`~repro.dist.control.ControlState`, changed
+:class:`~repro.model.execution_graph.ExecutionGraph` from one thread: its
+event loop selects on every worker's pipe and every shard's exit
+sentinel itself. The graph is the application's plus *input tasks* that
+fill its source bags (:func:`with_input_tasks`), so the master fills no
+bag itself. Everything the master must remember — the graph, who holds
+which node, what is condemned — is one :class:`~repro.dist.control.ControlState`, changed
 only through :meth:`DistRuntime._commit` (journal the record, then
 ``apply`` it); this module decides and performs the *effects*:
 
@@ -25,11 +25,12 @@ only through :meth:`DistRuntime._commit` (journal the record, then
   surviving family members, resets the family (discard outputs + partial
   bags, rewind the stream input), forks a replacement worker, and reruns
   — Section 4.4's compute-failure story on real processes;
-* a **shard process** dying extends that story to storage failure: a
-  monitor thread turns the exit into a ``shard_dead`` event, the master
-  respawns the shard on the same socket path, broadcasts ``rebind`` so
-  live workers drop stale connections, then *recovers the copies* the
-  dead shard held — one sequence for every configuration. A replacement
+* a **shard process** dying extends that story to storage failure: the
+  event loop sees its exit sentinel (or a storage op sees the torn
+  connection and sweeps for the corpse), the master respawns the shard
+  on the same socket path, broadcasts ``rebind`` so live workers drop
+  stale connections, then *recovers the copies* the dead shard held —
+  one sequence for every configuration. A replacement
   that reopened its predecessor's segment directory lost nothing.
   Otherwise each bag is re-replicated onto the replacement from a
   surviving replica (``pull``/``push``), restoring ``r`` live copies
@@ -57,11 +58,11 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import queue
+import selectors
 import shutil
 import tempfile
-import threading
 import time
+from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dist.client import ShardedBagStore
@@ -98,24 +99,14 @@ from repro.units import KB
 
 
 class _Worker:
-    """Master-side bookkeeping for one worker process.
+    """Master-side bookkeeping for one worker process: its process and
+    the master's end of its pipe. The pipe outlives a master: a recovered
+    master selects on the same ``conn``, so the surviving worker process
+    is re-adopted without ever re-establishing its channel."""
 
-    ``sink`` is the event queue the worker's reader thread delivers into.
-    It is swappable because the reader thread *outlives the master*: when
-    a master death is simulated the sink is set to ``None`` (messages
-    drain into the void, exactly as a dead process would lose them), and
-    the recovered master repoints it at its own event queue — the reader
-    keeps the pipe, so the surviving worker process is re-adopted without
-    ever re-establishing its channel.
-    """
-
-    def __init__(self, wid: int, proc, conn, reader, sink):
-        self.wid = wid
+    def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
-        self.reader = reader
-        self.sink = sink
-        self.alive = True
 
 
 class MasterKilled(Exception):
@@ -501,7 +492,11 @@ class DistRuntime:
         self.chunk_rpc_seconds_by_shard: Dict[int, List[float]] = {}
         # -- run-scoped state --
         self._ctx = multiprocessing.get_context("fork")
-        self._events: "queue.Queue[Tuple]" = queue.Queue()
+        #: Every live worker's pipe (data ``("msg", wid)``) and every live
+        #: shard's exit sentinel (data ``("shard_dead", index, proc)``).
+        self._selector = selectors.DefaultSelector()
+        #: Events read off the selector and not yet handled, oldest first.
+        self._pending: "deque[Tuple]" = deque()
         self._workers: Dict[int, _Worker] = {}
         self._idle: List[int] = []
         self._ready: List[ExecutionNode] = []
@@ -513,22 +508,6 @@ class DistRuntime:
         #: re-arms, so the requested fault reliably happens once.
         self._kill_armed_node: Optional[str] = None
         self._in_recovery = False
-        #: Guards ``control.epochs``, the one control field written off
-        #: the event-loop thread: the shard-monitor threads promote
-        #: backups the instant a corpse is joined, concurrently with the
-        #: event loop. The vector is pushed to every live shard and into
-        #: every spawn, and piggybacked on rebinds.
-        self._epoch_lock = threading.Lock()
-        #: Dead shard processes whose backups were already promoted
-        #: (strong refs on purpose: identity must not be recycled while a
-        #: monitor thread could still report the death).
-        self._promoted: Set[Any] = set()
-        #: Dead shard processes whose monitor-thread promotion *raised*
-        #: (journal I/O, a push racing another death, ...). Checked by
-        #: ``_on_shard_dead`` so the event-loop retry is observable —
-        #: the failure used to vanish into a bare ``pass``, leaving
-        #: clients to ride out their full failover patience.
-        self._promotion_failed: Set[Any] = set()
         self._socket_dir: Optional[str] = None
         #: Shards whose segment directory has been opened at least once
         #: this master's lifetime: a *re*spawn of one at replication 1
@@ -590,7 +569,7 @@ class DistRuntime:
                 kill_after,
                 self.replication,
                 list(self._shard_paths),
-                self._epoch_vector(),
+                dict(self.control.epochs),
                 segment_dir,
                 self.settings.resident_bytes,
                 reopen,
@@ -607,76 +586,22 @@ class DistRuntime:
         ready_parent.close()
         self._shard_procs[index] = proc
         self._shard_addresses[index] = address
-        self._watch_shard(index, proc)
+        self._watch(proc.sentinel, ("shard_dead", index, proc))
         return reopen
 
-    def _watch_shard(self, index: int, proc) -> None:
-        threading.Thread(
-            target=self._shard_monitor,
-            args=(index, proc),
-            daemon=True,
-            name=f"dist-shardmon-{index}",
-        ).start()
-
-    def _shard_monitor(self, index: int, proc) -> None:
-        proc.join()
-        if (
-            self.replication > 1
-            and not self._teardown
-            and self._shard_procs[index] is proc
-        ):
-            # Promote the dead shard's backups from THIS thread, before
-            # the death event is even dequeued: the event loop may itself
-            # be blocked in a storage sweep against the dead primary, and
-            # every client's failover sweep is waiting on the epoch push
-            # to land within its bounded patience.
-            try:
-                self._promote_backups(index, proc)
-            except Exception as exc:
-                # Record the failure instead of swallowing it. Crucially,
-                # un-claim the promotion: _promote_backups registers the
-                # corpse in _promoted *before* doing the work, so a
-                # swallowed failure made the event-loop retry a silent
-                # no-op and clients waited out their whole patience
-                # schedule for an epoch push that was never coming.
-                with self._epoch_lock:
-                    self._promoted.discard(proc)
-                    self._promotion_failed.add(proc)
-                self.tracer.inc("dist.promotion_failures")
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "promotion_failed",
-                        cat="dist",
-                        shard=index,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-        # Stale events (for an already-replaced process) are filtered by
-        # identity in _on_shard_dead; post-shutdown events fall off the
-        # queue unread.
-        self._events.put(("shard_dead", index, proc))
-
-    def _promote_backups(self, index: int, proc) -> None:
+    def _promote_backups(self, index: int) -> None:
         """Demote dead shard ``index``: bump its epoch, push to live shards.
 
-        Exactly once per death (keyed by process identity) even though
-        both the monitor thread and the event-loop death handler call it
-        — whichever gets here first does the promotion and records the
-        failover latency. The bump is max-of-all-epochs + 1, so the most
-        recent death always carries the strictly largest epoch and the
-        least-recently-demoted replica of every bag serves, regardless of
-        how unevenly deaths were distributed across shards.
+        The bump is max-of-all-epochs + 1, so the most recent death always
+        carries the strictly largest epoch and the least-recently-demoted
+        replica of every bag serves, regardless of how unevenly deaths
+        were distributed across shards.
         """
-        with self._epoch_lock:
-            if proc in self._promoted:
-                return
-            self._promoted.add(proc)
-            vector = dict(self.control.epochs)
-            vector[index] = max(vector.values(), default=0) + 1
-            # Journaled from this (monitor) thread — MasterJournal
-            # serializes appends internally. A recovered master must start
-            # from the bumped vector, or it could briefly trust a demoted
-            # shard.
-            self._commit(("epochs", vector))
+        vector = dict(self.control.epochs)
+        vector[index] = max(vector.values(), default=0) + 1
+        # A recovered master must start from the bumped vector, or it
+        # could briefly trust a demoted shard.
+        self._commit(("epochs", vector))
         started = time.monotonic()
         self._store.adopt_epochs(vector)
         for shard in range(self.shards):
@@ -687,10 +612,6 @@ class DistRuntime:
             except ReproError:
                 pass  # died just now; its own death event re-pushes
         self.failover_seconds.append(time.monotonic() - started)
-
-    def _epoch_vector(self) -> Dict[int, int]:
-        with self._epoch_lock:
-            return dict(self.control.epochs)
 
     def _spawn_worker(self) -> _Worker:
         wid = self.control.max_wid + 1
@@ -709,39 +630,42 @@ class DistRuntime:
                 self.graph,
                 self.settings,
                 close_conns,
-                self._epoch_vector(),
+                dict(self.control.epochs),
             ),
             name=f"dist-worker-{wid}",
             daemon=True,
         )
         proc.start()
         child_conn.close()
-        worker = _Worker(wid, proc, parent_conn, None, self._events)
-        reader = threading.Thread(
-            target=self._reader_loop, args=(worker,), daemon=True,
-            name=f"dist-reader-{wid}",
-        )
-        worker.reader = reader
+        worker = _Worker(proc, parent_conn)
         self._workers[wid] = worker
-        reader.start()
+        self._watch(parent_conn, ("msg", wid))
         return worker
 
-    def _reader_loop(self, worker: _Worker) -> None:
-        # Delivery goes through worker.sink, re-read every message: a
-        # simulated master death nulls it (messages are lost, as they
-        # would be with a dead process) and a recovered master repoints
-        # it at its own queue — the thread itself survives the master.
-        while True:
-            try:
-                msg = worker.conn.recv()
-            except (EOFError, OSError):
-                sink = worker.sink
-                if sink is not None:
-                    sink.put(("dead", worker.wid))
-                return
-            sink = worker.sink
-            if sink is not None:
-                sink.put(("msg", worker.wid, msg))
+    def _watch(self, fileobj, event: Tuple) -> None:
+        self._selector.register(fileobj, selectors.EVENT_READ, event)
+
+    def _unwatch(self, fileobj) -> None:
+        try:
+            self._selector.unregister(fileobj)
+        except KeyError:
+            pass  # already unwatched: ``_poll`` saw its EOF or exit
+
+    def _poll(self, timeout: float) -> None:
+        """Queue what one ``select`` finds, every ready key of it: a
+        message per readable worker pipe, ``("dead", wid)`` for a pipe at
+        EOF and the ``shard_dead`` event of an exited shard. Each EOF and
+        each exit is queued once: its key is unwatched here."""
+        for key, _ in self._selector.select(timeout):
+            event = key.data
+            if event[0] == "msg":
+                try:
+                    self._pending.append(("msg", event[1], key.fileobj.recv()))
+                    continue
+                except (EOFError, OSError):
+                    event = ("dead", event[1])
+            self._unwatch(key.fileobj)
+            self._pending.append(event)
 
     # -- run -------------------------------------------------------------------
 
@@ -810,10 +734,8 @@ class DistRuntime:
                     self._journal.appended - self._compact_base
                     >= self.journal_compact_every
                 ):
-                    # Compaction runs only here, on the event-loop thread:
-                    # building the snapshot reads graph state that monitor
-                    # threads never touch, and their concurrent epoch
-                    # appends are serialized by the journal's own lock.
+                    # Between events: the snapshot is the state every
+                    # record appended so far has produced.
                     self._write_checkpoint()
             try:
                 self._reconcile_dropped_recovery()
@@ -828,16 +750,17 @@ class DistRuntime:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise SchedulingError("distributed run exceeded its timeout")
-            try:
-                event = self._events.get(timeout=min(remaining, 0.5))
-            except queue.Empty:
-                continue
+            if not self._pending:
+                self._poll(min(remaining, 0.5))
+                if not self._pending:
+                    continue
+            event = self._pending.popleft()
             try:
                 if event[0] == "dead":
                     self._on_worker_dead(event[1])
                 elif event[0] == "shard_dead":
                     self._on_shard_dead(event[1], event[2])
-                else:
+                elif event[1] in self._workers:  # else: a corpse's last words
                     self._on_message(event[1], event[2])
             except StorageNodeDown:
                 # The op that failed is abandoned; if a shard really died,
@@ -1189,8 +1112,10 @@ class DistRuntime:
         Each failure first handles any dead shard (respawn + loss closure)
         so the retry has a live process to reconnect to — without this, a
         recovery-path RPC against a dead shard would back off forever,
-        because the event loop that respawns shards is the caller. The
-        sweep is the graceful one: a client observes the torn connection
+        because the event loop that respawns shards (and, at ``r > 1``,
+        promotes their backups) is the caller: no other thread notices
+        the death while a handler waits here. The sweep is the graceful
+        one: a client observes the torn connection
         milliseconds before the corpse is reapable, and burning the whole
         retry budget against a shard that ``is_alive()`` still vouches for
         lets StorageNodeDown escape mid-recovery — stranding whatever
@@ -1235,7 +1160,7 @@ class DistRuntime:
         worker = self._workers.pop(wid, None)
         if worker is None or self._teardown:
             return
-        worker.alive = False
+        self._unwatch(worker.conn)
         worker.proc.join(timeout=5.0)
         try:
             worker.conn.close()
@@ -1286,7 +1211,8 @@ class DistRuntime:
         if self._teardown:
             return
         if self._shard_procs[index] is not proc:
-            return  # stale monitor event for an already-replaced process
+            return  # stale event for an already-replaced process
+        self._unwatch(proc.sentinel)
         proc.join(timeout=5.0)
         self.shard_deaths += 1
         self.tracer.inc("dist.shard_deaths")
@@ -1304,22 +1230,11 @@ class DistRuntime:
             # bumping its demotion epoch and pushing the vector to every
             # surviving shard — from that point the epoch-minimal backup
             # serves each affected bag and clients' sweeps land there.
-            # Usually already done by the monitor thread the instant the
-            # corpse was joined; this covers the client-detected path
-            # (_absorb_storage_down) that can beat the monitor here —
-            # and the monitor path having *failed*, which it flags in
-            # _promotion_failed (the failed attempt un-claimed itself, so
-            # this call genuinely re-runs the promotion).
-            with self._epoch_lock:
-                retrying = proc in self._promotion_failed
-                self._promotion_failed.discard(proc)
-            if retrying:
-                self.tracer.inc("dist.promotion_retries")
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "promotion_retry", cat="dist", shard=index
-                    )
-            self._promote_backups(index, proc)
+            # Until then — this handler may run late, behind a busy loop —
+            # the survivors' own gossip demotes the dead peer after
+            # GOSSIP_DEATH_STRIKES refused rounds, well inside the
+            # clients' patience.
+            self._promote_backups(index)
         # Replacement next: reconnects must find a listener on the stable
         # path, and the recovery discards/resync go through it too. The
         # spawn args carry the bumped epoch vector, so the replacement
@@ -1329,7 +1244,7 @@ class DistRuntime:
         for worker in self._workers.values():
             try:
                 worker.conn.send(
-                    {"type": "rebind", "shard": index, "epochs": self._epoch_vector()}
+                    {"type": "rebind", "shard": index, "epochs": self.control.epochs}
                 )
             except (OSError, BrokenPipeError):
                 pass  # dying worker; its EOF recovery handles the rest
@@ -1569,11 +1484,11 @@ class DistRuntime:
         """Fault injection: simulate a master SIGKILL at the event-loop top.
 
         Workers and shards are real processes and genuinely survive; only
-        the master's in-process state dies — by abandonment. Reader
-        threads keep their pipes but lose their sink (messages drain into
-        the void, exactly as writes to a dead process would), the storage
-        connections drop without goodbye, and ``_shutdown`` is disarmed so
-        the fleet outlives this incarnation for :meth:`resume` to adopt.
+        the master's in-process state dies — by abandonment. It stops
+        reading its pipes (what the workers send waits there, unread, for
+        :meth:`resume`'s attendance to drop), the storage connections drop
+        without goodbye, and ``_shutdown`` is disarmed so the fleet
+        outlives this incarnation for :meth:`resume` to adopt.
         """
         if (
             self.kill_master_after_records is None
@@ -1592,8 +1507,7 @@ class DistRuntime:
             authkey=self._authkey,
             journal_dir=self.journal_dir,
         )
-        for worker in self._workers.values():
-            worker.sink = None
+        self._selector.close()
         self._journal.close()
         if self._store is not None:
             self._store.close()
@@ -1601,9 +1515,7 @@ class DistRuntime:
 
     def _write_checkpoint(self) -> None:
         """Compact the journal: current state as snapshot, WAL truncated."""
-        with self._epoch_lock:  # a monitor thread may be bumping the vector
-            records = self.control.snapshot_records()
-        self._journal.write_snapshot(records)
+        self._journal.write_snapshot(self.control.snapshot_records())
         self._compact_base = self._journal.appended
 
     def resume(
@@ -1680,15 +1592,14 @@ class DistRuntime:
             for index, proc in enumerate(self._shard_procs):
                 if not self._shard_alive(index):
                     continue
-                self._watch_shard(index, proc)
+                self._watch(proc.sentinel, ("shard_dead", index, proc))
                 try:
                     gossiped = self._store.probe(index).get("epochs")
                 except ReproError:
                     continue  # died since the aliveness check; reaped below
                 if gossiped:
-                    with self._epoch_lock:
-                        self._commit(("epochs", gossiped))
-            vector = self._epoch_vector()
+                    self._commit(("epochs", gossiped))
+            vector = dict(self.control.epochs)
             self._store.adopt_epochs(vector)
             if self.replication > 1 and vector:
                 for index in range(self.shards):
@@ -1698,10 +1609,10 @@ class DistRuntime:
                         self._store.push_epochs(index, vector)
                     except ReproError:
                         pass  # its death event re-pushes
-            # Re-adopt the workers: repoint their reader-thread sinks at
-            # our queue, then take attendance with the reattach handshake.
-            for worker in self._workers.values():
-                worker.sink = self._events
+            # Re-adopt the workers: select on their pipes, then take
+            # attendance with the reattach handshake.
+            for wid, worker in self._workers.items():
+                self._watch(worker.conn, ("msg", wid))
             dead_wids: Set[int] = set()
             awaiting: Set[int] = set()
             for wid, worker in sorted(self._workers.items()):
@@ -1715,38 +1626,46 @@ class DistRuntime:
                     awaiting.add(wid)
                 except (OSError, BrokenPipeError):
                     dead_wids.add(wid)
+            adopted = set(awaiting)
             stashed: List[Tuple] = []
             greeted: Set[int] = set()
             adopt_deadline = time.monotonic() + 10.0
             while awaiting and time.monotonic() < adopt_deadline:
-                try:
-                    event = self._events.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-                if event[0] == "dead":
-                    awaiting.discard(event[1])
-                    dead_wids.add(event[1])
-                elif event[0] == "msg" and event[2].get("type") == "hello":
-                    awaiting.discard(event[1])
-                    greeted.add(event[1])
-                    self._on_hello(event[1], event[2])
-                elif event[1] in greeted:
-                    # Post-hello traffic from an adopted mid-task worker
-                    # (progress, or its done landing while attendance
-                    # continues elsewhere): live — re-injected below, once
-                    # the dead are recovered.
-                    stashed.append(event)
-                # Pre-hello traffic is from the dead master's era and is
-                # DROPPED, exactly as the dead master's queue dropped it.
-                # This is load-bearing: a worker that finished node X into
-                # the void answers the reattach from its *idle* loop
-                # (running=None), so X resets and re-dispatches — replaying
-                # its stale pre-death done against the re-run's fresh
-                # assignment would complete a node whose partials the
-                # re-run has not produced yet. Nothing committed is lost:
-                # any done the dead master journaled replays from the
-                # journal, and one it did not journal is unprovable and
-                # must reset anyway.
+                self._poll(0.1)
+                while self._pending:
+                    event = self._pending.popleft()
+                    if event[0] == "dead":
+                        awaiting.discard(event[1])
+                        dead_wids.add(event[1])
+                    elif (
+                        event[0] == "msg"
+                        and event[2].get("type") == "hello"
+                        # An adopted worker's answer to the reattach; its
+                        # spawn greeting (no ``running``) is pre-hello.
+                        and ("running" in event[2] or event[1] not in adopted)
+                    ):
+                        awaiting.discard(event[1])
+                        greeted.add(event[1])
+                        self._on_hello(event[1], event[2])
+                    elif event[0] == "shard_dead" or event[1] in greeted:
+                        # A shard's exit, or post-hello traffic from an
+                        # adopted mid-task worker (progress, or its done
+                        # landing while attendance continues elsewhere):
+                        # live — handed to the event loop below, once the
+                        # dead are recovered.
+                        stashed.append(event)
+                    # Pre-hello traffic is from the dead master's era (a
+                    # pipe is FIFO: it was sent before the hello) and is
+                    # DROPPED, as the dead master would have lost it.
+                    # This is load-bearing: a worker that finished node X
+                    # into the void answers the reattach from its *idle*
+                    # loop (running=None), so X resets and re-dispatches —
+                    # replaying its stale pre-death done against the
+                    # re-run's fresh assignment would complete a node whose
+                    # partials the re-run has not produced yet. Nothing
+                    # committed is lost: any done the dead master journaled
+                    # replays from the journal, and one it did not journal
+                    # is unprovable and must reset anyway.
             for wid in sorted(awaiting):
                 # Unresponsive within the window: kill it first so it can
                 # never write again, then recover it as a corpse.
@@ -1765,8 +1684,7 @@ class DistRuntime:
             self.master_recoveries += 1
             self._write_checkpoint()
             self.master_failover_seconds.append(time.monotonic() - started)
-            for event in stashed:
-                self._events.put(event)
+            self._pending.extend(stashed)
             return self._run_to_completion(deadline)
         finally:
             self._shutdown()
@@ -1792,6 +1710,7 @@ class DistRuntime:
             # successor adopts it via resume().
             return
         self._teardown = True
+        self._selector.close()  # before any pipe it watches is closed
         if self._journal is not None:
             self._journal.close()
         for worker in self._workers.values():

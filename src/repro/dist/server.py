@@ -39,8 +39,9 @@ With ``replication > 1`` the shards additionally **gossip** the
 demotion-epoch vector peer-to-peer (max-merge both ways, every
 :data:`GOSSIP_INTERVAL_SECONDS`), and demote a peer themselves after
 :data:`GOSSIP_DEATH_STRIKES` consecutive refused connections — so
-primary failover keeps working during the window where no master is
-alive to push promotions. A recovering master asks any shard
+primary failover keeps working while no master is alive to push
+promotions, or while the master's one thread is still busy in another
+handler. A recovering master asks any shard
 ``("probe",)`` for its identity, epoch vector, and bag inventory.
 
 Connections speak one of two forms. Clients — workers, the master —

@@ -35,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import build_hashjoin_local
-from repro.dist import DistRuntime, control, runtime
+from repro.dist import DistRuntime, control, journal, runtime
 from repro.dist.control import RECORD_KINDS, ControlState
 from repro.dist.runtime import input_task_id, with_input_tasks
 from repro.errors import JournalCorrupt
@@ -547,6 +547,17 @@ def _attribute_chain(node):
     return parts
 
 
+def _imported(module):
+    """Every module ``module`` imports, and each one's top-level package."""
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    return {name.split(".")[0] for name in imported} | imported
+
+
 class TestPins:
     FORBIDDEN_IMPORTS = {
         "socket", "threading", "multiprocessing", "queue", "time", "os",
@@ -561,14 +572,7 @@ class TestPins:
     }
 
     def test_control_imports_no_socket_thread_clock_process_or_store(self):
-        imported = set()
-        for node in ast.walk(ast.parse(inspect.getsource(control))):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                imported.add(node.module)
-        roots = {name.split(".")[0] for name in imported} | imported
-        assert not roots & self.FORBIDDEN_IMPORTS
+        assert not _imported(control) & self.FORBIDDEN_IMPORTS
 
     def test_runtime_changes_control_state_only_through_commit(self):
         tree = ast.parse(inspect.getsource(runtime))
@@ -680,6 +684,19 @@ class TestPins:
         assert "adaptive" not in parameters
         assert not hasattr(DistRuntime, "_replay")
         assert "self.control.apply(record)" in inspect.getsource(DistRuntime.resume)
+
+    def test_the_master_is_one_thread(self):
+        # ROADMAP 2(b): ``apply`` and the journal have one caller thread.
+        # The event loop selects on worker pipes and shard sentinels itself:
+        # no reader or monitor thread, no queue between them and the loop.
+        assert not _imported(runtime) & {"threading", "queue"}
+        assert "threading" not in _imported(journal)
+        called = {
+            getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(ast.parse(inspect.getsource(runtime)))
+            if isinstance(node, ast.Call)
+        }
+        assert "Thread" not in called
 
     def test_a_chunk_is_bytes_everywhere_outside_serde(self):
         # One chunk representation: a codec-less bag's codec is

@@ -15,8 +15,8 @@ through the ordinary loss-closure machinery — ending with sinks
 byte-identical to the no-fault LocalRuntime baseline.
 """
 
-import multiprocessing.connection
 import os
+import threading
 import time
 
 import pytest
@@ -24,6 +24,7 @@ import pytest
 from repro.apps import build_clicklog_local, build_hashjoin_local
 from repro.dist import DistRuntime, MasterKilled, ShardRouter
 from repro.dist.client import ShardedBagStore
+from repro.dist.control import ControlState
 from repro.dist.journal import MasterJournal, SNAPSHOT_FILE, WAL_FILE
 from repro.dist.runtime import input_task_id
 from repro.errors import SchedulingError
@@ -349,9 +350,8 @@ class TestManifestFile:
         fleet = excinfo.value.fleet
         victim = fleet.shard_procs[ShardRouter(2).home("clicklog")]
         victim.kill()
-        # The sentinel, not join(): the dead master's monitor thread is
-        # already blocked reaping this process.
-        assert multiprocessing.connection.wait([victim.sentinel], timeout=10)
+        victim.join(timeout=10)
+        assert victim.exitcode is not None
         tracer = Tracer()
         successor = DistRuntime(app, tracer=tracer, **base)
         result = successor.resume(fleet, {"clicklog": iter(records)}, timeout=180)
@@ -403,3 +403,82 @@ class TestJournalFormat:
         successor.close()
         records = MasterJournal.load(str(tmp_path))
         assert records == [("spawn", 0), ("spawn", 1), ("spawn", 2)]
+
+    def test_crash_between_rename_and_truncation(self, tmp_path, monkeypatch):
+        # The compaction's snapshot lands, then the master dies before the
+        # WAL is begun afresh: the old WAL's records are all in the new
+        # snapshot, and replaying them on top would finish nodes twice.
+        journal = MasterJournal(str(tmp_path))
+        journal.write_snapshot([("spawn", 0)])
+        journal.append(("assign", "a", 0))
+        journal.append(("done", "a"))
+
+        class Died(Exception):
+            pass
+
+        def dying_open(path, mode="r", *args, **kwargs):
+            if path == journal.wal_path and mode == "wb":
+                raise Died
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr("repro.dist.journal.open", dying_open, raising=False)
+        with pytest.raises(Died):
+            journal.write_snapshot([("spawn", 0), ("done", "a")])
+        monkeypatch.undo()
+        assert MasterJournal.load(str(tmp_path)) == [("spawn", 0), ("done", "a")]
+        # A successor's journal begins a WAL of its own: what it appends
+        # replays under the snapshot it was begun for.
+        successor = MasterJournal(str(tmp_path))
+        successor.append(("spawn", 1))
+        successor.close()
+        assert MasterJournal.load(str(tmp_path)) == [
+            ("spawn", 0), ("done", "a"), ("spawn", 1)
+        ]
+
+
+class TestOneMasterThread:
+    """The master is one thread: every control transition and journal
+    append runs on the thread that called ``run`` or ``resume``."""
+
+    @pytest.fixture
+    def callers(self, monkeypatch):
+        seen = set()
+        apply, append = ControlState.apply, MasterJournal.append
+
+        def recorded(original):
+            def call(self, record):
+                seen.add(threading.get_ident())
+                return original(self, record)
+
+            return call
+
+        monkeypatch.setattr(ControlState, "apply", recorded(apply))
+        monkeypatch.setattr(MasterJournal, "append", recorded(append))
+        return seen
+
+    def test_shard_and_worker_kill_at_r2(self, tmp_path, callers):
+        records = clicklog_records()
+        result = DistRuntime(
+            build_clicklog_local(regions=REGIONS),
+            workers=3,
+            shards=2,
+            replication=2,
+            chunk_size=2048,
+            journal_dir=str(tmp_path),
+            kill_shard=ShardRouter(2).home("clicklog"),
+            kill_shard_after_ops=5,
+            kill_task="phase1",
+            kill_after_chunks=2,
+        ).run({"clicklog": records}, timeout=180)
+        assert result.shard_deaths == 1 and result.worker_deaths == 1
+        assert clicklog_counts(result) == clicklog_baseline(records)
+        assert callers == {threading.get_ident()}
+
+    def test_master_kill_and_resume(self, tmp_path, callers):
+        records = clicklog_records()
+        result, recovered = kill_and_resume(
+            tmp_path, 9, inputs={"clicklog": records}, shards=2, replication=2
+        )
+        assert recovered
+        assert clicklog_counts(result) == clicklog_baseline(records)
+        assert callers == {threading.get_ident()}

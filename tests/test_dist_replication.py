@@ -4,19 +4,20 @@ Covers the pieces the end-to-end shard-kill tests exercise only in
 aggregate: the primary gate and removal shipping on real server
 processes, the client sweep's failover behavior, the fence sweep's
 continue-past-dead-shards fix, the empty-sample latency percentile
-contract, and the event loop's retry of a monitor-thread promotion that
-raised. (The bag representation itself — id-keyed sets, removal-log
-dedup, monotone ``pull``/``push`` — is ``test_dist_bag_contract.py``.)
+contract, and a failover behind a busy master loop, which the shards'
+own gossip carries. (The bag representation itself — id-keyed sets,
+removal-log dedup, monotone ``pull``/``push`` — is
+``test_dist_bag_contract.py``.)
 """
 
 import multiprocessing
 import os
-import threading
+import time
 
 import pytest
 
 from repro.apps import build_clicklog_stream
-from repro.dist import DistRuntime
+from repro.dist import DistRuntime, server
 from repro.dist.client import (
     MuxBatchFetcher,
     ShardedBagStore,
@@ -27,7 +28,6 @@ from repro.dist.server import storage_server_main
 from repro.dist.sharding import ShardRouter
 from repro.errors import NotPrimary, StorageNodeDown
 from repro.storage.policy import StorageConfig
-from repro.trace import Tracer
 from repro.workloads.clicklog_data import exact_windowed_counts
 from tests.test_dist_runtime import WINDOWS, stream_records, windowed_counts
 
@@ -284,30 +284,35 @@ class TestEmptyPercentiles:
         assert summary["max_ms"] == 100.0
 
 
-class TestPromotionRetry:
-    def test_failed_monitor_promotion_is_retried(self, monkeypatch):
-        # The shard-monitor thread's promotion used to swallow exceptions
-        # while leaving the corpse claimed in _promoted, so the event-loop
-        # retry was a silent no-op and clients rode out their whole
-        # failover patience. Inject one monitor-thread failure and demand
-        # the event loop's retry actually promotes: the run still ends in
-        # parity with zero family resets (failover, not replay).
+class TestFailoverBehindABusyLoop:
+    #: The master's one thread promotes a dead shard's backups. Held in the
+    #: death handler for 3 s, it cannot push the epochs within the clients'
+    #: 2 s patience; the survivors' gossip demotes the corpse after ~0.75 s.
+    HOLD_SECONDS = 3.0
+    PATIENCE = StorageConfig(
+        rpc_retries=12, retry_backoff=0.05, backoff_multiplier=1.6, rpc_timeout=2.0
+    )
+
+    @pytest.mark.parametrize("gossip", [True, False], ids=["gossip", "no_gossip"])
+    def test_held_loop_fails_over_through_gossip(self, monkeypatch, gossip):
+        # With gossip the clients fail over on their own: zero resets. With
+        # its demotion switched off the same hold costs a storage reset, so
+        # the zero is gossip's doing.
+        if not gossip:
+            monkeypatch.setattr(server, "GOSSIP_DEATH_STRIKES", 10**9)
         records = stream_records(2_000)
         expected = exact_windowed_counts(records)
-        original = DistRuntime._promote_backups
-        failed = []
+        original = DistRuntime._on_shard_dead
+        held = []
 
-        def flaky(self, index, proc):
-            monitor = threading.current_thread().name.startswith("dist-shardmon")
-            with self._epoch_lock:
-                claimed = proc in self._promoted
-            if monitor and not claimed and not failed:
-                failed.append(proc)
-                raise RuntimeError("injected promotion failure")
-            return original(self, index, proc)
+        def hold(runtime, index, proc):
+            if not held:
+                held.append(index)
+                time.sleep(self.HOLD_SECONDS)
+            return original(runtime, index, proc)
 
-        monkeypatch.setattr(DistRuntime, "_promote_backups", flaky)
-        runtime = DistRuntime(
+        monkeypatch.setattr(DistRuntime, "_on_shard_dead", hold)
+        result = DistRuntime(
             build_clicklog_stream(windows=WINDOWS),
             workers=2,
             shards=2,
@@ -315,12 +320,14 @@ class TestPromotionRetry:
             chunk_size=640,  # ~64 (window, ip) records a chunk
             kill_shard=0,
             kill_shard_after_ops=1,
-            tracer=Tracer(),
-        )
-        result = runtime.run({"clicks": records}, timeout=180)
-        assert failed, "the injected failure never fired"
+            storage_policy=self.PATIENCE,
+        ).run({"clicks": records}, timeout=180)
+        assert held == [0]
         assert windowed_counts(result) == expected
         assert result.shard_deaths == 1
-        assert result.family_resets == 0
-        assert runtime.tracer.metrics.get("dist.promotion_failures") == 1
-        assert runtime.tracer.metrics.get("dist.promotion_retries") == 1
+        if gossip:
+            assert result.family_resets == 0
+            assert result.storage_stats.get("gossip_demotions", 0) >= 1
+        else:
+            assert result.family_resets >= 1
+            assert result.storage_stats.get("gossip_demotions", 0) == 0

@@ -375,16 +375,12 @@ class TestShardKillProtocol:
             build_hashjoin_local(partitions=2), workers=2, shards=2
         )
         corpse = SimpleNamespace(
-            wid=1,
             proc=SimpleNamespace(
                 is_alive=lambda: False,
                 join=lambda timeout=None: None,
                 exitcode=17,
             ),
             conn=SimpleNamespace(close=lambda: None),
-            reader=None,
-            sink=None,
-            alive=True,
         )
         runtime._workers = {1: corpse}
         # Mid-condemnation: both partitions' cancels are in flight.
@@ -403,6 +399,7 @@ class TestShardKillProtocol:
         monkeypatch.setattr(runtime, "_apply_recovery", fake_apply)
         monkeypatch.setattr(runtime, "_spawn_worker", lambda: None)
         monkeypatch.setattr(runtime, "_retrying", lambda fn: None)  # store fence
+        monkeypatch.setattr(runtime, "_unwatch", lambda fileobj: None)
         runtime._on_worker_dead(1)
         # The corpse's cancel is acked by its EOF; the reset still waits
         # for the live owner of partition.r, and applies on its ack.
