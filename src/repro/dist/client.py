@@ -41,8 +41,9 @@ prefetch keeps its outstanding requests spread over the shards its bags
 land on — Eq. 1's ``m`` made real.
 
 :class:`ChunkWriter` (``ShardedBagStore.writer(depth)``) is the same
-equation for producers: the master's source fill and every task's
-``emit`` keep ``b`` insert fan-outs in flight over those links — no
+equation for producers: every task's ``emit`` (an input task's too)
+sends ``b`` chunks per ``insert`` frame to each replica over those
+links, building the next ``b`` while one frame is in flight — no
 thread, no new op — settled by the rule the synchronous
 :meth:`ShardedBagStore.fanout` uses, and drained (or, on a failure
 path, abandoned) before anything is acknowledged upward.
@@ -73,6 +74,7 @@ from repro.dist.protocol import (
     KIND_REQUEST,
     KIND_RESPONSE_ERR,
     KIND_RESPONSE_OK,
+    MAX_FRAME_PAYLOAD,
     FrameDecoder,
     FrameError,
     StorageAddress,
@@ -87,6 +89,11 @@ from repro.storage.policy import StorageConfig
 #: possible for bags filled concurrently; scheduled tasks stream sealed
 #: bags, so this path is a safety net, not a hot loop).
 _UNSEALED_POLL_SECONDS = 0.005
+
+#: Chunk bytes past which a :class:`ChunkWriter` group goes out before it
+#: holds ``depth`` chunks, so batching never builds a frame near the
+#: protocol's cap that one chunk per frame would not have built.
+_FRAME_BUDGET = MAX_FRAME_PAYLOAD // 4
 
 #: Connection policy for every per-shard link. A connect that cannot land
 #: fails fast and the *caller* carries the patience: every bag access
@@ -484,7 +491,7 @@ class ReplicatedRemoteBag:
 
     def insert(self, chunk: Any) -> None:
         self._store.fanout(
-            self.bag_id, "insert", self.bag_id, self._store.next_chunk_id(), chunk
+            self.bag_id, "insert", [(self.bag_id, self._store.next_chunk_id(), chunk)]
         )
 
     def remove(self) -> Optional[Any]:
@@ -738,7 +745,7 @@ class ShardedBagStore:
         )
 
     def writer(self, depth: int) -> "ChunkWriter":
-        """A pipelined chunk writer keeping ``depth`` fan-outs in flight."""
+        """A chunk writer sending ``depth`` chunks per ``insert`` frame."""
         return ChunkWriter(self, depth)
 
     # -- master-side replication control ---------------------------------------
@@ -875,54 +882,70 @@ class ShardedBagStore:
 
 
 class ChunkWriter:
-    """Eq. 1 for producers: up to ``depth`` insert fan-outs in flight.
+    """Eq. 1 for producers: ``depth`` chunks to a frame, one frame in flight.
 
-    Single-owner and threadless (one per source fill, one per task):
-    :meth:`insert` stamps the chunk id, submits the id-keyed ``insert``
-    to every replica and returns once at most ``depth`` fan-outs remain
-    un-acked, settling the oldest first by the store's one write rule
-    (:meth:`ShardedBagStore.settle`). Errors other than a dead replica
-    (``BagSealedError``, ...) therefore surface at a later ``insert`` or
-    at :meth:`drain`, never after it. The owner must not acknowledge
-    anything upward — seal the bag, report ``done``/``aborted``/
-    ``failed`` — while a write is in flight: :meth:`drain` before the
-    former, :meth:`abandon` before the latter two.
+    Single-owner and threadless (one per task): :meth:`insert` stamps the
+    chunk id and holds the chunk with the others bound for the same
+    replica set. A group that reaches ``depth`` chunks goes out as one
+    ``insert`` frame to every replica of the set, after the frame before
+    it was settled by the store's one write rule
+    (:meth:`ShardedBagStore.settle`): the owner builds the next ``depth``
+    chunks while one frame is un-acked. A group also goes out early
+    rather than grow past :data:`_FRAME_BUDGET` bytes. Errors other than a
+    dead replica (``BagSealedError``, ...) therefore surface at a later
+    ``insert`` or at :meth:`drain`, never after it. The owner must not
+    acknowledge anything upward — seal the bag, report ``done``/
+    ``aborted``/``failed`` — while a chunk is held or a frame in flight:
+    :meth:`drain` before the former, :meth:`abandon` before the latter two.
     """
 
     def __init__(self, store: ShardedBagStore, depth: int):
         self._store = store
         self._depth = depth
-        #: Oldest first: (the insert's args, its submit round).
-        self._inflight: "deque[Tuple[Tuple[Any, ...], List[Tuple[int, Future]]]]" = deque()
+        #: Replica set -> its held ``(bag_id, chunk_id, chunk)`` items, oldest first.
+        self._held: Dict[Tuple[int, ...], List[Tuple[str, str, Any]]] = {}
+        #: The frame sent and not yet settled: (bag id, args, submit round).
+        self._inflight: Optional[Tuple[str, Tuple[Any, ...], List[Tuple[int, Future]]]] = None
 
     def insert(self, bag_id: str, chunk: Any) -> None:
-        args = (bag_id, self._store.next_chunk_id(), chunk)
-        self._inflight.append(
-            (args, self._store.submit_round(bag_id, "insert", args))
-        )
-        while len(self._inflight) > self._depth:
-            self._settle_oldest()
+        replicas = tuple(sorted(self._store.router.replicas(bag_id)))
+        group = self._held.setdefault(replicas, [])
+        if group and sum(len(item[2]) for item in group) + len(chunk) > _FRAME_BUDGET:
+            self._send(group)
+            group = self._held[replicas] = []
+        group.append((bag_id, self._store.next_chunk_id(), chunk))
+        if len(group) >= self._depth:
+            self._send(self._held.pop(replicas))
 
-    def _settle_oldest(self) -> None:
-        # Popped only once settled: a fan-out that raises stays tracked,
+    def _send(self, items: List[Tuple[str, str, Any]]) -> None:
+        self._settle()
+        bag_id, args = items[0][0], (items,)
+        self._inflight = (bag_id, args, self._store.submit_round(bag_id, "insert", args))
+
+    def _settle(self) -> None:
+        # Cleared only once settled: a frame that raises stays tracked,
         # so ``abandon`` still waits out its other replicas.
-        args, submitted = self._inflight[0]
-        self._store.settle(args[0], "insert", args, submitted)
-        self._inflight.popleft()
+        if self._inflight is not None:
+            bag_id, args, submitted = self._inflight
+            self._store.settle(bag_id, "insert", args, submitted)
+            self._inflight = None
 
     def drain(self) -> None:
-        """Settle every fan-out: on return each chunk is acked."""
-        while self._inflight:
-            self._settle_oldest()
+        """Send every held chunk and settle: on return each chunk is acked."""
+        while self._held:
+            self._send(self._held.pop(next(iter(self._held))))
+        self._settle()
 
     def abandon(self) -> None:
-        """Wait every in-flight future to resolution, success or failure,
-        re-sending nothing: the failure path's drain. A retry against the
-        dead ``r = 1`` shard that caused the cancel would sit in the
-        policy backoff and stall the recovery waiting for this ack."""
-        while self._inflight:
-            for _shard, future in self._inflight.popleft()[1]:
+        """Drop the held chunks and wait the in-flight frame to resolution,
+        success or failure, re-sending nothing: the failure path's drain. A
+        retry against the dead ``r = 1`` shard that caused the cancel would
+        sit in the policy backoff and stall the recovery waiting for this ack."""
+        self._held.clear()
+        if self._inflight is not None:
+            for _shard, future in self._inflight[2]:
                 future.exception()
+            self._inflight = None
 
 
 class _FetchAborted(Exception):

@@ -76,7 +76,7 @@ over either backing of the shard's one bag store (memory, or segments
 when ``DistSettings.resident_bytes`` is set). This list is the
 contract; a test keeps it equal to what the server dispatches::
 
-    insert          (bag, chunk_id, chunk)       id-stamped, idempotent; fanned out to all r replicas
+    insert          (items)                      [(bag, chunk_id, chunk), ...] applied in order; id-stamped, idempotent; fanned out to all r replicas
     remove_batch    (bag, count, client, seq)    primary-gated, (client, seq)-deduplicated destructive read
     apply_removals  (bag, client, seq, pairs, sealed)   primary -> backup removal-log shipping
     read_page       (bag, cursor, max_bytes)     primary-gated bounded non-destructive read

@@ -274,7 +274,8 @@ def _dispatch(state: _ServerState, conn_id: int, req: Tuple[Any, ...]) -> Any:
     state.maybe_die(op)
     state.bump(op)
     if op == "insert":
-        store.ensure(req[1]).insert_id(req[2], req[3])
+        for bag_id, chunk_id, chunk in req[1]:
+            store.ensure(bag_id).insert_id(chunk_id, chunk)
         return None
     if op == "remove_batch":
         bag_id, count, client_id, seq = req[1], req[2], req[3], req[4]

@@ -33,17 +33,20 @@ same input bag and starts removing chunks; the storage server's
 exactly-once removal partitions the remaining work between the clone and
 the original without any coordination.
 
-Cancellation piggybacks on the command pipe: between chunks the context
-polls for a ``cancel`` message (sent when another family member's worker
-died and the master is resetting the family) and unwinds with
-``_Cancelled``, acknowledged as ``aborted`` — under either form of the
-surface a cancelled task sees at most the batch it already holds.
+Cancellation piggybacks on the command pipe: between input chunks, and
+after every ``b`` chunks emitted, the context polls for a ``cancel``
+message (sent when another family member's worker died and the master is
+resetting the family) and unwinds with ``_Cancelled``, acknowledged as
+``aborted`` — under either form of the surface a cancelled task sees at
+most the batch it already holds, and an input task, which reads nothing,
+answers within one frame of output.
 
-Output goes through the store's pipelined chunk writer, ``b`` insert
-fan-outs in flight, under one rule: nothing is acknowledged upward while
-a write is in flight. ``flush()`` drains before ``done``; ``aborted`` and
-``failed`` are sent only after the writer was abandoned (every in-flight
-insert waited out, none re-sent).
+Output goes through the store's chunk writer, ``b`` chunks to an
+``insert`` frame and one frame in flight, under one rule: nothing is
+acknowledged upward while a chunk is held or a frame in flight.
+``flush()`` drains before ``done``; ``aborted`` and ``failed`` are sent
+only after the writer was abandoned (held chunks dropped, the in-flight
+frame waited out, nothing re-sent).
 """
 
 from __future__ import annotations
@@ -99,10 +102,10 @@ class _WorkerRuntime:
         self.graph = graph
         self.store = store
         self.chunk_size = settings.chunk_size
-        self._write_depth = settings.batch_requests
+        self.write_depth = settings.batch_requests
 
     def writer(self):
-        return self.store.writer(self._write_depth)
+        return self.store.writer(self.write_depth)
 
     def emit_value(self, bag_id: str, value: Any) -> None:
         emit_value(self.store, self.graph, bag_id, value)
@@ -142,11 +145,21 @@ class DistTaskContext(TaskContext):
         self._fetcher = fetcher
         self._cmd_conn = cmd_conn
         self._desc = desc
-        self._progress_every = max(1, fetcher.batch) if fetcher is not None else 1
+        #: ``b``: a progress message per ``b`` chunks read, a poll per ``b`` emitted.
+        self._every = max(1, runtime.write_depth)
+        self._chunks_out = 0
 
     def abandon(self) -> None:
         """Wait out the writer's in-flight inserts, re-sending none."""
         self._writer.abandon()
+
+    def _insert(self, bag_id: str, chunk: bytes) -> None:
+        # One poll per frame's worth of output: a task that reads nothing
+        # (an input task) still answers a cancel or a reattach mid-slice.
+        super()._insert(bag_id, chunk)
+        self._chunks_out += 1
+        if self._chunks_out % self._every == 0:
+            self._poll_cancel()
 
     def _poll_cancel(self) -> None:
         while self._cmd_conn.poll(0):
@@ -202,7 +215,7 @@ class DistTaskContext(TaskContext):
                 return
             self._poll_cancel()
             self.chunks_in += 1
-            if self.chunks_in == 1 or self.chunks_in % self._progress_every == 0:
+            if self.chunks_in == 1 or self.chunks_in % self._every == 0:
                 self._cmd_conn.send(
                     {
                         "type": "progress",

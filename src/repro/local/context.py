@@ -36,7 +36,7 @@ change, and neither do the lists the caller passed as input. ``emit_many``
 copies out of the sequence it is given and keeps no reference to it.
 
 Completed chunks go to the runtime's chunk writer (``runtime.writer()``:
-direct in the local engine, ``b`` fan-outs deep in the dist engine), and
+direct in the local engine, ``b`` chunks to a frame in the dist engine), and
 ``flush()`` drains it — when it returns, every chunk the task emitted is
 acked. ``bag_id=None`` targets the task's first output.
 """

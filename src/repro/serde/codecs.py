@@ -14,7 +14,10 @@ per chunk and no Python bytecode per value. The layouts, all little-endian:
 ``bytes``  a ``u64`` column of lengths, then the values concatenated
 ``str``    a ``u64`` column of lengths *in characters*, ``uvarint(byte
            length)``, then the values concatenated and UTF-8 encoded once
-``tuple``  each field's column in field order (the records transposed)
+``tuple``  each field's column in field order (the records transposed); a
+           record is a sequence of the tuple's arity, read by position (a
+           set or a generator is refused, and so is a dict not keyed by
+           position: none of them has a field order)
 ``list``   a ``u64`` column of lengths, then the element codec's column of
            every list's items, flattened (a list of tuples is the tuple's
            field columns over all items)
@@ -40,6 +43,7 @@ import pickle
 import sys
 from array import array
 from itertools import accumulate, chain, pairwise
+from operator import itemgetter
 from typing import Any, Sequence, Tuple, Union
 
 from repro.errors import SerdeError
@@ -222,13 +226,20 @@ class TupleCodec(Codec):
         self.fields = fields
 
     def pack(self, values: Sequence[Any]) -> bytes:
+        # One C-level pass per field and no object per record: a transpose
+        # through ``zip(*values)`` holds an iterator per record, and a
+        # chunk's worth of those trips the cyclic collector on every chunk.
         arity = len(self.fields)
         try:
-            columns = list(zip(*values, strict=True)) if values else [()] * arity
+            arities = set(map(len, values))
         except _BAD_VALUE as exc:
-            raise SerdeError(f"records are not tuples of one arity: {exc}") from exc
-        if len(columns) != arity:
-            raise SerdeError(f"tuple arity mismatch: {len(columns)} for {arity} fields")
+            raise SerdeError(f"records are not sequences: {exc}") from exc
+        if arities - {arity}:
+            raise SerdeError(f"tuple arity mismatch: {sorted(arities)} for {arity} fields")
+        try:
+            columns = [list(map(itemgetter(i), values)) for i in range(arity)]
+        except (*_BAD_VALUE, LookupError) as exc:  # a set, a dict: no field order
+            raise SerdeError(f"records are not sequences: {exc}") from exc
         return b"".join(f.pack(column) for f, column in zip(self.fields, columns))
 
     def unpack(self, view, offset, count):

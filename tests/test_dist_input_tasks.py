@@ -17,8 +17,10 @@ import pytest
 
 from repro.apps import build_clicklog_local
 from repro.dist import DistRuntime, MasterKilled, server
-from repro.dist.client import ChunkWriter
+from repro.dist import worker as worker_mod
+from repro.dist.client import ShardedBagStore
 from repro.dist.journal import MasterJournal
+from repro.dist.protocol import DistSettings, NodeDescriptor
 from repro.dist.runtime import input_task_id, with_input_tasks
 from repro.errors import GraphError
 from repro.local import LocalRuntime
@@ -108,18 +110,20 @@ def test_fault_injection_must_name_a_task_of_the_app(engine, kwargs):
 
 class TestKillDuringFill:
     def test_worker_dies_inside_an_input_task(self, tmp_path, monkeypatch):
-        # The worker exits right after an input task's first insert: the
-        # bag holds part of one slice. Its family and every started input
-        # task of the bag reset, the bag is discarded, the fill re-runs.
+        # The worker exits right after an input task's first insert frame
+        # goes out: the bag holds part of one slice. Its family and every
+        # started input task of the bag reset, the bag is discarded, the
+        # fill re-runs.
         flag = str(tmp_path / "died")
-        real_insert = ChunkWriter.insert
+        real_submit_round = ShardedBagStore.submit_round
 
-        def insert(writer, bag_id, chunk):
-            real_insert(writer, bag_id, chunk)
-            if bag_id == "clicklog" and first_time(flag):
+        def submit_round(store, bag_id, op, args):
+            submitted = real_submit_round(store, bag_id, op, args)
+            if op == "insert" and bag_id == "clicklog" and first_time(flag):
                 os._exit(17)
+            return submitted
 
-        monkeypatch.setattr(ChunkWriter, "insert", insert)
+        monkeypatch.setattr(ShardedBagStore, "submit_round", submit_round)
         records = clicklog_records()
         result = run_clicklog({"clicklog": records})
         assert os.path.exists(flag)
@@ -129,16 +133,17 @@ class TestKillDuringFill:
 
     @pytest.mark.parametrize("form", ["list", "generator"])
     def test_source_shard_dies_during_the_fill(self, tmp_path, monkeypatch, form):
-        # The r=1 memory shard homing the source exits on its third insert
-        # of it: the bag is gone, and so is whatever the input tasks wrote.
+        # The r=1 memory shard homing the source exits on its second insert
+        # frame of it: the bag is gone, and so is whatever the input tasks
+        # wrote.
         flag = str(tmp_path / "died")
         real_dispatch = server._dispatch
         inserts = [0]
 
         def dispatch(state, conn_id, req):
-            if req[0] == "insert" and req[1] == "clicklog":
+            if req[0] == "insert" and req[1][0][0] == "clicklog":
                 inserts[0] += 1
-                if inserts[0] == 3 and first_time(flag):
+                if inserts[0] == 2 and first_time(flag):
                     os._exit(server.SHARD_KILL_EXIT_CODE)
             return real_dispatch(state, conn_id, req)
 
@@ -175,3 +180,97 @@ class TestKillDuringFill:
         assert result.master_recoveries == 1
         assert (result.worker_deaths, result.shard_deaths) == (0, 0)
         assert clicklog_counts(result) == exact_distinct_counts(records)
+
+
+class ScriptedPipe:
+    """The worker's end of the command pipe: ``script`` maps a count of
+    chunks emitted to the message the master sends at that moment."""
+
+    def __init__(self, writer, script):
+        self.writer, self.script = writer, dict(script)
+        self.inbox, self.sent = [], []
+
+    def poll(self, timeout=0):
+        for at in sorted(self.script):
+            if at <= len(self.writer.chunks):
+                self.inbox.append(self.script.pop(at))
+        return bool(self.inbox)
+
+    def recv(self):
+        return self.inbox.pop(0)
+
+    def send(self, message):
+        # Stamped with the chunks emitted when the answer went out.
+        self.sent.append((len(self.writer.chunks), message))
+
+
+class CountingStore:
+    """A store whose writer only counts, for a task that reads no bag."""
+
+    def __init__(self):
+        self.chunks, self.epochs = [], {}
+
+    def writer(self, depth):
+        return self
+
+    def insert(self, bag_id, chunk):
+        self.chunks.append(chunk)
+
+    def drain(self):
+        pass
+
+    def adopt_epochs(self, epochs):
+        self.epochs.update(epochs)
+
+
+class TestInputTaskPollsTheCommandPipe:
+    """An input task reads nothing, so no input loop polls for it: the
+    context polls once per ``b`` chunks emitted, and a cancel or a
+    recovered master's reattach is answered within one frame of output,
+    not after the whole slice."""
+
+    B = 4
+    NODE_ID = f"{input_task_id('clicklog', 0)}#0"
+
+    def run_input_task(self, script):
+        app = build_clicklog_local(regions=REGIONS)
+        records = clicklog_records()
+        graph = with_input_tasks(app.graph, 1, {"clicklog": records})
+        store = CountingStore()
+        runtime = worker_mod._WorkerRuntime(
+            graph, store, DistSettings(chunk_size=64, batch_requests=self.B)
+        )
+        task_id = input_task_id("clicklog", 0)
+        desc = NodeDescriptor(
+            node_id=self.NODE_ID,
+            task_id=task_id,
+            kind="task",
+            stream_input=None,
+            side_inputs=(),
+            outputs=("clicklog",),
+        )
+        node = worker_mod._NodeShim(desc, graph.tasks[task_id])
+        pipe = ScriptedPipe(store, script)
+        ctx = worker_mod.DistTaskContext(runtime, node, None, pipe, desc)
+        return ctx, graph.tasks[task_id].fn, store, pipe, desc
+
+    def test_a_cancel_is_answered_within_one_frame(self):
+        ctx, fn, store, pipe, desc = self.run_input_task(
+            {5: {"type": "cancel", "node_id": self.NODE_ID}}
+        )
+        with pytest.raises(worker_mod._Cancelled):
+            fn(ctx)
+        assert 5 < len(store.chunks) <= 5 + self.B
+
+    def test_a_reattach_is_answered_within_one_frame(self):
+        ctx, fn, store, pipe, desc = self.run_input_task(
+            {5: {"type": "reattach", "epochs": {1: 3}}}
+        )
+        fn(ctx)
+        ctx.flush()
+        assert len(store.chunks) > 5 + 4 * self.B  # the slice runs on well past it
+        ((emitted, hello),) = pipe.sent
+        assert 5 < emitted <= 5 + self.B
+        assert hello["type"] == "hello"
+        assert (hello["running"], hello["task"]) == (desc.node_id, desc.task_id)
+        assert store.epochs == {1: 3}

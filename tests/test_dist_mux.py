@@ -301,7 +301,7 @@ class TestMuxStore:
 
             def caller(k):
                 try:
-                    target.call("insert", bag, f"caller#{k}", [k])
+                    target.call("insert", [(bag, f"caller#{k}", [k])])
                     assert target.call("size", bag) >= 1
                 except BaseException as exc:  # pragma: no cover - fail loud
                     errors.append(exc)
@@ -374,18 +374,18 @@ class TestMuxStore:
         # socket buffer when this process starts writing a request larger
         # than it too: the shard reads nothing until its reply is taken,
         # so the pump must take it while the sender holds the send lock.
-        # With b inserts in flight per lane this is an ordinary moment.
+        # With an insert frame of b chunks in flight this is an ordinary moment.
         store = shards2.store()
         try:
             client = store.stores[store.shard_of("big")]
             blob = bytes(256 * 1024)
             for i in range(16):
-                client.call("insert", "big", f"seed#{i}", blob)
+                client.call("insert", [("big", f"seed#{i}", blob)])
             reply = client.submit("remove_batch", "big", 16, "tester", 1)
             acks = []
             sender = threading.Thread(
                 target=lambda: acks.append(
-                    client.submit("insert", "other", "tester#0", bytes(2 << 20))
+                    client.submit("insert", [("other", "tester#0", bytes(2 << 20))])
                 ),
                 daemon=True,
             )

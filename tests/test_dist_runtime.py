@@ -426,29 +426,29 @@ class TestAggregationWritesItsOwnOutput:
             return
         # Un-cloned, no chunk crosses the master: the only reads are the
         # snapshot's (a data page and the empty page that ends the stream),
-        # and every insert is a chunk one of the ``workers`` input tasks cut
-        # from its slice of the input, a chunk the map emitted, or the
-        # aggregation's one value.
+        # and every insert frame carries the next ``b`` chunks (fewer at the
+        # end) one of the ``workers`` input tasks cut from its slice of the
+        # input, or that the map emitted, or the aggregation's one value.
         chunking = dict(chunk_size=256)
         n = len(AGGREGATION_INPUT)
-        chunks = sum(
-            len(
-                source_chunks(
-                    app.graph,
-                    "in",
-                    AGGREGATION_INPUT[i * n // workers:(i + 1) * n // workers],
-                    **chunking,
-                )
+        emitted = [
+            source_chunks(
+                app.graph,
+                "in",
+                AGGREGATION_INPUT[i * n // workers:(i + 1) * n // workers],
+                **chunking,
             )
             for i in range(workers)
-        )
-        chunks += len(
+        ]
+        emitted.append(
             source_chunks(
                 app.graph, "doubled", [2 * v for v in AGGREGATION_INPUT], **chunking
             )
         )
+        b = runtime.settings.batch_requests
+        frames = sum(-(-len(chunks) // b) for chunks in emitted)
         assert result.storage_stats["read_page"] == 2
-        assert result.storage_stats["insert"] == (chunks + 1) * runtime.replication
+        assert result.storage_stats["insert"] == (frames + 1) * runtime.replication
 
     @pytest.mark.parametrize("storage", ["memory", "r2"])
     def test_merge_worker_dying_inside_the_replace(self, tmp_path, storage):

@@ -1,6 +1,7 @@
 """Property-based tests for serde: any records, any chunk size, lossless."""
 
 import pickle
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from repro.serde import (
     iter_chunk,
     iter_chunks,
 )
+from repro.serde.codecs import ListCodec, TupleCodec
 
 u64s = st.integers(min_value=0, max_value=2**64 - 1)
 i64s = st.integers(min_value=-(2**62), max_value=2**62)
@@ -117,6 +119,48 @@ def values_of(spec):
     if head == "tuple":
         return st.tuples(*map(values_of, rest))
     return st.lists(values_of(rest[0]), max_size=4)
+
+
+def zip_transpose_pack(codec, values):
+    """The reference a tuple column is held to: the records transposed by
+    ``zip(*values)``, as a list column's flattened items are too, and each
+    field's column packed by the field's codec."""
+    if isinstance(codec, TupleCodec):
+        columns = list(zip(*values, strict=True)) if values else [()] * len(codec.fields)
+        return b"".join(
+            zip_transpose_pack(field, list(column))
+            for field, column in zip(codec.fields, columns)
+        )
+    if isinstance(codec, ListCodec):
+        items = list(chain.from_iterable(values))
+        lengths = codec_for("u64").pack([len(value) for value in values])
+        return lengths + zip_transpose_pack(codec.element, items)
+    return codec.pack(values)
+
+
+tuple_specs = st.lists(typed_specs, min_size=1, max_size=3).map(lambda fs: ("tuple", *fs))
+
+
+@settings(max_examples=200)
+@given(
+    tuple_specs.flatmap(
+        lambda spec: st.sampled_from([spec, ("list", spec)]).flatmap(
+            lambda outer: st.tuples(
+                st.just(outer), st.lists(values_of(outer), max_size=40)
+            )
+        )
+    ),
+    st.booleans(),
+)
+def test_tuple_pack_equals_the_zip_transpose(case, as_lists):
+    """A tuple column (alone or as a list's element) packs to the bytes the
+    zip transpose gave; a record given as a list packs like its tuple."""
+    spec, column = case
+    codec = codec_for(spec)
+    expected = zip_transpose_pack(codec, column)
+    if as_lists and spec[0] == "tuple":
+        column = [list(record) for record in column]
+    assert codec.pack(column) == expected
 
 
 def columns():

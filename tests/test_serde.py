@@ -117,6 +117,14 @@ class TestCodecs:
             (("tuple", "u64", "u64"), (1, -1)),
             (("list", "u64"), 5),
             (("list", "u64"), [1, 2.5]),
+            # A record with no field order: a set packed its fields in
+            # hash-seed order, a dict packed its keys, and a generator was
+            # transposed like a tuple.
+            pytest.param(("tuple", "str", "str"), {"alpha", "beta"}, id="tuple-set"),
+            pytest.param(("tuple", "u64", "str"), {1: "x", 2: "y"}, id="tuple-dict"),
+            pytest.param(
+                ("tuple", "u64", "u64"), (i for i in (1, 2)), id="tuple-generator"
+            ),
         ],
     )
     def test_out_of_domain_value_raises_at_pack_time(self, spec, value):
@@ -240,6 +248,34 @@ def test_serde_leaves_nothing_for_the_garbage_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_packing_tuple_chunks_fires_no_collection():
+    """A tuple chunk allocates no tracked object per record. An 8 KiB chunk
+    of these records holds several hundred of them, so one object each
+    (an iterator per record, as a ``zip(*records)`` transpose holds) would
+    cross the gen-0 threshold and fire a collection on nearly every chunk."""
+    codec = codec_for(("tuple", "u64", "bytes"))
+    # A hash-join row: a 2-byte key and an 8-byte payload, 743 to a chunk.
+    records = [(i % 50_000, i.to_bytes(8, "little")) for i in range(90_000)]
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        chunks = list(chunk_records(records, codec, 8192))
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*thresholds)
+    assert len(chunks) >= 100
+    assert collections == []
+    assert list(iter_chunks(chunks, codec)) == records
 
 
 class TestNoPerRecordPython:
