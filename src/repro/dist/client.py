@@ -24,7 +24,10 @@ A sweep that fails on every replica backs off under the storage policy
 and re-sweeps — riding out the window where the primary is dead but the
 master has not yet pushed the promotion epochs, or respawned the only
 copy — and only then raises :class:`~repro.errors.StorageNodeDown` for
-the master's coarse recovery.
+the master's coarse recovery. Only the caller that can fix a death
+waits for it: the master's own store sweeps under
+:data:`FAIL_FAST_POLICY` (one round), and the master's one waiting loop
+handles the dead shard between its attempts.
 
 All data-plane traffic is multiplexed: each shard gets one
 :class:`MuxShardClient` carrying every caller's frames over a single
@@ -34,7 +37,8 @@ paper's batch-sampling access path (Section 4.2, Eq. 1) over that link:
 instead of one round trip per chunk, a completion callback keeps a
 ``remove_batch`` of ``b`` chunks in flight while up to ``b`` are
 buffered ahead of the consuming task, hiding the chunk-service latency
-Eq. 1 charges per request — with O(shards) threads, not O(streams).
+Eq. 1 charges per request — with O(shards) threads, not O(streams) —
+and fails over on that same pipeline, by the sweep's rule, with none.
 With ``m`` shards, each fetcher's RPCs land on the shard serving its bag
 (sweeping the replica set on failure), so a worker running a task plus
 prefetch keeps its outstanding requests spread over the shards its bags
@@ -59,14 +63,16 @@ from __future__ import annotations
 import ast
 import functools
 import itertools
+import multiprocessing
 import os
 import selectors
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as _FutureTimeout
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import repro.errors as errors_mod
 from repro.dist.protocol import (
@@ -82,7 +88,7 @@ from repro.dist.protocol import (
     encode_frame,
 )
 from repro.dist.sharding import ShardRouter
-from repro.errors import FetchTimeout, NotPrimary, ReproError, StorageNodeDown
+from repro.errors import FetchTimeout, NotPrimary, StorageNodeDown
 from repro.storage.policy import StorageConfig
 
 #: Poll interval while a streamed bag is empty but not yet sealed (only
@@ -96,14 +102,12 @@ _UNSEALED_POLL_SECONDS = 0.005
 _FRAME_BUDGET = MAX_FRAME_PAYLOAD // 4
 
 #: Connection policy for every per-shard link. A connect that cannot land
-#: fails fast and the *caller* carries the patience: every bag access
-#: re-tries under the full storage policy (read sweeps, the write
-#: fan-out at ``r = 1``, the fetcher's failover sweep, ``fence``), and the
-#: master-only ops run under ``DistRuntime._retrying`` — where waiting is
-#: worse than useless, because the master is the one process that can
-#: respawn the shard it would be waiting for. A couple of quick probes
-#: still absorb the bind-to-accept startup race of a freshly spawned
-#: shard.
+#: fails fast and the *caller* carries the patience: a worker's bag
+#: accesses re-try under the full storage policy (read sweeps, the write
+#: fan-out at ``r = 1``, the fetcher's failover), and the master's under
+#: ``DistRuntime._retrying`` alone, because its store sweeps under
+#: :data:`FAIL_FAST_POLICY`. A couple of quick probes still absorb the
+#: bind-to-accept startup race of a freshly spawned shard.
 SHARD_PROBE_POLICY = StorageConfig(
     rpc_retries=3,
     retry_backoff=0.02,
@@ -111,13 +115,12 @@ SHARD_PROBE_POLICY = StorageConfig(
     rpc_timeout=1.0,
 )
 
-#: Bounded in-fence retry budget: the first few policy backoffs only.
-#: ``fence`` is called by the master's recovery path, and the master is
-#: the only agent that can respawn a dead shard — blocking inside fence
-#: for the full policy window would deadlock recovery against itself, so
-#: after a short grace the failure is surfaced for the caller's own
-#: retry loop (which runs shard reaping between attempts).
-_FENCE_RETRY_STEPS = 3
+#: No retries: one attempt, then the failure is the caller's. The master's
+#: store sweeps under it — the master is the one process that can respawn
+#: a dead shard, so waiting inside its own store is worse than useless —
+#: and a shard's links to its peers connect under it (a refused same-host
+#: Unix socket is a death certificate).
+FAIL_FAST_POLICY = StorageConfig(rpc_retries=0)
 
 
 def _parse_epoch_vector(message: str) -> Dict[int, int]:
@@ -320,7 +323,7 @@ class MuxShardClient:
             conn = connect_with_retry(self.address, self.authkey, self.policy)
             conn.send(("mux", self.client_id))
             status, payload = conn.recv()
-        except (EOFError, OSError) as exc:
+        except (EOFError, OSError, multiprocessing.AuthenticationError) as exc:
             raise StorageNodeDown(
                 f"storage shard unreachable during mux handshake "
                 f"(address {self.address!r}): {exc}"
@@ -643,34 +646,45 @@ class ShardedBagStore:
 
     # -- replicated access paths ------------------------------------------------
 
+    def refused(self, shard: int, exc: BaseException) -> None:
+        """Fold one replica's refusal into ``serving_order``: a replica
+        whose process is unreachable is demoted locally, one refusing as
+        non-primary donates its (authoritative) epoch vector."""
+        if isinstance(exc, NotPrimary):
+            self.adopt_epochs(_parse_epoch_vector(str(exc)))
+        else:
+            self.mark_demoted(shard)
+
+    def unserved(self, bag_id: str) -> StorageNodeDown:
+        """What a sweep raises once no replica of ``bag_id`` would serve."""
+        return StorageNodeDown(
+            f"no replica of bag {bag_id!r} would serve "
+            f"(replicas {self.router.replicas(bag_id)})"
+        )
+
     def sweep(self, bag_id: str, attempt) -> Any:
         """Run ``attempt(shard)`` against ``bag_id``'s replicas until one serves.
 
-        One pass over the serving order per round: a replica whose process
-        is unreachable is demoted locally and skipped; a replica refusing
-        as non-primary donates its (authoritative) epoch vector. Rounds
-        are separated by the storage policy's backoff — covering the gap
-        between a primary's death and the master's promotion push — and
-        exhaustion raises :class:`~repro.errors.StorageNodeDown` so the
-        master's coarse-grained recovery takes over.
+        One pass over the serving order per round, each refusal folded in
+        by :meth:`refused`. Rounds are separated by the storage policy's
+        backoff — covering the gap between a primary's death and the
+        master's promotion push — and exhaustion raises
+        :meth:`unserved` so the master's coarse-grained recovery takes
+        over. Under :data:`FAIL_FAST_POLICY` (the master's store) there is
+        one round.
         """
         backoffs = self.policy.backoffs()
         while True:
-            last_down: Optional[StorageNodeDown] = None
+            last: Optional[BaseException] = None
             for shard in self.serving_order(bag_id):
                 try:
                     return attempt(shard)
-                except StorageNodeDown as exc:
-                    self.mark_demoted(shard)
-                    last_down = exc
-                except NotPrimary as exc:
-                    self.adopt_epochs(_parse_epoch_vector(str(exc)))
+                except (StorageNodeDown, NotPrimary) as exc:
+                    self.refused(shard, exc)
+                    last = exc
             delay = next(backoffs, None)
             if delay is None:
-                raise StorageNodeDown(
-                    f"no replica of bag {bag_id!r} would serve "
-                    f"(replicas {self.router.replicas(bag_id)})"
-                ) from last_down
+                raise self.unserved(bag_id) from last
             time.sleep(delay)
 
     def sweep_call(self, bag_id: str, op: str, *args: Any) -> Any:
@@ -728,9 +742,11 @@ class ShardedBagStore:
         segment directory, or empty and about to be re-produced) *is* the
         bag — so instead of failing the write when that shard is
         mid-respawn, the same request is re-sent under the storage
-        policy's backoff. Every op routed here is idempotent (``insert``
-        is id-keyed; seal/rewind/discard are absorbing), so re-applying a
-        round that half-landed is safe.
+        policy's backoff (not at all under :data:`FAIL_FAST_POLICY`: the
+        master's ``_retrying`` respawns the shard and re-sends). Every op
+        routed here is idempotent (``insert`` is id-keyed;
+        seal/rewind/discard are absorbing), so re-applying a round that
+        half-landed is safe.
         """
         if self.gather_round(submitted):
             return
@@ -829,14 +845,13 @@ class ShardedBagStore:
         proceed once no shard still holds an undrained connection of the
         corpse.
 
-        The sweep continues past a shard that is down — aborting
-        mid-loop would leave the remaining shards unfenced while the
-        caller believes the corpse is drained. Failed shards are retried
-        under a short bounded backoff (they may be mid-respawn, and a
-        respawned shard holds no old connections — its fence is trivially
-        clean); a shard still down after the budget raises
-        :class:`~repro.errors.StorageNodeDown` so the caller's own
-        retry loop (which can actually respawn shards) takes over.
+        The pass continues past a shard that is down — stopping mid-loop
+        would leave the rest unfenced while the caller believes the corpse
+        is drained — and then raises :class:`~repro.errors.StorageNodeDown`
+        naming every shard it could not reach. Fence waits for nothing
+        else: its caller is the master, whose ``_retrying`` respawns the
+        dead shard (a respawned shard holds no old connections, so its
+        fence is trivially clean) and runs the whole, idempotent, pass again.
         """
         leftover = 0
         failed: List[int] = []
@@ -845,23 +860,11 @@ class ShardedBagStore:
                 leftover += store.call("fence", client_id, timeout)
             except StorageNodeDown:
                 failed.append(shard)
-        if not failed:
-            return leftover
-        backoffs = itertools.islice(self.policy.backoffs(), _FENCE_RETRY_STEPS)
-        for delay in backoffs:
-            time.sleep(delay)
-            still_failed: List[int] = []
-            for shard in failed:
-                try:
-                    leftover += self.stores[shard].call("fence", client_id, timeout)
-                except StorageNodeDown:
-                    still_failed.append(shard)
-            failed = still_failed
-            if not failed:
-                return leftover
-        raise StorageNodeDown(
-            f"shards {failed} unreachable while fencing {client_id!r}"
-        )
+        if failed:
+            raise StorageNodeDown(
+                f"shards {failed} unreachable while fencing {client_id!r}"
+            )
+        return leftover
 
     def shutdown(self) -> None:
         for store in self.stores:
@@ -948,16 +951,6 @@ class ChunkWriter:
             self._inflight = None
 
 
-class _FetchAborted(Exception):
-    """Internal: unwinds a fetch sweep interrupted by ``stop()``.
-
-    Deliberately neither :class:`~repro.errors.StorageNodeDown` nor
-    :class:`~repro.errors.NotPrimary`, so it escapes the sweep's retry
-    handling immediately instead of being absorbed as one more replica
-    failure.
-    """
-
-
 class MuxBatchFetcher:
     """Threadless batch-sampling fetcher over the multiplexed store.
 
@@ -966,10 +959,21 @@ class MuxBatchFetcher:
     overlap comes from a completion callback instead of a dedicated
     thread: each resolved batch future re-arms the next request on the
     shared :class:`MuxShardClient` link, so a worker streaming fifty
-    bags runs fifty of these on the *same* O(shards) pump threads. The
-    only thread this class ever spawns is a short-lived failover sweep
-    (the serving shard died mid-stream), because that path must block
-    through reconnect backoffs, which the pump may not.
+    bags runs fifty of these on the *same* O(shards) pump threads.
+
+    Failover rides the same pipeline. A refused ``remove_batch`` is
+    folded into the store's serving order (:meth:`ShardedBagStore.refused`)
+    and re-issued, with the *same* seq, to the next replica — the server
+    removal log answers a request a dead primary served-but-never-acked
+    instead of serving it twice. Once every replica of a round has
+    refused, the next round waits out the store policy's next backoff
+    through ``_retry_after``, and when the backoffs run out the stream
+    ends with :class:`~repro.errors.StorageNodeDown`: ``sweep``'s
+    schedule — one immediate re-sweep, then the backoffs — with no
+    thread and no blocking on the pump. At replication 1 that is simply
+    waiting for the one shard's respawn (reopened from disk, or empty
+    until the master's recovery cancels this stream's task and
+    re-produces the bag).
 
     Latency samples are kept per serving shard in
     :attr:`latencies_by_shard`.
@@ -987,13 +991,18 @@ class MuxBatchFetcher:
         self._eof = False
         self._error: Optional[BaseException] = None
         self._stopped = False
-        self._aborted = False
         self._inflight = False
-        #: Earliest monotonic time the next request may be issued; set
-        #: when a batch comes back empty-but-unsealed so the re-arm loop
-        #: polls at ``_UNSEALED_POLL_SECONDS`` instead of spinning.
+        #: Earliest monotonic time the next request may be issued: set
+        #: when a batch comes back empty-but-unsealed (so the re-arm loop
+        #: polls at ``_UNSEALED_POLL_SECONDS`` instead of spinning) and to
+        #: a failover round's backoff.
         self._retry_after: Optional[float] = None
-        self._recovery: Optional[threading.Thread] = None
+        #: The refused request's seq, re-sent until a replica serves it.
+        self._seq: Optional[int] = None
+        #: The failover schedule, started at a refusal (``None`` while
+        #: the stream is healthy), and the shards its round has left.
+        self._backoffs: Optional[Iterator[float]] = None
+        self._round: List[int] = []
         with self._cond:
             self._issue_locked()
 
@@ -1002,44 +1011,47 @@ class MuxBatchFetcher:
     def _issue_locked(self, from_pump: bool = False) -> None:
         """Arm the next ``remove_batch`` if the stream wants one.
 
-        Skips when a request is already in flight, the bag is done, a
-        failover sweep owns the stream, the buffer already holds a full
-        batch (bounded prefetch), or the unsealed-empty pacing window
-        has not elapsed.
+        Skips when a request is already in flight, the bag is done, the
+        buffer already holds a full batch (bounded prefetch), or the
+        unsealed-empty pacing or failover backoff window has not elapsed.
         """
-        if (
+        parent = self._parent
+        while not (
             self._inflight
             or self._eof
             or self._stopped
-            or self._recovery is not None
             or len(self._buffer) >= self.batch
         ):
-            return
-        if self._retry_after is not None:
-            if time.monotonic() < self._retry_after:
+            if self._retry_after is not None:
+                if time.monotonic() < self._retry_after:
+                    return
+                self._retry_after = None
+            sweeping = self._backoffs is not None
+            if sweeping and not self._round:
+                self._round = parent.serving_order(self.bag_id)
+            shard = self._round[0] if sweeping else parent.serving_order(self.bag_id)[0]
+            client = parent.stores[shard]
+            if from_pump and not client.connected:
+                # Reconnecting blocks through the connect probes — never
+                # on the pump thread. The consumer's next ``get``
+                # re-issues from a thread allowed to wait.
                 return
-            self._retry_after = None
-        parent = self._parent
-        shard = parent.serving_order(self.bag_id)[0]
-        client = parent.stores[shard]
-        if from_pump and not client.connected:
-            # Reconnecting blocks through the storage policy's backoff
-            # schedule — never on the pump thread. The consumer's next
-            # ``get`` re-issues from a thread allowed to wait.
-            return
-        seq = parent.next_seq(self.bag_id)
-        started = time.perf_counter()
-        try:
-            future = client.submit(
-                "remove_batch", self.bag_id, self.batch, parent.client_id, seq
+            if sweeping:
+                self._round.pop(0)
+            seq = self._seq if self._seq is not None else parent.next_seq(self.bag_id)
+            started = time.perf_counter()
+            try:
+                future = client.submit(
+                    "remove_batch", self.bag_id, self.batch, parent.client_id, seq
+                )
+            except StorageNodeDown as exc:
+                self._refused_locked(shard, seq, exc)
+                continue
+            self._inflight = True
+            future.add_done_callback(
+                lambda f: self._on_batch(f, shard, seq, started)
             )
-        except StorageNodeDown as exc:
-            self._handle_failure_locked(shard, seq, exc)
             return
-        self._inflight = True
-        future.add_done_callback(
-            lambda f: self._on_batch(f, shard, seq, started)
-        )
 
     def _on_batch(
         self,
@@ -1057,135 +1069,39 @@ class MuxBatchFetcher:
             try:
                 chunks, sealed = future.result()
             except (StorageNodeDown, NotPrimary) as exc:
-                self._handle_failure_locked(shard, seq, exc)
-                return
+                self._refused_locked(shard, seq, exc)
             except BaseException as exc:
                 self._error = exc
                 self._eof = True
-                self._cond.notify_all()
-                return
-            self._deliver_locked(shard, chunks, sealed, elapsed)
+            else:
+                self._seq = self._backoffs = None
+                self.latencies_by_shard.setdefault(shard, []).append(elapsed)
+                if chunks:
+                    self._buffer.extend(chunks)
+                elif sealed:
+                    self._eof = True
+                else:
+                    self._retry_after = time.monotonic() + _UNSEALED_POLL_SECONDS
+            self._cond.notify_all()
             self._issue_locked(from_pump=True)
 
-    def _deliver_locked(
-        self, shard: int, chunks: List[Any], sealed: bool, elapsed: float
-    ) -> None:
-        self.latencies_by_shard.setdefault(shard, []).append(elapsed)
-        if chunks:
-            self._buffer.extend(chunks)
-        elif sealed:
-            self._eof = True
-        else:
-            self._retry_after = time.monotonic() + _UNSEALED_POLL_SECONDS
-        self._cond.notify_all()
-
-    # -- failover -----------------------------------------------------------------
-
-    def _handle_failure_locked(
-        self, shard: int, seq: int, exc: BaseException
-    ) -> None:
+    def _refused_locked(self, shard: int, seq: int, exc: BaseException) -> None:
+        """Keep ``seq`` for the next replica; pace or end the failover."""
         parent = self._parent
-        if isinstance(exc, NotPrimary):
-            parent.adopt_epochs(_parse_epoch_vector(str(exc)))
-        else:
-            parent.mark_demoted(shard)
-        # The fallback sweep must ride out reconnect backoffs and
-        # promotion-push windows — blocking work, so it gets the one
-        # thread this fetcher ever spawns. It retries the SAME seq: the
-        # server removal log answers a request the dead primary
-        # served-but-never-acked instead of serving it twice. At
-        # replication 1 the sweep simply waits for the one shard's
-        # respawn (reopened from disk, or empty until the master's
-        # recovery cancels this stream's task and re-produces the bag).
-        thread = threading.Thread(
-            target=self._sweep_fallback,
-            args=(seq,),
-            daemon=True,
-            name=f"mux-fetch-recover-{self.bag_id}",
-        )
-        self._recovery = thread
-        thread.start()
-
-    def _await_interruptible(self, future: "Future[Any]") -> Any:
-        while True:
-            try:
-                return future.result(timeout=0.1)
-            except _FutureTimeout:
-                if self._aborted:
-                    raise _FetchAborted(self.bag_id) from None
-
-    def _sleep_interruptible(self, delay: float) -> None:
-        deadline = time.monotonic() + delay
-        while not self._aborted:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            time.sleep(min(remaining, 0.05))
-
-    def _sweep_fallback(self, seq: int) -> None:
-        """Replica sweep for one orphaned ``remove_batch`` (own thread).
-
-        An abort-aware unrolling of :meth:`ShardedBagStore.sweep`: every
-        wait — future result, inter-round backoff — re-checks the abort
-        flag on a short period, so ``stop()`` stays bounded even while a
-        replica stalls or the whole set is mid-respawn.
-        """
-        parent = self._parent
-        op_args = (
-            "remove_batch", self.bag_id, self.batch, parent.client_id, seq,
-        )
-        outcome: Optional[Tuple[int, Tuple[List[Any], bool], float]] = None
-        error: Optional[BaseException] = None
-        backoffs = parent.policy.backoffs()
-        try:
-            while outcome is None and not self._aborted:
-                last_down: Optional[StorageNodeDown] = None
-                for shard in parent.serving_order(self.bag_id):
-                    if self._aborted:
-                        break
-                    started = time.perf_counter()
-                    try:
-                        result = self._await_interruptible(
-                            parent.stores[shard].submit(*op_args)
-                        )
-                    except StorageNodeDown as exc:
-                        parent.mark_demoted(shard)
-                        last_down = exc
-                    except NotPrimary as exc:
-                        parent.adopt_epochs(_parse_epoch_vector(str(exc)))
-                    else:
-                        outcome = (
-                            shard, result, time.perf_counter() - started
-                        )
-                        break
-                if outcome is not None or self._aborted:
-                    break
-                delay = next(backoffs, None)
-                if delay is None:
-                    error = StorageNodeDown(
-                        f"no replica of bag {self.bag_id!r} would serve "
-                        f"(replicas {parent.router.replicas(self.bag_id)})"
-                    )
-                    error.__cause__ = last_down
-                    break
-                self._sleep_interruptible(delay)
-        except _FetchAborted:
-            pass
-        except BaseException as exc:
-            error = exc
-        with self._cond:
-            self._recovery = None
-            if self._stopped or self._aborted:
-                self._cond.notify_all()
-                return
-            if outcome is not None:
-                shard, (chunks, sealed), elapsed = outcome
-                self._deliver_locked(shard, chunks, sealed, elapsed)
-                self._issue_locked(from_pump=True)
-            else:
+        parent.refused(shard, exc)
+        self._seq = seq
+        if self._backoffs is None:
+            self._backoffs = parent.policy.backoffs()
+            self._round = []  # one immediate re-sweep
+        elif not self._round:
+            delay = next(self._backoffs, None)
+            if delay is None:
+                error = parent.unserved(self.bag_id)
+                error.__cause__ = exc
                 self._error = error
                 self._eof = True
-                self._cond.notify_all()
+                return
+            self._retry_after = time.monotonic() + delay
 
     # -- consumer surface --------------------------------------------------------
 
@@ -1226,25 +1142,15 @@ class MuxBatchFetcher:
                 self._cond.wait(wait)
 
     def stop(self) -> None:
-        """Stop streaming; bounded, and loud if cleanup hangs.
+        """Stop streaming; returns at once.
 
-        There is no fetch thread to interrupt — an unresolved in-flight
-        future just has its completion callback observe ``_stopped`` and
-        drop the batch on the shared link (the pump and connection are
-        the store's, not this fetcher's). Only an active failover sweep
-        owns a thread; the abort flag unblocks its interruptible waits,
-        and a sweep that survives the join anyway is a loud failure.
+        There is no thread to interrupt: an unresolved in-flight future
+        just has its completion callback observe ``_stopped`` and drop
+        the batch on the shared link (the pump and connection are the
+        store's, not this fetcher's), and a failover backoff is only a
+        ``_retry_after`` nobody acts on any more.
         """
         with self._cond:
             self._stopped = True
-            self._aborted = True
             self._eof = True
-            recovery = self._recovery
             self._cond.notify_all()
-        if recovery is not None:
-            recovery.join(timeout=2.0)
-            if recovery.is_alive():
-                raise ReproError(
-                    f"failover sweep for bag {self.bag_id!r} survived "
-                    f"stop(): its in-flight RPC could not be interrupted"
-                )

@@ -12,16 +12,14 @@ Two channels exist:
   master-chosen paths). A Unix socket (not localhost TCP) because
   ``multiprocessing`` sends large messages as separate header/body
   writes, which interacts with Nagle + delayed-ACK on TCP to add ~40ms
-  per chunk RPC. Clients speak the **multiplexed** dialect: the first
-  message after the auth handshake is ``("mux", client_id)``, and after
-  the ``("ok", _)`` ack both sides switch from whole-pickled-message
+  per chunk RPC. Every client speaks the **multiplexed** dialect: the
+  first message after the auth handshake is ``("mux", client_id)``, and
+  after the ``("ok", _)`` ack both sides switch from whole-pickled-message
   exchange to the raw frame stream below. One connection per
   (process, shard) pair then carries every caller's traffic
-  concurrently. A connection whose first message is anything else
-  stays on whole-pickled-message exchange — strictly alternating
-  ``(op, *args)`` / ``("ok", payload)``-or-``("err", ...)`` — which
-  serves shard-to-shard traffic only (``apply_removals`` shipping and
-  ``gossip``).
+  concurrently — a peer shard's ``apply_removals`` shipping and
+  ``gossip`` included (client id ``shard-<i>``). A connection whose
+  first message is anything else is closed.
 
 **Mux frame format** — every frame, both directions, is::
 

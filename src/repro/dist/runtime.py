@@ -65,7 +65,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.dist.client import ShardedBagStore
+from repro.dist.client import FAIL_FAST_POLICY, ShardedBagStore
 from repro.dist.control import ControlState
 from repro.dist.journal import MasterJournal
 from repro.dist.protocol import (
@@ -351,7 +351,6 @@ class DistRuntime:
         cloning: bool = True,
         chunk_size: int = 64 * KB,
         clone_min_chunks: int = 2,
-        max_clones_per_task: Optional[int] = None,
         batch_requests: int = 4,
         resident_bytes: Optional[int] = None,
         segment_dir: Optional[str] = None,
@@ -365,9 +364,7 @@ class DistRuntime:
         journal_dir: Optional[str] = None,
         journal_compact_every: int = 256,
         kill_master_after_records: Optional[int] = None,
-        max_worker_restarts: Optional[int] = None,
         max_shard_restarts: Optional[int] = None,
-        max_storage_resets: Optional[int] = None,
         snapshot_bags: Any = "sinks",
         tracer=None,
     ):
@@ -432,7 +429,7 @@ class DistRuntime:
         #: subtree of the run's temp socket dir, removed at shutdown.
         self.segment_dir = segment_dir
         self.clone_min_chunks = clone_min_chunks
-        self.max_clones_per_task = max_clones_per_task or workers
+        self.max_clones_per_task = workers
         self.forced_clones = dict(forced_clones or {})
         self.kill_task = kill_task
         self.kill_after_chunks = kill_after_chunks
@@ -451,18 +448,14 @@ class DistRuntime:
         self.journal_dir = journal_dir
         self.journal_compact_every = journal_compact_every
         self.kill_master_after_records = kill_master_after_records
-        self.max_worker_restarts = (
-            max_worker_restarts if max_worker_restarts is not None else 2 * workers
-        )
+        self.max_worker_restarts = 2 * workers
         self.max_shard_restarts = (
             max_shard_restarts if max_shard_restarts is not None else 2 * shards
         )
         # Storage blips (a task racing a shard respawn on a stale
         # connection) reset one family each; the budget keeps a persistent
         # storage fault from retrying forever.
-        self.max_storage_resets = (
-            max_storage_resets if max_storage_resets is not None else 4 + 2 * workers
-        )
+        self.max_storage_resets = 4 + 2 * workers
         self.snapshot_bags = snapshot_bags
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Everything the journal records; changed only via ``_commit``.
@@ -706,7 +699,7 @@ class DistRuntime:
                 self._shard_addresses,
                 self._authkey,
                 "master",
-                self.settings.policy,
+                FAIL_FAST_POLICY,
                 router=self.router,
             )
             for _ in range(self.workers):
@@ -721,8 +714,14 @@ class DistRuntime:
         # From graph state, not from what ``_commit`` returned so far: a
         # resumed master's predecessor held its queue only in memory.
         self._ready = self.control.ready_nodes()
-        self._event_loop(deadline)
-        return DistResult(self, self._snapshot(), self._store.stats())
+        while True:
+            self._event_loop(deadline)
+            snapshot = self._snapshot()
+            stats = self._retrying(self._store.stats)
+            if self.control.exec.all_done():
+                return DistResult(self, snapshot, stats)
+            # A shard death absorbed by those reads lost bags whose
+            # families it reset: run them again before reading.
 
     # -- event loop ------------------------------------------------------------
 
@@ -1109,7 +1108,10 @@ class DistRuntime:
     def _retrying(self, fn: Callable[[], Any]) -> Any:
         """Run an *idempotent* storage op, riding out shard deaths.
 
-        Each failure first handles any dead shard (respawn + loss closure)
+        The master's only waiting loop: its store sweeps under
+        :data:`~repro.dist.client.FAIL_FAST_POLICY`, so an attempt fails
+        at the first full refusal and the wait is spent here. Each
+        failure first handles any dead shard (respawn + loss closure)
         so the retry has a live process to reconnect to — without this, a
         recovery-path RPC against a dead shard would back off forever,
         because the event loop that respawns shards (and, at ``r > 1``,
@@ -1583,7 +1585,7 @@ class DistRuntime:
                 self._shard_addresses,
                 self._authkey,
                 f"master.g{self.control.generation}",
-                self.settings.policy,
+                FAIL_FAST_POLICY,
                 router=self.router,
             )
             # Probe the survivors: max-merge any demotions the shards
@@ -1699,10 +1701,12 @@ class DistRuntime:
         return list(self.snapshot_bags)
 
     def _snapshot(self) -> Dict[str, List[Any]]:
-        return {
-            bag_id: bag_records(self._store, self.graph, bag_id)
-            for bag_id in self._snapshot_bag_ids()
-        }
+        return self._retrying(
+            lambda: {
+                bag_id: bag_records(self._store, self.graph, bag_id)
+                for bag_id in self._snapshot_bag_ids()
+            }
+        )
 
     def _shutdown(self) -> None:
         if self._simulated_death:

@@ -44,23 +44,25 @@ promotions, or while the master's one thread is still busy in another
 handler. A recovering master asks any shard
 ``("probe",)`` for its identity, epoch vector, and bag inventory.
 
-Connections speak one of two forms. Clients — workers, the master —
-open with ``("mux", client_id)`` and, after the ``("ok", ...)`` ack,
-switch to the framed multiplexed protocol of :mod:`repro.dist.protocol`:
-every request frame carries a client-chosen call id, requests are
-served as they decode (a blocking ``fence`` moves to its own thread so
-it cannot head-of-line block the lane), and replies are written
-whenever ready under a send lock, in whatever order they finish. A
-connection whose first message is anything else stays on the raw
-one-exchange-per-call form, which serves shard-to-shard traffic only
-(``apply_removals`` shipping and ``gossip``). Mux connections land in
-the client registry, which is what the **fence** operation reads:
-after a worker process dies, ``("fence", client_id)`` blocks until every
-connection that worker had registered *on this shard* is fully drained
-and closed — i.e. until all of the dead worker's in-flight inserts here
-have been applied — so the recovery discard/rewind cannot race with a
-late write from the corpse. With ``m`` shards the master fences all
-``m``.
+Connections speak one form. Every client — a worker, the master, a
+peer shard — opens with ``("mux", client_id)`` and, after the
+``("ok", ...)`` ack, switches to the framed multiplexed protocol of
+:mod:`repro.dist.protocol`: every request frame carries a client-chosen
+call id, requests are served as they decode (a blocking ``fence`` moves
+to its own thread so it cannot head-of-line block the lane), and replies
+are written whenever ready under a send lock, in whatever order they
+finish. A connection whose first message is anything else is closed. At
+``replication > 1`` a shard reaches each peer through one
+:class:`~repro.dist.client.MuxShardClient` (client id ``shard-<i>``,
+connecting once under :data:`~repro.dist.client.FAIL_FAST_POLICY`),
+which carries ``apply_removals`` shipping and ``gossip``. Connections
+land in the client registry, which is what the **fence** operation
+reads: after a worker process dies, ``("fence", client_id)`` blocks
+until every connection that worker had registered *on this shard* is
+fully drained and closed — i.e. until all of the dead worker's in-flight
+inserts here have been applied — so the recovery discard/rewind cannot
+race with a late write from the corpse. With ``m`` shards the master
+fences all ``m``.
 
 Shards listen on **stable socket paths** chosen by the master
 (``shard-<i>.sock`` in a run-scoped temp dir): when a shard dies and is
@@ -77,7 +79,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from multiprocessing.connection import Client, Connection, Listener
+from multiprocessing.connection import Connection, Listener
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dist.protocol import (
@@ -89,9 +91,10 @@ from repro.dist.protocol import (
     encode_frame,
 )
 from repro.dist.bags import BagStore, MemoryBacking
+from repro.dist.client import FAIL_FAST_POLICY, MuxPump, MuxShardClient
 from repro.dist.segments import SegmentBacking
 from repro.dist.sharding import ShardRouter
-from repro.errors import NotPrimary
+from repro.errors import NotPrimary, ReproError, StorageNodeDown
 
 #: ``os._exit`` status used by the shard-kill fault injection.
 SHARD_KILL_EXIT_CODE = 23
@@ -125,7 +128,6 @@ class _ServerState:
         self.shard = shard
         self.replication = replication
         self.addresses = list(addresses) if addresses else []
-        self.authkey = authkey
         backing: Any = MemoryBacking()
         if segment_dir is not None:
             backing = SegmentBacking(
@@ -149,10 +151,19 @@ class _ServerState:
         #: Demotion-epoch vector, master-authoritative (monotone max-merge).
         self.epochs: Dict[int, int] = dict(epochs or {})
         self.epochs_lock = threading.Lock()
-        #: Lazily-opened connections to peer replicas, for removal shipping.
-        self._peers: Dict[int, Connection] = {}
-        self._peer_locks: Dict[int, threading.Lock] = {}
-        self._peers_lock = threading.Lock()
+        #: One lazily-connected mux link per peer replica (``r > 1``
+        #: only), carrying removal shipping and gossip.
+        self.peers: Dict[int, MuxShardClient] = {}
+        self._pump: Optional[MuxPump] = None
+        if replication > 1:
+            self._pump = MuxPump()
+            self.peers = {
+                peer: MuxShardClient(
+                    address, authkey, f"shard-{shard}", FAIL_FAST_POLICY, self._pump
+                )
+                for peer, address in enumerate(self.addresses)
+                if peer != shard
+            }
         self.stats: Dict[str, int] = {}
         self.stats_lock = threading.Lock()
         self.stop = threading.Event()
@@ -199,29 +210,6 @@ class _ServerState:
             if primary != self.shard:
                 raise NotPrimary(repr(self.epochs))
 
-    def _peer_conn(self, peer: int):
-        """(lock, conn) for ``peer``, connecting if needed; None if down."""
-        with self._peers_lock:
-            lock = self._peer_locks.setdefault(peer, threading.Lock())
-        with lock:
-            conn = self._peers.get(peer)
-            if conn is None:
-                try:
-                    conn = Client(self.addresses[peer], authkey=self.authkey)
-                except (EOFError, OSError):
-                    return lock, None
-                self._peers[peer] = conn
-        return lock, conn
-
-    def _drop_peer(self, peer: int) -> None:
-        with self._peers_lock:
-            conn = self._peers.pop(peer, None)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
     def ship_removals(
         self,
         bag_id: str,
@@ -243,29 +231,22 @@ class _ServerState:
         for peer in self.router.replicas(bag_id):
             if peer == self.shard:
                 continue
-            record = ("apply_removals", bag_id, client_id, seq, pairs, sealed)
-            for attempt in range(2):
-                lock, conn = self._peer_conn(peer)
-                if conn is None:
-                    break
-                with lock:
-                    try:
-                        conn.send(record)
-                        status, _payload = conn.recv()
-                    except (EOFError, OSError):
-                        self._drop_peer(peer)
-                        continue  # one reconnect attempt, then give up
-                if status == "ok":
-                    break
+            for _attempt in range(2):
+                try:
+                    self.peers[peer].call(
+                        "apply_removals", bag_id, client_id, seq, pairs, sealed
+                    )
+                except StorageNodeDown:
+                    continue  # torn or refused: one reconnect, then give up
+                except ReproError:
+                    pass  # the peer answered; its refusal is its own
+                break
 
     def close_peers(self) -> None:
-        with self._peers_lock:
-            conns, self._peers = list(self._peers.values()), {}
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        for client in self.peers.values():
+            client.close()
+        if self._pump is not None:
+            self._pump.close()
 
 
 def _dispatch(state: _ServerState, conn_id: int, req: Tuple[Any, ...]) -> Any:
@@ -425,6 +406,9 @@ def _serve_mux(
                 state.stop.set()
                 state.close_peers()
                 state.store.close()
+                # Closing the listener does NOT wake a thread blocked in
+                # accept(2); poke it with a throwaway connection so the
+                # accept loop re-checks the stop flag immediately.
                 _poke(listener.address)
                 listener.close()
                 return
@@ -443,51 +427,23 @@ def _serve_mux(
 
 
 def _serve_connection(state: _ServerState, conn: Connection, listener) -> None:
+    """Admit one connection: ``("mux", client_id)`` first, or it is closed."""
     conn_id = id(conn)
-    first = True
     try:
-        while True:
-            try:
-                req = conn.recv()
-            except (EOFError, OSError):
-                return
-            if first and req[0] == "mux":
-                # Only honored as the very first message (replication
-                # peers send raw ops with no introduction, and "mux"
-                # must never shadow a payload).
-                client_id = req[1]
-                with state.registry_cond:
-                    state.clients.setdefault(client_id, set()).add(conn_id)
-                try:
-                    conn.send(("ok", client_id))
-                except (OSError, BrokenPipeError):
-                    return
-                _serve_mux(state, conn, conn_id, listener)
-                return
-            first = False
-            if req[0] == "shutdown":
-                conn.send(("ok", None))
-                state.stop.set()
-                state.close_peers()
-                state.store.close()
-                # Closing the listener does NOT wake a thread blocked in
-                # accept(2); poke it with a throwaway connection so the
-                # accept loop re-checks the stop flag immediately.
-                _poke(listener.address)
-                listener.close()
-                return
-            try:
-                payload = _dispatch(state, conn_id, req)
-            except Exception as exc:  # report, keep serving this client
-                try:
-                    conn.send(("err", (type(exc).__name__, str(exc))))
-                except (OSError, BrokenPipeError):
-                    return
-                continue
-            try:
-                conn.send(("ok", payload))
-            except (OSError, BrokenPipeError):
-                return
+        try:
+            hello = conn.recv()
+        except (EOFError, OSError):
+            return
+        if not (isinstance(hello, tuple) and len(hello) == 2 and hello[0] == "mux"):
+            return
+        client_id = hello[1]
+        with state.registry_cond:
+            state.clients.setdefault(client_id, set()).add(conn_id)
+        try:
+            conn.send(("ok", client_id))
+        except OSError:
+            return
+        _serve_mux(state, conn, conn_id, listener)
     finally:
         with state.registry_cond:
             for conns in state.clients.values():
@@ -514,29 +470,15 @@ def _gossip_loop(state: _ServerState) -> None:
     """
     strikes: Dict[int, int] = {}
     while not state.stop.wait(GOSSIP_INTERVAL_SECONDS):
-        for peer in range(len(state.addresses)):
-            if peer == state.shard or state.stop.is_set():
-                continue
+        for peer, client in state.peers.items():
+            if state.stop.is_set():
+                break
             with state.epochs_lock:
                 vector = dict(state.epochs)
-            answer: Optional[Dict[int, int]] = None
             try:
-                lock, conn = state._peer_conn(peer)
-                if conn is not None:
-                    with lock:
-                        try:
-                            conn.send(("gossip", vector))
-                            status, payload = conn.recv()
-                        except (EOFError, OSError):
-                            state._drop_peer(peer)
-                        else:
-                            if status == "ok":
-                                answer = payload
-            except Exception:
-                # A torn auth handshake against a dying peer can raise
-                # outside the (EOFError, OSError) family; count it as an
-                # unreachable round like any other.
-                state._drop_peer(peer)
+                answer = client.call("gossip", vector)
+            except ReproError:
+                answer = None  # refused, torn, or refusing: a missed round
             if answer is not None:
                 strikes[peer] = 0
                 state.merge_epochs(answer)
@@ -658,7 +600,7 @@ def storage_server_main(
         listener = Listener(family="AF_UNIX", authkey=authkey)
     ready_conn.send(listener.address)
     ready_conn.close()
-    if replication > 1 and len(state.addresses) > 1:
+    if state.peers:
         threading.Thread(
             target=_gossip_loop,
             args=(state,),

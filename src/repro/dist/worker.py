@@ -166,33 +166,7 @@ class DistTaskContext(TaskContext):
             msg = self._cmd_conn.recv()
             if msg.get("type") == "cancel" and msg.get("node_id") == self._desc.node_id:
                 raise _Cancelled(self._desc.node_id)
-            if msg.get("type") == "rebind":
-                # A storage shard was respawned mid-task: drop the stale
-                # connection now so the next RPC reconnects to the new
-                # process instead of failing on the corpse's socket.
-                self._runtime.store.invalidate(msg["shard"])
-                self._runtime.store.adopt_epochs(msg.get("epochs") or {})
-                continue
-            if msg.get("type") == "reattach":
-                # A recovered master is taking attendance mid-task:
-                # re-introduce ourselves with the node id we are running,
-                # so it re-adopts this in-flight work instead of resetting
-                # the family — the chunk stream continues uninterrupted.
-                self._runtime.store.adopt_epochs(msg.get("epochs") or {})
-                self._cmd_conn.send(
-                    {
-                        "type": "hello",
-                        "pid": os.getpid(),
-                        "running": self._desc.node_id,
-                        # The task id rides along for the claim the master
-                        # cannot confirm (e.g. a clone grant lost to a torn
-                        # journal tail): the master knows which family to
-                        # replay even when the node id means nothing to it.
-                        "task": self._desc.task_id,
-                    }
-                )
-                continue
-            # Anything else addressed to a busy worker is stale; drop it.
+            _on_command(self._runtime.store, self._cmd_conn, msg, self._desc)
 
     def _next_chunk(self):
         # Bounded waits, polling for cancellation in between: after a
@@ -231,6 +205,33 @@ class DistTaskContext(TaskContext):
                 # Fault injection: die exactly like a SIGKILLed process —
                 # no flushes, no goodbyes; the master sees EOF.
                 os._exit(17)
+
+
+def _on_command(
+    store: ShardedBagStore, cmd_conn, msg: dict, running: Optional[NodeDescriptor]
+) -> None:
+    """Handle a ``rebind`` or ``reattach``, mid-task (``running`` is the
+    node) or idle (``None``); anything else is stale and dropped."""
+    if msg.get("type") == "rebind":
+        # A storage shard was respawned: drop the stale connection so the
+        # next RPC reconnects to the new process instead of failing on the
+        # corpse's socket, and adopt the demotion epochs so replicated
+        # reads go to the promoted primary, not the freshly-resynced respawn.
+        store.invalidate(msg["shard"])
+        store.adopt_epochs(msg.get("epochs") or {})
+    elif msg.get("type") == "reattach":
+        # A recovered master is taking attendance. Mid-task we answer with
+        # the node we are running, so it re-adopts that work instead of
+        # resetting the family — the chunk stream continues uninterrupted
+        # — and with its task id, for the claim the master cannot confirm
+        # (e.g. a clone grant lost to a torn journal tail). Idle we answer
+        # ``running: None``: anything finished while the old master was
+        # dying was reported into the void and is re-proven by replay.
+        store.adopt_epochs(msg.get("epochs") or {})
+        hello = {"type": "hello", "pid": os.getpid(), "running": None}
+        if running is not None:
+            hello.update(running=running.node_id, task=running.task_id)
+        cmd_conn.send(hello)
 
 
 def _run_task(
@@ -367,25 +368,8 @@ def worker_main(
                 return
             if mtype == "cancel":
                 continue  # stale: the node already finished here
-            if mtype == "rebind":
-                # A storage shard was respawned while this worker idled;
-                # drop the stale connection so the next task reconnects,
-                # and adopt the demotion epochs so replicated reads go to
-                # the promoted primary, not the freshly-resynced respawn.
-                store.invalidate(msg["shard"])
-                store.adopt_epochs(msg.get("epochs") or {})
-                continue
-            if mtype == "reattach":
-                # A recovered master is taking attendance; an idle worker
-                # answers with ``running: None`` — anything it finished
-                # while the old master was dying was reported into the
-                # void and will be re-proven by replay, not trusted.
-                store.adopt_epochs(msg.get("epochs") or {})
-                cmd_conn.send(
-                    {"type": "hello", "pid": os.getpid(), "running": None}
-                )
-                continue
             if mtype != "run":
+                _on_command(store, cmd_conn, msg, None)
                 continue
             desc: NodeDescriptor = msg["desc"]
             try:

@@ -79,7 +79,6 @@ class LocalRuntime:
         cloning: bool = True,
         chunk_size: int = 64 * KB,
         clone_min_chunks: int = 2,
-        max_clones_per_task: Optional[int] = None,
         store=None,
         forced_clones: Optional[Dict[str, int]] = None,
     ):
@@ -90,7 +89,7 @@ class LocalRuntime:
         self.cloning = cloning
         self.chunk_size = chunk_size
         self.clone_min_chunks = clone_min_chunks
-        self.max_clones_per_task = max_clones_per_task or workers
+        self.max_clones_per_task = workers
         #: Any LocalBagStore-compatible store works; pass a
         #: :class:`repro.storage.filebag.FileBagStore` for disk-backed bags
         #: (the paper's actual representation, Section 4.3).

@@ -680,8 +680,12 @@ class TestPins:
         parameters = list(inspect.signature(DistRuntime.__init__).parameters)
         assert parameters[:4] == ["self", "app", "workers", "shards"]
         assert parameters[-2:] == ["snapshot_bags", "tracer"]
-        assert len(parameters) == 27
+        assert len(parameters) == 24
         assert "adaptive" not in parameters
+        # Budgets no caller set are the constants they defaulted to.
+        assert not {
+            "max_worker_restarts", "max_storage_resets", "max_clones_per_task"
+        } & set(parameters)
         assert not hasattr(DistRuntime, "_replay")
         assert "self.control.apply(record)" in inspect.getsource(DistRuntime.resume)
 

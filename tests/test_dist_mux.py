@@ -13,10 +13,12 @@ needing no thread to reap, and ``_parse_epoch_vector``'s rejection of
 malformed NotPrimary payloads.
 """
 
+import ast
 import inspect
 import multiprocessing
 import os
 import re
+import textwrap
 import threading
 import time
 
@@ -24,7 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dist.client as client_mod
 import repro.dist.protocol as protocol
+import repro.dist.runtime as runtime_mod
+import repro.dist.server as server_mod
 from repro.dist.client import (
     MuxBatchFetcher,
     MuxPump,
@@ -435,6 +440,88 @@ class TestOpFamily:
             conn.close()
 
 
+class TestOneDialect:
+    def test_a_connection_not_opening_with_mux_is_closed(self, shards2):
+        # Shards speak one dialect: a whole-pickled-message request, a
+        # malformed hello or a raw ``shutdown`` is answered by a close.
+        for first in [("remaining", "b"), ("mux",), "mux", ("shutdown",)]:
+            conn = protocol.connect_with_retry(shards2.paths[0], AUTHKEY, QUICK)
+            try:
+                conn.send(first)
+                with pytest.raises(EOFError):
+                    conn.recv()
+            finally:
+                conn.close()
+        # The shard did not shut down and still serves mux clients.
+        store = shards2.store()
+        try:
+            store.stores[0].call("insert", [("b", "tester#0", ["x"])])
+            stats = store.stores[0].call("stats")
+            assert stats["shard"] == 0 and stats["insert"] == 1
+            assert "remaining" not in stats and "shutdown" not in stats
+        finally:
+            store.close()
+
+
+class TestDeletedStaysDeleted:
+    """One storage client and one place to wait: the raw dialect, the
+    fetcher's failover thread and the store's private retry loops are gone."""
+
+    @staticmethod
+    def defined(module):
+        names = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        return names
+
+    def test_shards_hold_no_raw_client(self):
+        tree = ast.parse(inspect.getsource(server_mod))
+        imported = {
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert ("multiprocessing.connection", "Client") not in imported
+        assert not {"_peer_conn", "_drop_peer"} & self.defined(server_mod)
+
+    def test_one_sweep_and_no_fence_loop_in_the_client(self):
+        assert not {
+            "_sweep_fallback",
+            "_FetchAborted",
+            "_FENCE_RETRY_STEPS",
+            "_await_interruptible",
+            "_sleep_interruptible",
+        } & self.defined(client_mod)
+        fence = ast.parse(textwrap.dedent(inspect.getsource(ShardedBagStore.fence)))
+        called = {
+            getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(fence)
+            if isinstance(node, ast.Call)
+        }
+        assert not {"sleep", "backoffs"} & called
+        fetcher = ast.parse(textwrap.dedent(inspect.getsource(MuxBatchFetcher)))
+        assert not [
+            node
+            for node in ast.walk(fetcher)
+            if isinstance(node, ast.Attribute) and node.attr == "Thread"
+        ]
+
+    def test_the_master_store_fails_fast(self):
+        stores = [
+            node
+            for node in ast.walk(ast.parse(inspect.getsource(runtime_mod)))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "ShardedBagStore"
+        ]
+        assert len(stores) == 2  # run() and resume()
+        assert all(ast.unparse(node.args[3]) == "FAIL_FAST_POLICY" for node in stores)
+        assert list(client_mod.FAIL_FAST_POLICY.backoffs()) == []
+
+
 class TestMuxFetcher:
     def test_streams_all_chunks_then_eof(self, shards2):
         store = shards2.store()
@@ -507,7 +594,7 @@ class TestMuxFetcher:
         finally:
             store.close()
 
-    def test_replicated_failover_mid_stream(self, rshards2):
+    def test_replicated_failover_mid_stream(self, rshards2, monkeypatch):
         store = rshards2.store()
         try:
             bag_id = "replicated-stream"
@@ -518,6 +605,15 @@ class TestMuxFetcher:
             primary, backup = store.router.replicas(bag_id)
             fetcher = MuxBatchFetcher(store, bag_id, 3)
             first = fetcher.get(timeout=10.0)
+            # The failover rides the fetcher's own pipeline: no thread.
+            started = []
+            start = threading.Thread.start
+
+            def recording_start(thread):
+                started.append(thread.name)
+                start(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", recording_start)
             rshards2.kill(primary)
             # Play the master: push the promotion so the backup's
             # authoritative gate opens (peer gossip would take ~0.75s,
@@ -526,10 +622,12 @@ class TestMuxFetcher:
             got = [first[0]]
             while True:
                 chunk = fetcher.get(timeout=30.0)
+                assert _threads_named("mux-fetch") == []
                 if chunk is None:
                     break
                 got.append(chunk[0])
             fetcher.stop()
+            assert started == []
             # Exactly-once across the failover: every chunk, no dupes.
             assert sorted(got) == list(range(12))
             # The promoted backup served part of the stream.
@@ -554,6 +652,49 @@ class TestFetcherStop:
             started = time.perf_counter()
             fetcher.stop()
             assert time.perf_counter() - started < 1.0
+        finally:
+            store.close()
+
+    def test_stop_during_a_failover_backoff_returns_at_once(self, shards2):
+        # A stream whose every replica refused waits out the policy's
+        # backoff as a deadline, not in a thread: stop() joins nothing.
+        patient = StorageConfig(
+            rpc_retries=3, retry_backoff=5.0, backoff_multiplier=1.0, rpc_timeout=60.0
+        )
+        store = ShardedBagStore(
+            shards2.paths, AUTHKEY, "tester", patient, router=ShardRouter(2)
+        )
+        try:
+            bag_id = "stop-in-backoff"
+            store.ensure(bag_id).insert(["x"])
+            shards2.kill(store.shard_of(bag_id))
+            before = set(threading.enumerate())
+            fetcher = MuxBatchFetcher(store, bag_id, 2)
+            # Refused, re-swept at once, refused again: now backing off.
+            with pytest.raises(FetchTimeout):
+                fetcher.get(timeout=0.3)
+            assert set(threading.enumerate()) <= before
+            started = time.perf_counter()
+            fetcher.stop()
+            assert time.perf_counter() - started < 0.1
+        finally:
+            store.close()
+
+    def test_exhausted_backoffs_end_the_stream_with_storage_down(self, shards2):
+        store = shards2.store()
+        try:
+            bag_id = "gone-for-good"
+            store.ensure(bag_id).insert(["x"])
+            shards2.kill(store.shard_of(bag_id))
+            fetcher = MuxBatchFetcher(store, bag_id, 2)
+            deadline = time.monotonic() + 10.0
+            with pytest.raises(StorageNodeDown):
+                while time.monotonic() < deadline:
+                    try:
+                        fetcher.get(timeout=0.1)
+                    except FetchTimeout:
+                        continue
+            fetcher.stop()
         finally:
             store.close()
 

@@ -3,9 +3,9 @@
 Covers the pieces the end-to-end shard-kill tests exercise only in
 aggregate: the primary gate and removal shipping on real server
 processes, the client sweep's failover behavior, the fence sweep's
-continue-past-dead-shards fix, the empty-sample latency percentile
-contract, and a failover behind a busy master loop, which the shards'
-own gossip carries. (The bag representation itself — id-keyed sets,
+continue-past-dead-shards fix, the master's fail-fast store, the
+empty-sample latency percentile contract, and a failover behind a busy
+master loop, which the shards' own gossip carries. (The bag representation itself — id-keyed sets,
 removal-log dedup, monotone ``pull``/``push`` — is
 ``test_dist_bag_contract.py``.)
 """
@@ -19,6 +19,7 @@ import pytest
 from repro.apps import build_clicklog_stream
 from repro.dist import DistRuntime, server
 from repro.dist.client import (
+    FAIL_FAST_POLICY,
     MuxBatchFetcher,
     ShardedBagStore,
     _parse_epoch_vector,
@@ -241,6 +242,32 @@ class TestFenceSweep:
             store.close()
         finally:
             group.close()
+
+
+class TestTheMasterStoreNeverWaits:
+    def test_remaining_many_against_a_dead_primary_returns_at_once(self, shards2):
+        # The master's store sweeps under FAIL_FAST_POLICY: against a dead
+        # primary whose backup is not promoted yet it fails at the first
+        # full refusal, for ``DistRuntime._retrying`` — which promotes — to
+        # handle, instead of waiting ~0.8 s inside for the shards' gossip.
+        store = ShardedBagStore(
+            shards2.paths,
+            AUTHKEY,
+            "master",
+            FAIL_FAST_POLICY,
+            router=ShardRouter(2, 2),
+        )
+        try:
+            bag_id = "counted"
+            store.get(bag_id).insert(["x"])
+            assert store.remaining_many([bag_id]) == {bag_id: 1}
+            shards2.kill(store.serving_order(bag_id)[0])
+            died = time.monotonic()
+            with pytest.raises(StorageNodeDown):
+                store.remaining_many([bag_id])
+            assert time.monotonic() - died < 0.5
+        finally:
+            store.close()
 
 
 class TestEmptyPercentiles:

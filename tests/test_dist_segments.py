@@ -15,6 +15,8 @@ r>1 resync ships sealed segments instead of chunk-by-chunk snapshots.
 """
 
 import os
+import signal
+import time
 
 import pytest
 
@@ -236,6 +238,44 @@ class TestSegmentsEndToEnd:
         assert result.family_resets == 0
         assert not result.segment_resync  # reopen, not re-ship
         assert counts == expected
+
+    def test_r1_output_shard_killed_before_the_seal_costs_no_wait(self):
+        # Known stall (iv): sealing a finished family's output on a dead
+        # r=1 shard, the master waited ~6.9 s inside its own store for the
+        # respawn only it performs. Its store now fails at once, and
+        # ``_retrying`` respawns the shard (reopening its segments)
+        # between attempts — and the workers' patience outlasts that.
+        records = clicklog_records()
+        expected = clicklog_baseline(records)
+        runtime = DistRuntime(
+            build_clicklog_local(regions=REGIONS),
+            workers=3,
+            shards=2,
+            chunk_size=2048,
+            resident_bytes=8192,
+        )
+        seal = runtime._seal_complete
+        killed = []
+
+        def kill_then_seal(bag_ids):
+            bag_ids = list(bag_ids)
+            complete = [b for b in bag_ids if runtime.control.exec.bag_complete(b)]
+            if complete and not killed:
+                victim = runtime.router.home(complete[0])
+                proc = runtime._shard_procs[victim]
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=5.0)
+                killed.append(victim)
+            seal(bag_ids)
+
+        runtime._seal_complete = kill_then_seal
+        started = time.monotonic()
+        result = runtime.run({"clicklog": records}, timeout=180)
+        elapsed = time.monotonic() - started
+        assert killed and result.shard_deaths == 1
+        assert result.family_resets == 0
+        assert clicklog_counts(result) == expected
+        assert elapsed < 3.0, elapsed
 
     def test_r2_shard_kill_resyncs_by_shipping_segments(self):
         victim = ShardRouter(2).home("clicklog")

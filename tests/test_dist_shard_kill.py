@@ -10,6 +10,9 @@ them), and replay — ending with sinks byte-identical to the no-fault
 LocalRuntime baseline.
 """
 
+import os
+import signal
+
 import pytest
 
 from repro.apps import build_clicklog_local, build_hashjoin_local
@@ -129,6 +132,37 @@ class TestShardKillRecovery:
         result, counts, expected = clicklog_run(3, victim, 3)
         assert result.shard_deaths == 1
         assert counts == expected
+
+    def test_sink_shard_killed_before_the_snapshot_reruns_what_it_lost(self):
+        # The result snapshot reads through the master's one waiting loop:
+        # a death there is handled like any other — respawned, its lost
+        # sinks' families reset — and the run goes back to its event loop
+        # instead of returning the respawned shard's empty bags.
+        records = clicklog_records()
+        runtime = DistRuntime(
+            build_clicklog_local(regions=REGIONS),
+            workers=3,
+            shards=2,
+            chunk_size=2048,
+        )
+        snapshot = runtime._snapshot
+        killed = []
+
+        def kill_then_snapshot():
+            if not killed:
+                victim = runtime.router.home(runtime.graph.sink_bags()[0])
+                proc = runtime._shard_procs[victim]
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=5.0)
+                killed.append(victim)
+            return snapshot()
+
+        runtime._snapshot = kill_then_snapshot
+        result = runtime.run({"clicklog": records}, timeout=180)
+        assert killed and result.shard_deaths == 1
+        assert result.family_resets >= 1
+        assert clicklog_counts(result) == clicklog_baseline(records)
+
 
 class TestOneRecoveryPath:
     """Every configuration runs the same shard-death sequence (promote,
